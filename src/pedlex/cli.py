@@ -243,6 +243,8 @@ def _cmd_matrix(args) -> int:
     lists = [read_wordlist(p) for p in sorted(lists_dir.glob("*.tsv"))]
     if not lists:
         raise PedlexError(f"no .tsv word lists in {lists_dir}")
+    if args.jobs is not None and args.jobs < 1:
+        raise PedlexError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = args.jobs or os.cpu_count() or 1
     report = build_matrix(
         lists,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConlluError, G2PError, WordListError
+from .longest_match import LongestMatch
 
 log = logging.getLogger("pedlex.corpus")
 
@@ -128,14 +129,28 @@ class G2PTable:
     script: str
     rules: dict[tuple[str, str | None], str]
     source: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "max_key_len", max((len(g) for g, _ in self.rules), default=0)
-        )
+    _scanners: dict[str | None, LongestMatch[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def languages(self) -> tuple[str, ...]:
         return tuple(sorted({lang for _, lang in self.rules if lang}))
+
+    def scanner(self, language: str | None) -> LongestMatch[str]:
+        """Longest-match scanner over the rules that apply to ``language``.
+
+        The language's filtered rules replace the unfiltered ones of the same
+        grapheme. Built on first use and kept for the table's lifetime.
+        """
+        scanner = self._scanners.get(language)
+        if scanner is None:
+            merged = {g: ipa for (g, lang), ipa in self.rules.items() if lang is None}
+            if language is not None:
+                merged.update(
+                    (g, ipa) for (g, lang), ipa in self.rules.items() if lang == language
+                )
+            scanner = self._scanners[language] = LongestMatch(merged)
+        return scanner
 
 
 def load_g2p_table(path: str | Path, script: str | None = None) -> G2PTable:
@@ -192,25 +207,9 @@ def convert_word(word: str, table: G2PTable, language: str | None = None) -> str
     filtered to ``language`` beats the unfiltered one.
     """
     text = unicodedata.normalize("NFC", word)
-    out: list[str] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        emitted = None
-        for length in range(min(table.max_key_len, n - pos), 0, -1):
-            chunk = text[pos : pos + length]
-            if language is not None and (chunk, language) in table.rules:
-                emitted = table.rules[(chunk, language)]
-            elif (chunk, None) in table.rules:
-                emitted = table.rules[(chunk, None)]
-            if emitted is not None:
-                pos += length
-                break
-        if emitted is None:
-            raise G2PError(
-                f"unmapped grapheme {text[pos]!r} at offset {pos} in {word!r}"
-            )
-        out.append(emitted)
+    out, end = table.scanner(language).scan(text)
+    if end < len(text):
+        raise G2PError(f"unmapped grapheme {text[end]!r} at offset {end} in {word!r}")
     return "".join(out)
 
 
@@ -272,7 +271,7 @@ def read_wordlist(path: str | Path) -> WordList:
     if not path.exists():
         raise WordListError(f"word list not found: {path}")
     language = pos = None
-    lemmas: list[str] = []
+    lemmas: set[str] = set()
     ipa_by_lemma: dict[str, str] = {}
     saw_ipa = False
     with open(path, encoding="utf-8") as fh:
@@ -297,7 +296,7 @@ def read_wordlist(path: str | Path) -> WordList:
                 raise WordListError(f"{path} line {lineno}: empty lemma")
             if lemma in lemmas:
                 raise WordListError(f"{path} line {lineno}: duplicate lemma {lemma!r}")
-            lemmas.append(lemma)
+            lemmas.add(lemma)
             if len(fields) == 2 and fields[1]:
                 ipa_by_lemma[lemma] = fields[1]
                 saw_ipa = True

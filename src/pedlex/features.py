@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import InventoryError, UnknownSymbolError
+from .longest_match import LongestMatch
 
 MANNERS = (
     "plosive",
@@ -75,11 +77,10 @@ class FeatureInventory:
     entries: dict[str, Phone]
     source: str = field(default="", compare=False)
 
-    def __post_init__(self):
-        # longest label length drives the greedy tokenizer's lookahead
-        object.__setattr__(
-            self, "max_label_len", max((len(k) for k in self.entries), default=0)
-        )
+    @cached_property
+    def scanner(self) -> LongestMatch[Phone]:
+        """Greedy longest-match scanner over the labels; built on first use."""
+        return LongestMatch(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .corpus import WordList
 from .distance import DistanceConfig, MannerDistanceTable, SubstitutionCosts
-from .errors import WordListError
+from .errors import TokenizeError, WordListError
 from .features import FeatureInventory
 from .ped import DpStats, dp_labels
 from .tokenizer import tokenize
@@ -59,7 +59,7 @@ def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: 
     for ipa in words.ipa_strings():
         try:
             ps = tokenize(ipa, inventory)
-        except Exception:
+        except TokenizeError:
             if not skip_unknown:
                 raise
             log.warning(
@@ -92,9 +92,10 @@ def align_lists(
 
     The shorter list drives the iteration (ties: the lexicographically
     smaller language id); lists below ``min_size`` usable words yield a
-    skipped cell. ``shuffle_seed`` replaces the sorted iteration order with a
-    seeded shuffle, as a diagnostic for the order-sensitivity of the greedy
-    procedure.
+    skipped cell, and a ``min_size`` below 1 counts as 1, so a list with no
+    usable words is always skipped. ``shuffle_seed`` replaces the sorted
+    iteration order with a seeded shuffle, as a diagnostic for the
+    order-sensitivity of the greedy procedure.
     """
     if costs is None:
         from .defaults import default_manner_table
@@ -103,6 +104,7 @@ def align_lists(
             cfg if cfg is not None else DistanceConfig(),
             xi if xi is not None else default_manner_table(),
         )
+    min_size = max(min_size, 1)
     tokens_1, phones_1 = _prepare_tokens(l1, inventory, skip_unknown)
     tokens_2, phones_2 = _prepare_tokens(l2, inventory, skip_unknown)
 

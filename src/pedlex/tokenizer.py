@@ -54,22 +54,10 @@ def tokenize(text: str, inv: FeatureInventory) -> PhoneticString:
     normalized = normalize_ipa(text)
     if any(ch.isspace() for ch in normalized):
         raise TokenizeError(f"whitespace inside word {text!r}; tokenize words one at a time")
-    phones: list[Phone] = []
-    pos = 0
-    n = len(normalized)
-    max_len = inv.max_label_len
-    while pos < n:
-        phone = None
-        for length in range(min(max_len, n - pos), 0, -1):
-            candidate = inv.get(normalized[pos : pos + length])
-            if candidate is not None:
-                phone = candidate
-                pos += length
-                break
-        if phone is None:
-            raise TokenizeError(
-                f"unknown symbol {normalized[pos]!r} at offset {pos} in {text!r}",
-                offset=pos,
-            )
-        phones.append(phone)
+    phones, end = inv.scanner.scan(normalized)
+    if end < len(normalized):
+        raise TokenizeError(
+            f"unknown symbol {normalized[end]!r} at offset {end} in {text!r}",
+            offset=end,
+        )
     return PhoneticString(phones=tuple(phones), source_text=normalized)

@@ -222,6 +222,39 @@ def test_matrix_empty_dir_exits_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_matrix_rejects_jobs_below_one(capsys, tmp_path, fixtures_dir):
+    lists_dir = tmp_path / "lists"
+    shutil.copytree(fixtures_dir / "pronouns", lists_dir)
+    out = tmp_path / "r.csv"
+    for jobs in ("-4", "0"):
+        code, _, err = run(capsys, "matrix", "--lists", str(lists_dir), "--out", str(out),
+                           "--jobs", jobs)
+        assert code == 1
+        assert "--jobs" in err
+    assert not out.exists()
+
+
+def test_compare_min_size_zero_with_every_word_dropped(capsys, tmp_path, fixtures_dir):
+    bad = tmp_path / "xx_PRON.tsv"
+    bad.write_text("# lang=xx pos=PRON\nw1\t☃a\nw2\tb☃\n", encoding="utf-8")
+    hi = str(fixtures_dir / "pronouns" / "hi.tsv")
+    code, out, err = run(capsys, "compare", "--a", str(bad), "--b", hi,
+                         "--min-size", "0", "--skip-unknown")
+    assert code == 0, err
+    assert out.splitlines()[1] == "hi,xx,PRON,,20,0,list smaller than 1"
+
+
+def test_skip_unknown_internal_error_exits_two(capsys, monkeypatch, fixtures_dir):
+    def broken(text, inventory):
+        raise RuntimeError("scanner bug")
+
+    monkeypatch.setattr("pedlex.similarity.tokenize", broken)
+    ur = str(fixtures_dir / "pronouns" / "ur.tsv")
+    code, _, err = run(capsys, "compare", "--a", ur, "--b", ur, "--skip-unknown")
+    assert code == 2
+    assert "scanner bug" in err
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pedlex", "dist", "pɛn", "bɛnd"],

@@ -1,6 +1,8 @@
 import logging
+import unicodedata
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pedlex import (
     WordList,
@@ -227,6 +229,77 @@ def test_g2p_empty_output_rule_deletes(tmp_path):
     path.write_text("# script=demo\na\tx\nb\t\n", encoding="utf-8")
     table = load_g2p_table(path)
     assert convert_word("aba", table) == "xx"
+
+
+def greedy_convert(word, table, language=None):
+    """The per-position longest-match loop, kept as the scanner's reference."""
+    text = unicodedata.normalize("NFC", word)
+    max_len = max((len(g) for g, _ in table.rules), default=0)
+    out = []
+    pos = 0
+    while pos < len(text):
+        emitted = None
+        for length in range(min(max_len, len(text) - pos), 0, -1):
+            chunk = text[pos : pos + length]
+            if language is not None and (chunk, language) in table.rules:
+                emitted = table.rules[(chunk, language)]
+            elif (chunk, None) in table.rules:
+                emitted = table.rules[(chunk, None)]
+            if emitted is not None:
+                pos += length
+                break
+        if emitted is None:
+            raise G2PError(f"unmapped grapheme {text[pos]!r} at offset {pos} in {word!r}")
+        out.append(emitted)
+    return "".join(out)
+
+
+def grapheme_text(table):
+    """Random words of the table's graphemes, their prefixes and unmapped signs."""
+    graphemes = sorted({g for g, _ in table.rules})
+    prefixes = sorted({g[:k] for g in graphemes for k in range(1, len(g))})
+    deletions = sorted({g for (g, _), ipa in table.rules.items() if ipa == ""})
+    unmapped = ["٭", "x", ".", "*", "|"]
+    assert deletions and prefixes and not set(unmapped) & set(graphemes)
+    pieces = st.one_of(
+        st.sampled_from(graphemes),
+        st.sampled_from(prefixes),
+        st.sampled_from(deletions),
+        st.sampled_from(unmapped),
+    )
+    return st.lists(pieces, max_size=10).map("".join)
+
+
+def g2p_outcome(fn):
+    try:
+        return fn()
+    except G2PError as exc:
+        return ("G2PError", str(exc))
+
+
+# language None, each filtered language, and an unfiltered one per table
+@pytest.mark.parametrize(
+    "table, language",
+    [
+        (PERSO_ARABIC, None),
+        (PERSO_ARABIC, "fa"),
+        (PERSO_ARABIC, "ur"),
+        (PERSO_ARABIC, "ar"),
+        (DEVANAGARI, None),
+        (DEVANAGARI, "hi"),
+    ],
+    ids=["pa-none", "pa-fa", "pa-ur", "pa-ar", "dev-none", "dev-hi"],
+)
+@given(data=st.data())
+def test_scanner_matches_greedy_loop(table, language, data):
+    word = data.draw(grapheme_text(table))
+    expected = g2p_outcome(lambda: greedy_convert(word, table, language))
+    assert g2p_outcome(lambda: convert_word(word, table, language)) == expected
+
+
+def test_filtered_languages_of_bundled_tables():
+    assert PERSO_ARABIC.languages() == ("fa", "ur")
+    assert DEVANAGARI.languages() == ()
 
 
 # ---------------------------------------------------------------- word-list files

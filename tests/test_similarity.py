@@ -13,6 +13,7 @@ from pedlex import (
     read_wordlist,
     tokenize,
 )
+from pedlex import similarity
 from pedlex.errors import TokenizeError
 
 INV = default_inventory()
@@ -144,6 +145,25 @@ def test_skip_unknown_drops_word_not_symbol():
     good = wordlist("bb", "PRON", TOY_L2)
     cell = align_lists(bad, good, INV, CFG, XI, skip_unknown=True)
     assert cell.size_a == 5  # the word is gone, not just the bad symbol
+
+
+def test_min_size_below_one_skips_fully_dropped_list():
+    bad = wordlist("aa", "PRON", ["☃a", "☃b"])
+    good = wordlist("bb", "PRON", TOY_L2)
+    for min_size in (0, -3):
+        cell = align_lists(bad, good, INV, CFG, XI, min_size=min_size, skip_unknown=True)
+        assert cell.skipped_reason == "list smaller than 1"
+        assert (cell.size_a, cell.size_b) == (0, 5)
+
+
+def test_skip_unknown_lets_internal_errors_through(monkeypatch):
+    def broken(text, inventory):
+        raise RuntimeError("scanner bug")
+
+    monkeypatch.setattr(similarity, "tokenize", broken)
+    with pytest.raises(RuntimeError, match="scanner bug"):
+        align_lists(wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2),
+                    INV, CFG, XI, skip_unknown=True)
 
 
 # ---------------------------------------------------------------- matrix

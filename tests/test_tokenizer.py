@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from pedlex import default_inventory, tokenize
 from pedlex.errors import TokenizeError
+from pedlex.tokenizer import normalize_ipa
 
 INV = default_inventory()
 LABELS = sorted(INV.labels())
@@ -62,3 +63,54 @@ def test_retokenizing_concatenation_is_a_fixed_point(labels):
 def test_token_count_bounded_by_codepoints(labels):
     text = "".join(labels)
     assert len(tokenize(text, INV)) <= len(text)
+
+
+# ------------------------------------------------- differential vs the loop
+
+
+def greedy_tokenize(text, inv):
+    """The per-position longest-match loop, kept as the scanner's reference."""
+    normalized = normalize_ipa(text)
+    max_len = max(map(len, inv.entries), default=0)
+    phones = []
+    pos = 0
+    while pos < len(normalized):
+        for length in range(min(max_len, len(normalized) - pos), 0, -1):
+            phone = inv.get(normalized[pos : pos + length])
+            if phone is not None:
+                break
+        else:
+            raise TokenizeError(
+                f"unknown symbol {normalized[pos]!r} at offset {pos} in {text!r}",
+                offset=pos,
+            )
+        phones.append(phone)
+        pos += length
+    return tuple(phones)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except TokenizeError as exc:
+        return ("TokenizeError", str(exc), exc.offset)
+
+
+PREFIXES = sorted({label[:k] for label in LABELS for k in range(1, len(label))})
+LONG_MARK_SPELLINGS = sorted({label.replace(":", "ː") for label in LABELS if ":" in label})
+OUTSIDE = ["☃", "Q", ".", "*", "(", "|", "\\", "[", "?", "+", "̃", "ˑ"]
+assert not set(OUTSIDE) & set(LABELS)
+
+PIECES = st.one_of(
+    st.sampled_from(LABELS),
+    st.sampled_from(PREFIXES),
+    st.sampled_from(LONG_MARK_SPELLINGS + ["ː", ":"]),
+    st.sampled_from(OUTSIDE),
+)
+
+
+@given(st.lists(PIECES, max_size=12).map("".join))
+def test_scanner_matches_greedy_loop(text):
+    expected = outcome(lambda: greedy_tokenize(text, INV))
+    actual = outcome(lambda: tokenize(text, INV).phones)
+    assert actual == expected
