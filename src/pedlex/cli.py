@@ -71,10 +71,14 @@ def _add_distance_flags(parser):
                         help="use the two-branch vowel formula")
     parser.add_argument("--paper-mode", action="store_true",
                         help="literal vowel branch plus published voice encoding")
+    _add_verbose_flag(parser)
+
+
+def _add_verbose_flag(parser):
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
-def _build_run_config(args) -> RunConfig:
+def _configure_logging(args) -> None:
     level = logging.WARNING
     if args.verbose == 1:
         level = logging.INFO
@@ -82,6 +86,9 @@ def _build_run_config(args) -> RunConfig:
         level = logging.DEBUG
     logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s: %(message)s")
 
+
+def _build_run_config(args) -> RunConfig:
+    _configure_logging(args)
     inventory_path = Path(args.inventory) if args.inventory else defaults.default_inventory_path()
     manner_path = Path(args.manner_table) if args.manner_table else defaults.default_manner_table_path()
     for path in (inventory_path, manner_path):
@@ -161,7 +168,7 @@ def _cmd_phones(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    _build_run_config(args)
+    _configure_logging(args)
     tags = args.pos or list(TARGET_TAGS)
     for tag in tags:
         if tag not in TARGET_TAGS:
@@ -183,7 +190,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_g2p(args) -> int:
-    _build_run_config(args)
+    _configure_logging(args)
     table_path = Path(args.table) if args.table else defaults.default_g2p_table_path(args.script)
     if not table_path.exists():
         raise PedlexError(f"G2P table not found: {table_path}")
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pos", action="append", metavar="TAG",
                    help="restrict to this tag (repeatable; default: all ten)")
     p.add_argument("--out-dir", required=True)
-    _add_distance_flags(p)
+    _add_verbose_flag(p)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("g2p",
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", metavar="FILE", help="override the bundled table")
     p.add_argument("--in", dest="infile", required=True, metavar="LIST")
     p.add_argument("--out", required=True, metavar="LIST")
-    _add_distance_flags(p)
+    _add_verbose_flag(p)
     p.set_defaults(func=_cmd_g2p)
 
     p = sub.add_parser("compare",

@@ -2,20 +2,24 @@
 
 The classic edit-distance recurrence with insertion/deletion at cost 1 and
 substitution priced by the articulatory distance of the two phones (0 when
-the labels are equal). Computed bottom-up with two rolling rows, so memory
-is linear in the shorter word.
+the labels are equal). One row-extension routine, ``dp_labels``, computes
+it for ``ped``, its edit-script trace and the greedy list alignment; rows
+run over one word and columns over the other, and rows already computed
+for a shared prefix are reused.
 
-The all-pairs callers can pass a normalized best-so-far ``bound``: the DP is
-abandoned as soon as the minimum of the current row, divided by the longer
-length, exceeds it. Row minima are lower bounds on the final distance and
-division by a positive constant preserves order, so abandonment never
-discards a candidate that could still win or tie; results with pruning are
-bit-identical to results without.
+The all-pairs callers can pass a normalized best-so-far ``bound``. Only the
+diagonal band that a path within the bound can reach is filled (Ukkonen's
+cutoff), and the DP is abandoned as soon as the minimum of the current row,
+divided by the longer length, exceeds the bound. Both tests are lower
+bounds on the final distance, so they never discard a candidate that could
+still win or tie; results with pruning are bit-identical to results
+without.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf as INF
 
 from .defaults import default_manner_table
 from .distance import DistanceConfig, MannerDistanceTable, SubstitutionCosts
@@ -23,7 +27,14 @@ from .tokenizer import PhoneticString
 
 
 class DpStats:
-    """Counters for DP work done (cells actually evaluated)."""
+    """Counters for DP work done.
+
+    Every candidate a query considers counts once in ``prefiltered`` (its
+    length gap alone exceeded the bound) or in ``dps``; a ``dps`` visit is
+    either completed or ``abandoned`` (a row, possibly one shared with
+    earlier candidates through a common prefix, proved it hopeless). A
+    ``ped`` call is one visit. ``cells`` counts DP cells actually computed.
+    """
 
     __slots__ = ("cells", "dps", "abandoned", "prefiltered")
 
@@ -49,91 +60,117 @@ class PedResult:
     ops_trace: tuple[EditOp, ...] | None = None
 
 
-def dp_labels(a, b, rows, bound=None, stats=None):
-    """Edit distance over two label tuples given dense cost rows.
+def band(bound: float, maxlen: int, rows: int, cols: int):
+    """Diagonals (lo, hi) a DP path scoring at most ``bound`` can touch.
 
-    ``rows`` must cover both orientations (rows[x][y] for any labels x, y of
-    either word). Returns the distance, or None if ``bound`` (a normalized
-    distance) was proved unbeatable.
+    Cell (i, j) lies on diagonal i - j. Every path through it takes at least
+    s = |i-j| + |(rows-i) - (cols-j)| unit steps, and in floats a value built
+    from s additions of 1.0 to non-negative numbers is at least s, so a path
+    whose distance d satisfies d / maxlen <= bound only visits cells with
+    s <= t, t the largest integer with t / maxlen <= bound (the same float
+    division as the caller's). Those cells are the diagonals lo..hi; None
+    when no path can qualify. An infinite bound gives every diagonal.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    m, n = len(a), len(b)
-    if stats is not None:
-        stats.dps += 1
-    if n == 0:
-        return float(m)
-    maxlen = float(m)
-    prev = [float(j) for j in range(n + 1)]
-    for i, la in enumerate(a, 1):
-        row = rows[la]
-        left = float(i)
-        cur = [left]
-        append = cur.append
+    t = rows + cols
+    if maxlen and bound * maxlen < t:
+        t = int(bound * maxlen)
+        while t >= 0 and t / maxlen > bound:
+            t -= 1
+        while (t + 1) / maxlen <= bound:
+            t += 1
+    delta = rows - cols
+    slack = (t - abs(delta)) // 2
+    if slack < 0:
+        return None
+    return min(0, delta) - slack, max(0, delta) + slack
+
+
+def dp_labels(x, prof, stack, mins, depth, lo, hi, bound, maxlen, stats):
+    """Extend the edit-distance rows of label tuple ``x`` from row ``depth``.
+
+    Rows run over ``x``, columns over a query word of n labels: stack[0] is
+    [0, 1, ..., n] and prof[label][j] is the cost of substituting ``label``
+    for query label j (prof[label][0] is unused). Rows 1..depth must already
+    hold x[:depth]'s rows, with their minima in mins; this overwrites
+    stack[depth + 1:] and mins[depth + 1:] in place.
+
+    Row i computes only the columns j with lo <= i - j <= hi (see ``band``)
+    and sets the column right of them to inf; those are the only cells of a
+    row that the next row reads, so a row computed under a wider band stays
+    valid under a narrower one. The row minimum is a lower bound on the distance:
+    once row_min / maxlen > bound, no path through the row scores within it.
+
+    Returns (rows done, distance), with distance None when the last row
+    done proved the prefix x[:rows done] hopeless.
+    """
+    if depth and mins[depth] / maxlen > bound:
+        return depth, None  # the shared prefix is hopeless under the current bound
+    m, n = len(x), len(stack[0]) - 1
+    prev = stack[depth]
+    cells = 0
+    for i in range(depth + 1, m + 1):
+        cur = stack[i]
+        cost = prof[x[i - 1]]
+        jlo = i - hi
+        jhi = i - lo
+        if jhi < n:
+            cur[jhi + 1] = INF
+        else:
+            jhi = n
+        if jlo > 0:
+            left = INF
+        else:
+            jlo = 1
+            left = cur[0] = float(i)
         row_min = left
-        prev_diag = prev[0]
-        for j, lb in enumerate(b, 1):
+        diag = prev[jlo - 1]
+        for j in range(jlo, jhi + 1):
             up = prev[j]
-            best = prev_diag + row[lb]
-            alt = up + 1.0
+            best = diag + cost[j]
+            # min(up, left) + 1.0 == min(up + 1.0, left + 1.0) exactly
+            alt = (up if up < left else left) + 1.0
             if alt < best:
                 best = alt
-            alt = left + 1.0
-            if alt < best:
-                best = alt
-            append(best)
-            left = best
+            cur[j] = left = best
             if best < row_min:
                 row_min = best
-            prev_diag = up
-        if stats is not None:
-            stats.cells += n
-        if bound is not None and row_min / maxlen > bound:
-            if stats is not None:
-                stats.abandoned += 1
-            return None
+            diag = up
+        cells += jhi - jlo + 1
+        mins[i] = row_min
+        if row_min / maxlen > bound:
+            stats.cells += cells
+            return i, None
         prev = cur
-    return prev[n]
+    stats.cells += cells
+    return m, prev[n]
 
 
-def _trace_dp(source: PhoneticString, target: PhoneticString, costs: SubstitutionCosts):
-    """Full-matrix DP plus backtrack; returns (distance, ops)."""
-    src, tgt = source.phones, target.phones
-    m, n = len(src), len(tgt)
-    dist = [[0.0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        dist[i][0] = float(i)
-    for j in range(1, n + 1):
-        dist[0][j] = float(j)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            best = dist[i - 1][j - 1] + costs.pair(src[i - 1], tgt[j - 1])
-            alt = dist[i - 1][j] + 1.0
-            if alt < best:
-                best = alt
-            alt = dist[i][j - 1] + 1.0
-            if alt < best:
-                best = alt
-            dist[i][j] = best
+def cost_profile(rows, w):
+    """prof[label][j]: substitution cost of ``label`` for w[j - 1], j >= 1."""
+    return {label: [0.0] + [row[lw] for lw in w] for label, row in rows.items()}
+
+
+def _edit_script(x, w, prof, stack):
+    """Backtrack a full DP matrix into edit operations, source to target."""
     ops: list[EditOp] = []
-    i, j = m, n
+    i, j = len(x), len(w)
     while i > 0 or j > 0:
         if i > 0 and j > 0:
-            cost = costs.pair(src[i - 1], tgt[j - 1])
-            if dist[i][j] == dist[i - 1][j - 1] + cost:
-                op = "match" if src[i - 1].label == tgt[j - 1].label else "substitute"
-                ops.append(EditOp(op, src[i - 1].label, tgt[j - 1].label, cost))
+            cost = prof[x[i - 1]][j]
+            if stack[i][j] == stack[i - 1][j - 1] + cost:
+                op = "match" if x[i - 1] == w[j - 1] else "substitute"
+                ops.append(EditOp(op, x[i - 1], w[j - 1], cost))
                 i -= 1
                 j -= 1
                 continue
-        if i > 0 and dist[i][j] == dist[i - 1][j] + 1.0:
-            ops.append(EditOp("delete", src[i - 1].label, None, 1.0))
+        if i > 0 and stack[i][j] == stack[i - 1][j] + 1.0:
+            ops.append(EditOp("delete", x[i - 1], None, 1.0))
             i -= 1
             continue
-        ops.append(EditOp("insert", None, tgt[j - 1].label, 1.0))
+        ops.append(EditOp("insert", None, w[j - 1], 1.0))
         j -= 1
     ops.reverse()
-    return dist[m][n], tuple(ops)
+    return tuple(ops)
 
 
 def _resolve(cfg, xi, costs):
@@ -160,21 +197,34 @@ def ped(
     """Phonetic edit distance between two tokenized words.
 
     Pass either cfg/xi (defaults used when omitted) or a prebuilt ``costs``.
-    With ``bound`` set, returns None when the normalized distance provably
-    exceeds it. ``trace=True`` additionally returns the aligned edit script.
+    With ``bound`` set, returns the exact result when the normalized distance
+    is at most ``bound`` and None otherwise. ``trace=True`` ignores the bound
+    and additionally returns the aligned edit script.
     """
     costs = _resolve(cfg, xi, costs)
-    maxlen = max(len(source), len(target))
-    if trace:
-        distance, ops = _trace_dp(source, target, costs)
-        normalized = distance / maxlen if maxlen else 0.0
-        return PedResult(distance=distance, normalized=normalized, ops_trace=ops)
-    rows = costs.rows_for(source.phones + target.phones, source.phones + target.phones)
-    distance = dp_labels(source.labels, target.labels, rows, bound=bound, stats=stats)
-    if distance is None:
+    if stats is None:
+        stats = DpStats()
+    stats.dps += 1
+    x, w = source.labels, target.labels
+    maxlen = max(len(x), len(w))
+    if bound is None or trace:
+        bound = INF
+    diagonals = band(bound, maxlen, len(x), len(w))
+    if diagonals is None:
+        stats.abandoned += 1
         return None
-    normalized = distance / maxlen if maxlen else 0.0
-    return PedResult(distance=distance, normalized=normalized)
+    rows = costs.rows_for(source.phones, target.phones)
+    prof = cost_profile(rows, w)
+    stack = [[float(j) for j in range(len(w) + 1)] for _ in range(len(x) + 1)]
+    mins = [0.0] * len(stack)
+    _, distance = dp_labels(x, prof, stack, mins, 0, *diagonals, bound, maxlen, stats)
+    if distance is not None:
+        normalized = distance / maxlen if maxlen else 0.0
+    if distance is None or normalized > bound:
+        stats.abandoned += 1
+        return None
+    ops = _edit_script(x, w, prof, stack) if trace else None
+    return PedResult(distance=distance, normalized=normalized, ops_trace=ops)
 
 
 def normalized_ped(

@@ -15,15 +15,15 @@ from __future__ import annotations
 import logging
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 
 from .corpus import WordList
 from .distance import DistanceConfig, MannerDistanceTable, SubstitutionCosts
 from .errors import TokenizeError, WordListError
 from .features import FeatureInventory
-from .ped import DpStats, dp_labels
+from .ped import DpStats, band, cost_profile, dp_labels
 from .tokenizer import tokenize
 
 log = logging.getLogger("pedlex.similarity")
@@ -49,7 +49,6 @@ class SimilarityCell:
 @dataclass(frozen=True)
 class SimilarityReport:
     cells: tuple[SimilarityCell, ...]
-    metadata: dict = field(default_factory=dict, compare=False)
 
 
 def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: bool):
@@ -124,54 +123,120 @@ def align_lists(
     # the shorter list iterates; equal sizes resolved by language id
     if (len(tokens_1), l1.language) <= (len(tokens_2), l2.language):
         short, long_ = tokens_1, tokens_2
+        rows = costs.rows_for(phones_2, phones_1)
     else:
         short, long_ = tokens_2, tokens_1
-
-    rows = costs.rows_for(phones_1 + phones_2, phones_1 + phones_2)
+        rows = costs.rows_for(phones_1, phones_2)
     order = sorted(short)
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(order)
-    remaining = dict(sorted(long_.items()))  # ipa -> labels
-
-    psi_all = 0.0
-    for w_ipa in order:
-        w_labels = short[w_ipa]
-        w_len = len(w_labels)
-        best_val = None
-        best_ipa = None
-        candidates = remaining.items()
-        if prune:
-            # near-length candidates first so the best-so-far bound bites early
-            candidates = sorted(
-                candidates, key=lambda item: (abs(len(item[1]) - w_len), item[0])
-            )
-        for x_ipa, x_labels in candidates:
-            maxlen = max(w_len, len(x_labels))
-            if maxlen == 0:
-                nd = 0.0
-            else:
-                if prune and best_val is not None:
-                    if abs(w_len - len(x_labels)) / maxlen > best_val:
-                        if stats is not None:
-                            stats.prefiltered += 1
-                        continue
-                    d = dp_labels(w_labels, x_labels, rows, bound=best_val, stats=stats)
-                    if d is None:
-                        continue
-                else:
-                    d = dp_labels(w_labels, x_labels, rows, stats=stats)
-                nd = d / maxlen
-            if (
-                best_val is None
-                or nd < best_val
-                or (nd == best_val and x_ipa < best_ipa)
-            ):
-                best_val = nd
-                best_ipa = x_ipa
-        psi_all += best_val
-        del remaining[best_ipa]
+    if stats is None:
+        stats = DpStats()
+    psi_all = _greedy_total([short[ipa] for ipa in order], long_, rows, prune, stats)
     mu_psi = psi_all / len(short)
     return SimilarityCell(mu_psi=mu_psi, skipped_reason=None, **base)
+
+
+def _greedy_total(queries, long_, rows, prune, stats):
+    """Σ over the queries, in order, of the normalized PED to the nearest
+    unclaimed word of ``long_`` (ties to the smaller IPA), which it claims.
+
+    The long list is scanned in buckets of equal token length, nearest
+    length first; a bucket whose length gap alone exceeds the best-so-far
+    is skipped whole. Inside a bucket the words are sorted by labels, so
+    consecutive candidates share the DP rows of their common prefix, and a
+    prefix proved hopeless skips every candidate that starts with it.
+    """
+    by_length: dict[int, list] = {}
+    for ipa, labels in long_.items():
+        by_length.setdefault(len(labels), []).append((labels, ipa))
+    buckets = [_Bucket(length, by_length[length]) for length in sorted(by_length)]
+    visits: dict[int, list[_Bucket]] = {}  # query length -> buckets, nearest first
+    # DP rows, reused across queries; dp_labels only reads cells it wrote
+    stack = [[0.0] * (max(map(len, queries)) + 1) for _ in range(buckets[-1].length + 1)]
+    mins = [0.0] * len(stack)
+    completed = abandoned = prefiltered = 0
+    total = 0.0
+    for w in queries:
+        n = len(w)
+        prof = cost_profile(rows, w)
+        stack[0] = [float(j) for j in range(n + 1)]
+        visit = visits.get(n)
+        if visit is None:
+            visit = visits[n] = sorted(buckets, key=lambda b: (abs(b.length - n), b.length))
+        best = bound = inf
+        best_ipa = best_at = None
+        for bucket in visit:
+            labels, lcp, length = bucket.labels, bucket.lcp, bucket.length
+            size = len(labels)
+            if not size:
+                continue
+            maxlen = max(length, n)
+            if maxlen and abs(length - n) / maxlen > bound:
+                prefiltered += size
+                continue
+            lo, hi = band(bound, maxlen, length, n)
+            depth = 0  # stack rows 1..depth hold the current candidate's prefix
+            k = 0
+            while k < size:
+                if depth > lcp[k]:
+                    depth = lcp[k]
+                depth, d = dp_labels(
+                    labels[k], prof, stack, mins, depth, lo, hi, bound, maxlen, stats
+                )
+                if d is None:
+                    # every candidate sharing the hopeless prefix is hopeless
+                    end = k + 1
+                    while end < size and lcp[end] >= depth:
+                        end += 1
+                    abandoned += end - k
+                    k = end
+                    continue
+                completed += 1
+                nd = d / maxlen if maxlen else 0.0
+                if nd < best or (nd == best and bucket.ipas[k] < best_ipa):
+                    best, best_ipa, best_at = nd, bucket.ipas[k], (bucket, k)
+                    if prune:
+                        bound = best
+                        lo, hi = band(bound, maxlen, length, n)
+                k += 1
+        total += best
+        bucket, k = best_at
+        bucket.remove(k)
+    stats.dps += completed + abandoned
+    stats.abandoned += abandoned
+    stats.prefiltered += prefiltered
+    return total
+
+
+class _Bucket:
+    """The unclaimed words of one token length, sorted by (labels, ipa).
+
+    lcp[k] is the number of leading labels word k shares with word k - 1
+    (0 for the first word).
+    """
+
+    __slots__ = ("length", "labels", "ipas", "lcp")
+
+    def __init__(self, length, entries):
+        entries.sort()
+        self.length = length
+        self.labels = [labels for labels, _ in entries]
+        self.ipas = [ipa for _, ipa in entries]
+        self.lcp = [0] * len(entries)
+        for k in range(1, len(entries)):
+            a, b = self.labels[k - 1], self.labels[k]
+            common = 0
+            while common < length and a[common] == b[common]:
+                common += 1
+            self.lcp[k] = common
+
+    def remove(self, k):
+        lcp = self.lcp
+        if k + 1 < len(lcp):
+            # the new neighbours share the shorter of the two prefixes
+            lcp[k + 1] = min(lcp[k], lcp[k + 1])
+        del self.labels[k], self.ipas[k], lcp[k]
 
 
 def _cell_task(args):
@@ -221,12 +286,7 @@ def build_matrix(
     else:
         cells = [_cell_task(task) for task in tasks]
     cells.sort(key=lambda c: (c.pos, c.lang_a, c.lang_b))
-    metadata = {
-        "inventory": inventory.source,
-        "manner_table": getattr(xi, "source", ""),
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-    }
-    return SimilarityReport(cells=tuple(cells), metadata=metadata)
+    return SimilarityReport(cells=tuple(cells))
 
 
 REPORT_HEADER = ("lang_a", "lang_b", "pos", "mu_psi", "size_a", "size_b", "skipped")

@@ -174,6 +174,29 @@ def test_extract_rejects_unknown_tag(capsys, tmp_path):
     assert "unsupported tag" in err
 
 
+def test_extract_and_g2p_take_no_distance_flags(capsys, tmp_path):
+    for command in ("extract", "g2p"):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert "--verbose" in out
+        for flag in ("--alpha", "--inventory", "--manner-table", "--paper-mode"):
+            assert flag not in out
+    conllu = tmp_path / "ur.conllu"
+    conllu.write_text(CONLLU, encoding="utf-8")
+    out_dir = tmp_path / "lists"
+    code, _, err = run(capsys, "extract", "--input", str(conllu), "--lang", "ur",
+                       "--out-dir", str(out_dir), "--inventory", "missing.tsv")
+    assert code == 1
+    assert "unrecognized arguments: --inventory" in err
+    code, _, _ = run(capsys, "extract", "-v", "--input", str(conllu), "--lang", "ur",
+                     "--out-dir", str(out_dir))
+    assert code == 0
+    code, _, _ = run(capsys, "g2p", "-v", "--script", "perso-arabic",
+                     "--in", str(out_dir / "ur_PRON.tsv"), "--out", str(tmp_path / "ipa.tsv"))
+    assert code == 0
+    assert "میں\tmj" in (tmp_path / "ipa.tsv").read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------- matrix
 
 

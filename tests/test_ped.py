@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pedlex import (
     DistanceConfig,
     DpStats,
+    EditOp,
     PhoneticString,
     SubstitutionCosts,
     default_inventory,
@@ -162,6 +164,77 @@ def test_pruned_equals_unpruned(a, b):
     below = ped(a, b, costs=COSTS, bound=exact.normalized - 1e-9)
     if below is not None:
         assert below.distance == exact.distance
+
+
+@given(phone_words(), phone_words(), st.data())
+@settings(max_examples=200)
+def test_random_bound_exact_or_none(a, b, data):
+    exact = ped(a, b, costs=COSTS)
+    near = [exact.normalized, math.nextafter(exact.normalized, -math.inf),
+            math.nextafter(exact.normalized, math.inf)]
+    bound = data.draw(st.one_of(st.sampled_from(near), st.floats(-0.5, 1.5)))
+    result = ped(a, b, costs=COSTS, bound=bound)
+    if result is None:
+        assert exact.normalized > bound
+    else:
+        assert exact.normalized <= bound
+        assert result.distance.hex() == exact.distance.hex()
+        assert result.normalized.hex() == exact.normalized.hex()
+
+
+def reference_trace(source, target, costs):
+    """Full-matrix DP plus backtrack, as a separate routine; returns (distance, ops)."""
+    src, tgt = source.phones, target.phones
+    m, n = len(src), len(tgt)
+    dist = [[0.0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        dist[i][0] = float(i)
+    for j in range(1, n + 1):
+        dist[0][j] = float(j)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            best = dist[i - 1][j - 1] + costs.pair(src[i - 1], tgt[j - 1])
+            alt = dist[i - 1][j] + 1.0
+            if alt < best:
+                best = alt
+            alt = dist[i][j - 1] + 1.0
+            if alt < best:
+                best = alt
+            dist[i][j] = best
+    ops = []
+    i, j = m, n
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            cost = costs.pair(src[i - 1], tgt[j - 1])
+            if dist[i][j] == dist[i - 1][j - 1] + cost:
+                op = "match" if src[i - 1].label == tgt[j - 1].label else "substitute"
+                ops.append(EditOp(op, src[i - 1].label, tgt[j - 1].label, cost))
+                i -= 1
+                j -= 1
+                continue
+        if i > 0 and dist[i][j] == dist[i - 1][j] + 1.0:
+            ops.append(EditOp("delete", src[i - 1].label, None, 1.0))
+            i -= 1
+            continue
+        ops.append(EditOp("insert", None, tgt[j - 1].label, 1.0))
+        j -= 1
+    ops.reverse()
+    return dist[m][n], tuple(ops)
+
+
+# few labels, so words share phones and the backtrack meets ties
+trace_words = st.lists(st.sampled_from(["p", "b", "m", "a", "a:", "i", "s"]), max_size=7).map(
+    lambda labels: word_to_ps(tuple(labels))
+)
+
+
+@given(st.one_of(phone_words(), trace_words), st.one_of(phone_words(), trace_words))
+@settings(max_examples=200)
+def test_trace_matches_reference(a, b):
+    result = ped(a, b, costs=COSTS, trace=True, bound=0.0)
+    distance, ops = reference_trace(a, b, COSTS)
+    assert result.distance.hex() == distance.hex()
+    assert result.ops_trace == ops
 
 
 def test_stats_count_cells():

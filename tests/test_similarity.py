@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pedlex import (
     DistanceConfig,
@@ -30,11 +33,14 @@ def wordlist(lang, pos, ipa_strings):
     )
 
 
-def greedy_oracle(short_ipas, long_ipas):
+def greedy_oracle(short_ipas, long_ipas, shuffle_seed=None):
     """Step-by-step replay of the greedy procedure with the public API."""
     remaining = list(long_ipas)
     total = 0.0
-    for w in sorted(short_ipas):
+    order = sorted(short_ipas)
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(order)
+    for w in order:
         scored = []
         for x in remaining:
             nd = normalized_ped(tokenize(w, INV), tokenize(x, INV), CFG, XI)
@@ -131,6 +137,61 @@ def test_shuffle_seed_is_deterministic_diagnostic():
     one = align_lists(a, b, INV, CFG, XI, shuffle_seed=5)
     two = align_lists(a, b, INV, CFG, XI, shuffle_seed=5)
     assert one == two
+
+
+# no two of these join into a longer inventory symbol; "aː" and "a:" are two
+# spellings of one label
+DIFF_SYMBOLS = ["p", "b", "t", "d", "m", "s", "a", "a:", "aː", "i", "u"]
+diff_words = st.lists(st.sampled_from(DIFF_SYMBOLS), min_size=1, max_size=6).map("".join)
+
+
+@st.composite
+def list_pairs(draw):
+    """(short, long) distinct-IPA lists; the first is never the longer."""
+    long_ = draw(st.lists(diff_words, min_size=1, max_size=14, unique=True))
+    short = draw(st.lists(diff_words, min_size=1, max_size=len(long_), unique=True))
+    return short, long_
+
+
+@given(list_pairs(), st.one_of(st.none(), st.integers(0, 2**16)))
+@settings(max_examples=150, deadline=None)
+def test_align_lists_pruned_unpruned_and_oracle_agree(pair, shuffle_seed):
+    short, long_ = pair
+    l1, l2 = wordlist("aa", "NOUN", short), wordlist("bb", "NOUN", long_)
+    s_pruned, s_unpruned = DpStats(), DpStats()
+    pruned = align_lists(l1, l2, INV, CFG, XI, min_size=1, shuffle_seed=shuffle_seed,
+                         stats=s_pruned)
+    unpruned = align_lists(l1, l2, INV, CFG, XI, min_size=1, shuffle_seed=shuffle_seed,
+                           prune=False, stats=s_unpruned)
+    oracle = greedy_oracle(short, long_, shuffle_seed)
+    assert pruned.mu_psi.hex() == unpruned.mu_psi.hex() == oracle.hex()
+    # every query visits each unclaimed word once: prefiltered, abandoned or completed
+    visits = sum(len(long_) - q for q in range(len(short)))
+    for stats in (s_pruned, s_unpruned):
+        assert stats.dps + stats.prefiltered == visits
+        assert stats.abandoned <= stats.dps
+    assert s_unpruned.prefiltered == s_unpruned.abandoned == 0
+    assert s_pruned.cells <= s_unpruned.cells
+
+
+def test_equal_nd_tie_goes_to_smaller_ipa():
+    # "m" is 1/2 from both "am" and "ma" and must claim "am", the smaller IPA,
+    # which leaves "pam" (iterated second) with "ma" instead of its nearest
+    short, long_ = ["m", "pam"], ["ma", "am", "uuuu"]
+    cell = align_lists(wordlist("aa", "NOUN", short), wordlist("bb", "NOUN", long_),
+                       INV, CFG, XI, min_size=1)
+    assert cell.mu_psi == greedy_oracle(short, long_)
+    pam_ma = normalized_ped(tokenize("pam", INV), tokenize("ma", INV), CFG, XI)
+    assert pam_ma > 1 / 3
+    assert cell.mu_psi == (0.5 + pam_ma) / 2
+
+
+def test_two_spellings_of_one_label_tuple():
+    short, long_ = ["pa:", "paː"], ["ba:", "baː", "mu"]
+    cell = align_lists(wordlist("aa", "NOUN", short), wordlist("bb", "NOUN", long_),
+                       INV, CFG, XI, min_size=1)
+    assert cell.mu_psi == greedy_oracle(short, long_)
+    assert cell.mu_psi == normalized_ped(tokenize("pa:", INV), tokenize("ba:", INV), CFG, XI)
 
 
 def test_unknown_symbol_fatal_by_default():
