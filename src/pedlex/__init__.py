@@ -33,6 +33,7 @@ from .features import (
     Phone,
     VowelFeatures,
     load_inventory,
+    paper_voice,
     save_inventory,
 )
 from .ped import DpStats, EditOp, PedResult, normalized_ped, ped
@@ -71,6 +72,7 @@ __all__ = [
     "load_inventory",
     "load_manner_table",
     "normalized_ped",
+    "paper_voice",
     "ped",
     "pdc",
     "pdv",

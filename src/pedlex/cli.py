@@ -10,12 +10,10 @@ stdout or --out files, diagnostics to stderr. Exit codes: 0 ok, 1 bad input,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import defaults
@@ -27,30 +25,18 @@ from .corpus import (
     read_wordlist,
     write_wordlist,
 )
-from .distance import DistanceConfig, SubstitutionCosts, load_manner_table
+from .distance import DistanceConfig, load_manner_table
 from .errors import PedlexError
-from .features import FeatureInventory, load_inventory
+from .features import load_inventory, paper_voice
 from .ped import ped
-from .similarity import DEFAULT_MIN_SIZE, align_lists, build_matrix, format_report
+from .similarity import (
+    DEFAULT_MIN_SIZE,
+    SimilarityReport,
+    align_lists,
+    build_matrix,
+    format_report,
+)
 from .tokenizer import tokenize
-
-log = logging.getLogger("pedlex")
-
-# Comparison mode replaying the published per-symbol voice values, which mark
-# 's' voiced and 'ʃ' voiceless (their -1 read as voiced here).
-PAPER_VOICE_OVERRIDES = {"s": 1, "ʃ": 0, "l": 1, "m": 1}
-
-
-@dataclass
-class RunConfig:
-    """Resolved paths and distance settings for one CLI invocation."""
-
-    inventory_path: Path
-    manner_table_path: Path
-    distance: DistanceConfig
-    paper_mode: bool = False
-    min_size: int = DEFAULT_MIN_SIZE
-    skip_unknown: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,13 +73,12 @@ def _configure_logging(args) -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s: %(message)s")
 
 
-def _build_run_config(args) -> RunConfig:
-    _configure_logging(args)
-    inventory_path = Path(args.inventory) if args.inventory else defaults.default_inventory_path()
-    manner_path = Path(args.manner_table) if args.manner_table else defaults.default_manner_table_path()
-    for path in (inventory_path, manner_path):
-        if not path.exists():
-            raise PedlexError(f"data file not found: {path}")
+def _load_tables(args):
+    """(inventory, DistanceConfig, manner table) named by the distance flags."""
+    inventory = load_inventory(args.inventory or defaults.default_inventory_path())
+    if args.paper_mode:
+        inventory = paper_voice(inventory)
+    xi = load_manner_table(args.manner_table or defaults.default_manner_table_path())
     overrides = {}
     if args.alpha is not None:
         overrides["alpha"] = args.alpha
@@ -101,42 +86,14 @@ def _build_run_config(args) -> RunConfig:
         overrides["cross_type_cost"] = args.cross_type_cost
     if args.literal_vowel_branch or args.paper_mode:
         overrides["literal_vowel_branch"] = True
-    return RunConfig(
-        inventory_path=inventory_path,
-        manner_table_path=manner_path,
-        distance=DistanceConfig(**overrides),
-        paper_mode=args.paper_mode,
-        min_size=getattr(args, "min_size", DEFAULT_MIN_SIZE),
-        skip_unknown=getattr(args, "skip_unknown", False),
-    )
-
-
-def _load_tables(run: RunConfig):
-    inventory = load_inventory(run.inventory_path)
-    if run.paper_mode:
-        inventory = _apply_voice_overrides(inventory, PAPER_VOICE_OVERRIDES)
-    xi = load_manner_table(run.manner_table_path)
-    return inventory, xi
-
-
-def _apply_voice_overrides(inventory: FeatureInventory, overrides) -> FeatureInventory:
-    entries = dict(inventory.entries)
-    for label, voiced in overrides.items():
-        phone = entries.get(label)
-        if phone is None or phone.is_vowel:
-            continue
-        entries[label] = dataclasses.replace(
-            phone, features=dataclasses.replace(phone.features, voiced=voiced)
-        )
-    return FeatureInventory(entries=entries, source=inventory.source + "+paper-voice")
+    return inventory, DistanceConfig(**overrides), xi
 
 
 def _cmd_dist(args) -> int:
-    run = _build_run_config(args)
-    inventory, xi = _load_tables(run)
+    inventory, cfg, xi = _load_tables(args)
     a = tokenize(args.ipa1, inventory)
     b = tokenize(args.ipa2, inventory)
-    result = ped(a, b, run.distance, xi, trace=args.trace)
+    result = ped(a, b, cfg, xi, trace=args.trace)
     value = result.normalized if args.normalized else result.distance
     print(f"{value:.3f}")
     if args.trace:
@@ -151,8 +108,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_phones(args) -> int:
-    run = _build_run_config(args)
-    inventory, _ = _load_tables(run)
+    inventory, _, _ = _load_tables(args)
     phonestring = tokenize(args.ipa, inventory)
     for phone in phonestring:
         f = phone.features
@@ -168,7 +124,6 @@ def _cmd_phones(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    _configure_logging(args)
     tags = args.pos or list(TARGET_TAGS)
     for tag in tags:
         if tag not in TARGET_TAGS:
@@ -190,10 +145,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_g2p(args) -> int:
-    _configure_logging(args)
-    table_path = Path(args.table) if args.table else defaults.default_g2p_table_path(args.script)
-    if not table_path.exists():
-        raise PedlexError(f"G2P table not found: {table_path}")
+    table_path = args.table or defaults.default_g2p_table_path(args.script)
     table = load_g2p_table(table_path, script=args.script)
     words = read_wordlist(args.infile)
     converted = g2p_convert(words, table)
@@ -207,26 +159,18 @@ def _cmd_g2p(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    run = _build_run_config(args)
-    inventory, xi = _load_tables(run)
-    l1 = read_wordlist(args.a)
-    l2 = read_wordlist(args.b)
+    inventory, cfg, xi = _load_tables(args)
     cell = align_lists(
-        l1,
-        l2,
+        read_wordlist(args.a),
+        read_wordlist(args.b),
         inventory,
-        run.distance,
+        cfg,
         xi,
-        min_size=run.min_size,
+        min_size=args.min_size,
         shuffle_seed=_parse_order(args.order),
-        skip_unknown=run.skip_unknown,
+        skip_unknown=args.skip_unknown,
     )
-    print(",".join(("lang_a", "lang_b", "pos", "mu_psi", "size_a", "size_b", "skipped")))
-    mu = "" if cell.mu_psi is None else f"{cell.mu_psi:.4f}"
-    print(
-        f"{cell.lang_a},{cell.lang_b},{cell.pos},{mu},"
-        f"{cell.size_a},{cell.size_b},{cell.skipped_reason or ''}"
-    )
+    sys.stdout.write(format_report(SimilarityReport(cells=(cell,))))
     return 0
 
 
@@ -242,8 +186,7 @@ def _parse_order(order: str | None):
 
 
 def _cmd_matrix(args) -> int:
-    run = _build_run_config(args)
-    inventory, xi = _load_tables(run)
+    inventory, cfg, xi = _load_tables(args)
     lists_dir = Path(args.lists)
     if not lists_dir.is_dir():
         raise PedlexError(f"--lists must be a directory of word-list files: {lists_dir}")
@@ -256,10 +199,10 @@ def _cmd_matrix(args) -> int:
     report = build_matrix(
         lists,
         inventory,
-        run.distance,
+        cfg,
         xi,
-        min_size=run.min_size,
-        skip_unknown=run.skip_unknown,
+        min_size=args.min_size,
+        skip_unknown=args.skip_unknown,
         jobs=jobs,
     )
     text = format_report(report, args.out_format)
@@ -339,6 +282,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _configure_logging(args)
     try:
         return args.func(args)
     except PedlexError as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .defaults import default_manner_table
 from .errors import ConfigError, MannerTableError
 from .features import CONSONANT, MANNERS, ConsonantFeatures, Phone, VowelFeatures
 
@@ -179,13 +180,16 @@ def phonetic_difference(
 class SubstitutionCosts:
     """Memoized phone-pair substitution costs, keyed by label pair.
 
-    One instance per (config, manner table); shareable across every distance
-    computation of a run.
+    One instance per (inventory, config, manner table); shareable across
+    every distance computation of a run. An omitted ``cfg`` or ``xi`` takes
+    the default: ``DistanceConfig()`` and the bundled manner table.
     """
 
-    def __init__(self, cfg: DistanceConfig, xi: MannerDistanceTable):
-        self.cfg = cfg
-        self.xi = xi
+    def __init__(
+        self, cfg: DistanceConfig | None = None, xi: MannerDistanceTable | None = None
+    ):
+        self.cfg = cfg if cfg is not None else DistanceConfig()
+        self.xi = xi if xi is not None else default_manner_table()
         self._cache: dict[tuple[str, str], float] = {}
 
     def pair(self, a: Phone, b: Phone) -> float:

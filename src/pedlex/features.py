@@ -12,7 +12,7 @@ code changes.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -101,9 +101,34 @@ class FeatureInventory:
         return tuple(sorted(self.entries))
 
 
-def normalize_label(label: str) -> str:
-    """Canonical form of an IPA label: NFC, with the length mark as ':'."""
-    return unicodedata.normalize("NFC", label).replace("ː", ":")
+def normalize_ipa(text: str) -> str:
+    """Canonical form of IPA text: NFC, with the length mark 'ː' as ':'.
+
+    Inventory labels and the words tokenized against them both pass through
+    here, so either spelling of a long sound finds the same entry.
+    """
+    return unicodedata.normalize("NFC", text).replace("ː", ":")
+
+
+# The published per-symbol voice values, which mark 's' voiced and 'ʃ'
+# voiceless (their -1 read as voiced here).
+PAPER_VOICE = {"s": 1, "ʃ": 0, "l": 1, "m": 1}
+
+
+def paper_voice(inventory: FeatureInventory) -> FeatureInventory:
+    """A copy of ``inventory`` whose consonants carry the PAPER_VOICE values.
+
+    Together with ``DistanceConfig(literal_vowel_branch=True)`` this is the
+    CLI's ``--paper-mode``. Labels the inventory lacks, and vowels, are left
+    as they are.
+    """
+    entries = dict(inventory.entries)
+    for label, voiced in PAPER_VOICE.items():
+        phone = entries.get(label)
+        if phone is None or phone.is_vowel:
+            continue
+        entries[label] = replace(phone, features=replace(phone.features, voiced=voiced))
+    return FeatureInventory(entries=entries, source=inventory.source + "+paper-voice")
 
 
 def _parse_binary(text: str, name: str, lineno: int) -> int:
@@ -194,7 +219,7 @@ def load_inventory(path: str | Path) -> FeatureInventory:
                 raise InventoryError(
                     f"line {lineno}: expected tab-separated fields, got {line!r}"
                 )
-            label = normalize_label(fields[0])
+            label = normalize_ipa(fields[0])
             if not label:
                 raise InventoryError(f"line {lineno}: empty label")
             kind = fields[1]

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf as INF
 
-from .defaults import default_manner_table
 from .distance import DistanceConfig, MannerDistanceTable, SubstitutionCosts
 from .tokenizer import PhoneticString
 
@@ -173,16 +172,6 @@ def _edit_script(x, w, prof, stack):
     return tuple(ops)
 
 
-def _resolve(cfg, xi, costs):
-    if costs is not None:
-        return costs
-    if cfg is None:
-        cfg = DistanceConfig()
-    if xi is None:
-        xi = default_manner_table()
-    return SubstitutionCosts(cfg, xi)
-
-
 def ped(
     source: PhoneticString,
     target: PhoneticString,
@@ -201,7 +190,8 @@ def ped(
     is at most ``bound`` and None otherwise. ``trace=True`` ignores the bound
     and additionally returns the aligned edit script.
     """
-    costs = _resolve(cfg, xi, costs)
+    if costs is None:
+        costs = SubstitutionCosts(cfg, xi)
     if stats is None:
         stats = DpStats()
     stats.dps += 1

@@ -97,12 +97,7 @@ def align_lists(
     order-sensitivity of the greedy procedure.
     """
     if costs is None:
-        from .defaults import default_manner_table
-
-        costs = SubstitutionCosts(
-            cfg if cfg is not None else DistanceConfig(),
-            xi if xi is not None else default_manner_table(),
-        )
+        costs = SubstitutionCosts(cfg, xi)
     min_size = max(min_size, 1)
     tokens_1, phones_1 = _prepare_tokens(l1, inventory, skip_unknown)
     tokens_2, phones_2 = _prepare_tokens(l2, inventory, skip_unknown)
@@ -240,16 +235,9 @@ class _Bucket:
 
 
 def _cell_task(args):
-    l1, l2, inventory, cfg, xi, min_size, prune, skip_unknown = args
+    l1, l2, inventory, costs, min_size, skip_unknown = args
     return align_lists(
-        l1,
-        l2,
-        inventory,
-        cfg,
-        xi,
-        min_size=min_size,
-        prune=prune,
-        skip_unknown=skip_unknown,
+        l1, l2, inventory, costs=costs, min_size=min_size, skip_unknown=skip_unknown
     )
 
 
@@ -260,15 +248,17 @@ def build_matrix(
     xi: MannerDistanceTable | None = None,
     *,
     min_size: int = DEFAULT_MIN_SIZE,
-    prune: bool = True,
     skip_unknown: bool = False,
     jobs: int = 1,
 ) -> SimilarityReport:
     """One similarity cell per unordered language pair per shared tag.
 
-    Cells are independent and can run on ``jobs`` worker processes; the
-    report is assembled in canonical (pos, lang_a, lang_b) order either way.
+    Every cell prices substitutions from one ``SubstitutionCosts`` built
+    here (a pool worker unpickles its own copy with each cell). Cells are
+    independent and can run on ``jobs`` worker processes; the report is
+    assembled in canonical (pos, lang_a, lang_b) order either way.
     """
+    costs = SubstitutionCosts(cfg, xi)
     by_pos: dict[str, list[WordList]] = {}
     for wl in lists:
         by_pos.setdefault(wl.pos, []).append(wl)
@@ -276,7 +266,7 @@ def build_matrix(
     for pos in sorted(by_pos):
         group = sorted(by_pos[pos], key=lambda wl: wl.language)
         for l1, l2 in combinations(group, 2):
-            tasks.append((l1, l2, inventory, cfg, xi, min_size, prune, skip_unknown))
+            tasks.append((l1, l2, inventory, costs, min_size, skip_unknown))
     if not tasks:
         log.warning("no language pair shares a tag; empty report")
         cells: list[SimilarityCell] = []

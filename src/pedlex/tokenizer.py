@@ -9,15 +9,10 @@ both spellings hit the same inventory entry.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 
 from .errors import TokenizeError
-from .features import FeatureInventory, Phone
-
-
-def normalize_ipa(text: str) -> str:
-    return unicodedata.normalize("NFC", text).replace("ː", ":")
+from .features import FeatureInventory, Phone, normalize_ipa
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from pedlex import DistanceConfig, default_inventory, paper_voice, ped, tokenize
 from pedlex.cli import main
 
 
@@ -58,6 +59,15 @@ def test_paper_mode_changes_voice_encoding(capsys):
     _, default_out, _ = run(capsys, "dist", "ʃa", "sa")
     _, paper_out, _ = run(capsys, "dist", "ʃa", "sa", "--paper-mode")
     assert float(paper_out) == pytest.approx(float(default_out) + 0.2, abs=0.001)
+
+
+def test_paper_voice_in_library_matches_paper_mode(capsys):
+    inv = paper_voice(default_inventory())
+    cfg = DistanceConfig(literal_vowel_branch=True)
+    value = ped(tokenize("ʃa", inv), tokenize("sa", inv), cfg).distance
+    _, paper_out, _ = run(capsys, "dist", "ʃa", "sa", "--paper-mode")
+    assert paper_out == f"{value:.3f}\n"
+    assert default_inventory()["s"].features.voiced == 0  # the bundled copy is untouched
 
 
 def test_phones_lists_tokens(capsys):
@@ -236,6 +246,20 @@ def test_compare_order_shuffle_flag(capsys, fixtures_dir):
                              "--order", "shuffle:3")
     assert shuffled_out == again_out  # seeded order is reproducible
     assert run(capsys, "compare", "--a", ur, "--b", hi, "--order", "bogus")[0] == 1
+
+
+def test_compare_prints_the_matrix_row_of_its_pair(capsys, tmp_path, fixtures_dir):
+    lists_dir = tmp_path / "lists"
+    lists_dir.mkdir()
+    for name in ("ur.tsv", "ar.tsv"):
+        shutil.copy(fixtures_dir / "pronouns" / name, lists_dir)
+    out = tmp_path / "r.csv"
+    assert run(capsys, "matrix", "--lists", str(lists_dir), "--out", str(out), "--jobs", "1")[0] == 0
+    code, compared, _ = run(capsys, "compare", "--a", str(lists_dir / "ur.tsv"),
+                            "--b", str(lists_dir / "ar.tsv"))
+    assert code == 0
+    assert compared.encode("utf-8") == out.read_bytes()
+    assert len(compared.splitlines()) == 2
 
 
 def test_matrix_empty_dir_exits_one(capsys, tmp_path):

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from pedlex import (
     DistanceConfig,
+    SubstitutionCosts,
     default_inventory,
+    default_manner_table,
     load_manner_table,
     pdc,
     pdv,
@@ -226,3 +228,11 @@ def test_manner_table_load_rejects_conflicting_duplicate(tmp_path):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     with pytest.raises(MannerTableError, match="conflicting"):
         load_manner_table(path)
+
+
+def test_substitution_costs_fill_in_defaults():
+    costs = SubstitutionCosts()
+    assert costs.cfg == DistanceConfig()
+    assert costs.xi is default_manner_table()
+    cfg = DistanceConfig(alpha=0.4)
+    assert SubstitutionCosts(cfg).cfg is cfg

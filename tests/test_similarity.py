@@ -283,6 +283,22 @@ def test_matrix_parallel_determinism():
     assert format_report(serial) == format_report(parallel)
 
 
+def test_matrix_shares_one_cost_table(monkeypatch):
+    lists = lists_for_matrix()
+    parallel = build_matrix(lists, INV, CFG, XI, jobs=4)
+    built = []
+
+    class CountingCosts(similarity.SubstitutionCosts):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(similarity, "SubstitutionCosts", CountingCosts)
+    serial = build_matrix(lists, INV, CFG, XI, jobs=1)
+    assert len(built) == 1  # one table for all four cells
+    assert serial == parallel
+
+
 def test_report_csv_format():
     report = build_matrix(
         [wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2)], INV, CFG, XI
