@@ -10,20 +10,14 @@ the full picture.
 import sys
 from pathlib import Path
 
-from pedlex import (
-    build_matrix,
-    default_inventory,
-    default_manner_table,
-    format_report,
-    read_wordlist,
-)
+from pedlex import build_matrix, default_inventory, format_report, read_wordlist
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "pronouns"
 
 
 def main():
     lists = [read_wordlist(p) for p in sorted(FIXTURES.glob("*.tsv"))]
-    report = build_matrix(lists, default_inventory(), xi=default_manner_table())
+    report = build_matrix(lists, default_inventory())
     sys.stdout.write(format_report(report, "csv"))
 
 

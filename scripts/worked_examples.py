@@ -7,13 +7,7 @@ pen/bend insertion example, with both the default and the literal vowel
 formula.
 """
 
-from pedlex import (
-    DistanceConfig,
-    default_inventory,
-    default_manner_table,
-    ped,
-    tokenize,
-)
+from pedlex import DistanceConfig, SubstitutionCosts, default_inventory, ped, tokenize
 
 PAIRS = [
     ("fa:tər", "pedær"),
@@ -24,11 +18,11 @@ PAIRS = [
 
 def show(cfg, label):
     inv = default_inventory()
-    xi = default_manner_table()
+    costs = SubstitutionCosts(cfg)
     print(f"--- {label} ---")
     for left, right in PAIRS:
         a, b = tokenize(left, inv), tokenize(right, inv)
-        result = ped(a, b, cfg, xi, trace=True)
+        result = ped(a, b, costs=costs, trace=True)
         print(f"{left} -> {right}: distance {result.distance:.3f} "
               f"(normalized {result.normalized:.3f})")
         for op in result.ops_trace:

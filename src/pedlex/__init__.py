@@ -36,7 +36,7 @@ from .features import (
     paper_voice,
     save_inventory,
 )
-from .ped import DpStats, EditOp, PedResult, normalized_ped, ped
+from .ped import DpStats, EditOp, PedResult, ped
 from .similarity import SimilarityCell, SimilarityReport, align_lists, build_matrix, format_report
 from .tokenizer import PhoneticString, tokenize
 
@@ -71,7 +71,6 @@ __all__ = [
     "load_g2p_table",
     "load_inventory",
     "load_manner_table",
-    "normalized_ped",
     "paper_voice",
     "ped",
     "pdc",

@@ -25,7 +25,7 @@ from .corpus import (
     read_wordlist,
     write_wordlist,
 )
-from .distance import DistanceConfig, load_manner_table
+from .distance import DistanceConfig, SubstitutionCosts, load_manner_table
 from .errors import PedlexError
 from .features import load_inventory, paper_voice
 from .ped import ped
@@ -74,7 +74,7 @@ def _configure_logging(args) -> None:
 
 
 def _load_tables(args):
-    """(inventory, DistanceConfig, manner table) named by the distance flags."""
+    """(inventory, SubstitutionCosts) named by the distance flags."""
     inventory = load_inventory(args.inventory or defaults.default_inventory_path())
     if args.paper_mode:
         inventory = paper_voice(inventory)
@@ -86,14 +86,14 @@ def _load_tables(args):
         overrides["cross_type_cost"] = args.cross_type_cost
     if args.literal_vowel_branch or args.paper_mode:
         overrides["literal_vowel_branch"] = True
-    return inventory, DistanceConfig(**overrides), xi
+    return inventory, SubstitutionCosts(DistanceConfig(**overrides), xi)
 
 
 def _cmd_dist(args) -> int:
-    inventory, cfg, xi = _load_tables(args)
+    inventory, costs = _load_tables(args)
     a = tokenize(args.ipa1, inventory)
     b = tokenize(args.ipa2, inventory)
-    result = ped(a, b, cfg, xi, trace=args.trace)
+    result = ped(a, b, costs=costs, trace=args.trace)
     value = result.normalized if args.normalized else result.distance
     print(f"{value:.3f}")
     if args.trace:
@@ -108,7 +108,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_phones(args) -> int:
-    inventory, _, _ = _load_tables(args)
+    inventory, _ = _load_tables(args)
     phonestring = tokenize(args.ipa, inventory)
     for phone in phonestring:
         f = phone.features
@@ -159,13 +159,12 @@ def _cmd_g2p(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    inventory, cfg, xi = _load_tables(args)
+    inventory, costs = _load_tables(args)
     cell = align_lists(
         read_wordlist(args.a),
         read_wordlist(args.b),
         inventory,
-        cfg,
-        xi,
+        costs=costs,
         min_size=args.min_size,
         shuffle_seed=_parse_order(args.order),
         skip_unknown=args.skip_unknown,
@@ -186,7 +185,7 @@ def _parse_order(order: str | None):
 
 
 def _cmd_matrix(args) -> int:
-    inventory, cfg, xi = _load_tables(args)
+    inventory, costs = _load_tables(args)
     lists_dir = Path(args.lists)
     if not lists_dir.is_dir():
         raise PedlexError(f"--lists must be a directory of word-list files: {lists_dir}")
@@ -199,8 +198,7 @@ def _cmd_matrix(args) -> int:
     report = build_matrix(
         lists,
         inventory,
-        cfg,
-        xi,
+        costs=costs,
         min_size=args.min_size,
         skip_unknown=args.skip_unknown,
         jobs=jobs,

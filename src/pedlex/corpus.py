@@ -16,7 +16,7 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ConlluError, G2PError, WordListError
+from .errors import ConlluError, G2PError, WordListError, read_lines
 from .longest_match import LongestMatch
 
 log = logging.getLogger("pedlex.corpus")
@@ -73,41 +73,37 @@ def extract_wordlists(conllu: str | Path, language: str) -> list[WordList]:
     "_" and "" are excluded. A file with no sentences is an error.
     """
     path = Path(conllu)
-    if not path.exists():
-        raise ConlluError(f"CoNLL-U file not found: {path}")
     lemmas_by_tag: dict[str, set[str]] = {}
     sentences = 0
     in_sentence = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if in_sentence:
-                    sentences += 1
-                    in_sentence = False
-                continue
-            if line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            if len(columns) != _N_COLUMNS:
-                log.warning(
-                    "%s line %d: expected 10 columns, got %d; line skipped",
-                    path,
-                    lineno,
-                    len(columns),
-                )
-                continue
-            in_sentence = True
-            token_id = columns[_ID]
-            if "-" in token_id or "." in token_id:
-                continue  # multiword-token range / empty node
-            upos = columns[_UPOS]
-            if upos not in TARGET_TAGS:
-                continue
-            lemma = unicodedata.normalize("NFC", columns[_LEMMA])
-            if lemma in ("", "_"):
-                continue
-            lemmas_by_tag.setdefault(upos, set()).add(lemma)
+    for lineno, line in read_lines(path, ConlluError, "CoNLL-U file"):
+        if not line.strip():
+            if in_sentence:
+                sentences += 1
+                in_sentence = False
+            continue
+        if line.startswith("#"):
+            continue
+        columns = line.split("\t")
+        if len(columns) != _N_COLUMNS:
+            log.warning(
+                "%s line %d: expected 10 columns, got %d; line skipped",
+                path,
+                lineno,
+                len(columns),
+            )
+            continue
+        in_sentence = True
+        token_id = columns[_ID]
+        if "-" in token_id or "." in token_id:
+            continue  # multiword-token range / empty node
+        upos = columns[_UPOS]
+        if upos not in TARGET_TAGS:
+            continue
+        lemma = unicodedata.normalize("NFC", columns[_LEMMA])
+        if lemma in ("", "_"):
+            continue
+        lemmas_by_tag.setdefault(upos, set()).add(lemma)
     if in_sentence:
         sentences += 1
     if sentences == 0:
@@ -161,37 +157,33 @@ def load_g2p_table(path: str | Path, script: str | None = None) -> G2PTable:
     composed and decomposed spellings of the same letter match.
     """
     path = Path(path)
-    if not path.exists():
-        raise G2PError(f"G2P table not found: {path}")
     rules: dict[tuple[str, str | None], str] = {}
     declared = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("#"):
-                stripped = line.lstrip("# ").strip()
-                if stripped.startswith("script="):
-                    declared = stripped.split("=", 1)[1].strip()
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise G2PError(
-                    f"{path} line {lineno}: expected 'grapheme<TAB>ipa[<TAB>language]'"
-                )
-            grapheme = unicodedata.normalize("NFC", fields[0])
-            if not grapheme:
-                raise G2PError(f"{path} line {lineno}: empty grapheme")
-            ipa = fields[1]
-            lang = fields[2] if len(fields) == 3 and fields[2] else None
-            key = (grapheme, lang)
-            if key in rules:
-                raise G2PError(
-                    f"{path} line {lineno}: duplicate rule for {grapheme!r}"
-                    + (f" [{lang}]" if lang else "")
-                )
-            rules[key] = ipa
+    for lineno, line in read_lines(path, G2PError, "G2P table"):
+        if not line.strip():
+            continue
+        if line.lstrip().startswith("#"):
+            stripped = line.lstrip("# ").strip()
+            if stripped.startswith("script="):
+                declared = stripped.split("=", 1)[1].strip()
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (2, 3):
+            raise G2PError(
+                f"{path} line {lineno}: expected 'grapheme<TAB>ipa[<TAB>language]'"
+            )
+        grapheme = unicodedata.normalize("NFC", fields[0])
+        if not grapheme:
+            raise G2PError(f"{path} line {lineno}: empty grapheme")
+        ipa = fields[1]
+        lang = fields[2] if len(fields) == 3 and fields[2] else None
+        key = (grapheme, lang)
+        if key in rules:
+            raise G2PError(
+                f"{path} line {lineno}: duplicate rule for {grapheme!r}"
+                + (f" [{lang}]" if lang else "")
+            )
+        rules[key] = ipa
     if not rules:
         raise G2PError(f"{path}: no rules")
     resolved_script = script or declared
@@ -268,38 +260,32 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
 def read_wordlist(path: str | Path) -> WordList:
     """Read a word-list file written by :func:`write_wordlist`."""
     path = Path(path)
-    if not path.exists():
-        raise WordListError(f"word list not found: {path}")
     language = pos = None
     lemmas: set[str] = set()
     ipa_by_lemma: dict[str, str] = {}
     saw_ipa = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                for part in line.lstrip("# ").split():
-                    if part.startswith("lang="):
-                        language = part.split("=", 1)[1]
-                    elif part.startswith("pos="):
-                        pos = part.split("=", 1)[1]
-                continue
-            fields = line.split("\t")
-            if len(fields) > 2:
-                raise WordListError(
-                    f"{path} line {lineno}: expected 'lemma[<TAB>ipa]'"
-                )
-            lemma = unicodedata.normalize("NFC", fields[0])
-            if not lemma:
-                raise WordListError(f"{path} line {lineno}: empty lemma")
-            if lemma in lemmas:
-                raise WordListError(f"{path} line {lineno}: duplicate lemma {lemma!r}")
-            lemmas.add(lemma)
-            if len(fields) == 2 and fields[1]:
-                ipa_by_lemma[lemma] = fields[1]
-                saw_ipa = True
+    for lineno, line in read_lines(path, WordListError, "word list"):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            for part in line.lstrip("# ").split():
+                if part.startswith("lang="):
+                    language = part.split("=", 1)[1]
+                elif part.startswith("pos="):
+                    pos = part.split("=", 1)[1]
+            continue
+        fields = line.split("\t")
+        if len(fields) > 2:
+            raise WordListError(f"{path} line {lineno}: expected 'lemma[<TAB>ipa]'")
+        lemma = unicodedata.normalize("NFC", fields[0])
+        if not lemma:
+            raise WordListError(f"{path} line {lineno}: empty lemma")
+        if lemma in lemmas:
+            raise WordListError(f"{path} line {lineno}: duplicate lemma {lemma!r}")
+        lemmas.add(lemma)
+        if len(fields) == 2 and fields[1]:
+            ipa_by_lemma[lemma] = fields[1]
+            saw_ipa = True
     if language is None or pos is None:
         raise WordListError(f"{path}: missing '# lang=<id> pos=<TAG>' header")
     return WordList(

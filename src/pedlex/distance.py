@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .defaults import default_manner_table
-from .errors import ConfigError, MannerTableError
+from .errors import ConfigError, MannerTableError, read_lines
 from .features import CONSONANT, MANNERS, ConsonantFeatures, Phone, VowelFeatures
 
 
@@ -100,36 +100,29 @@ def load_manner_table(path: str | Path) -> MannerDistanceTable:
     """Load ``manner1<TAB>manner2<TAB>distance`` rows; symmetric closure and a
     zero diagonal are filled in, and the result is validated complete."""
     path = Path(path)
-    if not path.exists():
-        raise MannerTableError(f"manner table not found: {path}")
     entries: dict[tuple[str, str], float] = {(m, m): 0.0 for m in MANNERS}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise MannerTableError(
-                    f"line {lineno}: expected 'manner1<TAB>manner2<TAB>distance'"
-                )
-            m1, m2, text = fields
-            for m in (m1, m2):
-                if m not in MANNERS:
-                    raise MannerTableError(f"line {lineno}: unknown manner {m!r}")
-            try:
-                value = float(text)
-            except ValueError:
-                raise MannerTableError(
-                    f"line {lineno}: bad distance {text!r}"
-                ) from None
-            key = (m1, m2)
-            if key in entries and entries[key] != value:
-                raise MannerTableError(
-                    f"line {lineno}: conflicting duplicate for ({m1}, {m2})"
-                )
-            entries[(m1, m2)] = value
-            entries[(m2, m1)] = value
+    for lineno, line in read_lines(path, MannerTableError, "manner table"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MannerTableError(
+                f"line {lineno}: expected 'manner1<TAB>manner2<TAB>distance'"
+            )
+        m1, m2, text = fields
+        for m in (m1, m2):
+            if m not in MANNERS:
+                raise MannerTableError(f"line {lineno}: unknown manner {m!r}")
+        try:
+            value = float(text)
+        except ValueError:
+            raise MannerTableError(f"line {lineno}: bad distance {text!r}") from None
+        key = (m1, m2)
+        if key in entries and entries[key] != value:
+            raise MannerTableError(f"line {lineno}: conflicting duplicate for ({m1}, {m2})")
+        entries[(m1, m2)] = value
+        entries[(m2, m1)] = value
     return MannerDistanceTable(entries=entries, source=str(path))
 
 
@@ -178,11 +171,13 @@ def phonetic_difference(
 
 
 class SubstitutionCosts:
-    """Memoized phone-pair substitution costs, keyed by label pair.
+    """Phone-pair substitution costs under one config and manner table.
 
-    One instance per (inventory, config, manner table); shareable across
-    every distance computation of a run. An omitted ``cfg`` or ``xi`` takes
-    the default: ``DistanceConfig()`` and the bundled manner table.
+    The one handle for a distance model: ``ped``, ``align_lists`` and
+    ``build_matrix`` take it as ``costs=``. An omitted ``cfg`` or ``xi``
+    takes the default: ``DistanceConfig()`` and the bundled manner table.
+    It keeps nothing but the two, so it serves any inventory and pickles
+    small.
     """
 
     def __init__(
@@ -190,16 +185,9 @@ class SubstitutionCosts:
     ):
         self.cfg = cfg if cfg is not None else DistanceConfig()
         self.xi = xi if xi is not None else default_manner_table()
-        self._cache: dict[tuple[str, str], float] = {}
 
     def pair(self, a: Phone, b: Phone) -> float:
-        key = (a.label, b.label)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = phonetic_difference(a, b, self.cfg, self.xi)
-            self._cache[key] = cached
-            self._cache[(b.label, a.label)] = cached
-        return cached
+        return phonetic_difference(a, b, self.cfg, self.xi)
 
     def rows_for(self, phones_a, phones_b) -> dict[str, dict[str, float]]:
         """Dense label->label->cost rows for the DP inner loop."""

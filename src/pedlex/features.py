@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-from .errors import InventoryError, UnknownSymbolError
+from .errors import InventoryError, UnknownSymbolError, read_lines
 from .longest_match import LongestMatch
 
 MANNERS = (
@@ -206,34 +206,28 @@ def load_inventory(path: str | Path) -> FeatureInventory:
     Labels are normalized (NFC, length mark -> ':') and must be unique.
     """
     path = Path(path)
-    if not path.exists():
-        raise InventoryError(f"inventory file not found: {path}")
     entries: dict[str, Phone] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise InventoryError(
-                    f"line {lineno}: expected tab-separated fields, got {line!r}"
-                )
-            label = normalize_ipa(fields[0])
-            if not label:
-                raise InventoryError(f"line {lineno}: empty label")
-            kind = fields[1]
-            if kind == "v":
-                phone = Phone(label, VOWEL, _parse_vowel(fields, lineno))
-            elif kind == "c":
-                phone = Phone(label, CONSONANT, _parse_consonant(fields, lineno))
-            else:
-                raise InventoryError(
-                    f"line {lineno}: type must be 'v' or 'c', got {kind!r}"
-                )
-            if label in entries:
-                raise InventoryError(f"line {lineno}: duplicate label {label!r}")
-            entries[label] = phone
+    for lineno, line in read_lines(path, InventoryError, "inventory file"):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2:
+            raise InventoryError(
+                f"line {lineno}: expected tab-separated fields, got {line!r}"
+            )
+        label = normalize_ipa(fields[0])
+        if not label:
+            raise InventoryError(f"line {lineno}: empty label")
+        kind = fields[1]
+        if kind == "v":
+            phone = Phone(label, VOWEL, _parse_vowel(fields, lineno))
+        elif kind == "c":
+            phone = Phone(label, CONSONANT, _parse_consonant(fields, lineno))
+        else:
+            raise InventoryError(f"line {lineno}: type must be 'v' or 'c', got {kind!r}")
+        if label in entries:
+            raise InventoryError(f"line {lineno}: duplicate label {label!r}")
+        entries[label] = phone
     if not entries:
         raise InventoryError(f"inventory {path} is empty")
     return FeatureInventory(entries=entries, source=str(path))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf as INF
 
-from .distance import DistanceConfig, MannerDistanceTable, SubstitutionCosts
+from .distance import SubstitutionCosts
 from .tokenizer import PhoneticString
 
 
@@ -175,8 +175,6 @@ def _edit_script(x, w, prof, stack):
 def ped(
     source: PhoneticString,
     target: PhoneticString,
-    cfg: DistanceConfig | None = None,
-    xi: MannerDistanceTable | None = None,
     *,
     costs: SubstitutionCosts | None = None,
     bound: float | None = None,
@@ -185,13 +183,15 @@ def ped(
 ) -> PedResult | None:
     """Phonetic edit distance between two tokenized words.
 
-    Pass either cfg/xi (defaults used when omitted) or a prebuilt ``costs``.
-    With ``bound`` set, returns the exact result when the normalized distance
-    is at most ``bound`` and None otherwise. ``trace=True`` ignores the bound
-    and additionally returns the aligned edit script.
+    ``costs`` prices substitutions (default ``SubstitutionCosts()``); the
+    result's ``normalized`` is the distance over the longer token length
+    (0 for two empty words).
+    With ``bound`` set, returns the exact result when the normalized
+    distance is at most ``bound`` and None otherwise. ``trace=True`` ignores
+    the bound and additionally returns the aligned edit script.
     """
     if costs is None:
-        costs = SubstitutionCosts(cfg, xi)
+        costs = SubstitutionCosts()
     if stats is None:
         stats = DpStats()
     stats.dps += 1
@@ -216,15 +216,3 @@ def ped(
     ops = _edit_script(x, w, prof, stack) if trace else None
     return PedResult(distance=distance, normalized=normalized, ops_trace=ops)
 
-
-def normalized_ped(
-    source: PhoneticString,
-    target: PhoneticString,
-    cfg: DistanceConfig | None = None,
-    xi: MannerDistanceTable | None = None,
-    *,
-    costs: SubstitutionCosts | None = None,
-) -> float:
-    """ped / max token length; 0 when both words are empty."""
-    result = ped(source, target, cfg, xi, costs=costs)
-    return result.normalized

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import inf
 
 from .corpus import WordList
-from .distance import DistanceConfig, MannerDistanceTable, SubstitutionCosts
+from .distance import SubstitutionCosts
 from .errors import TokenizeError, WordListError
 from .features import FeatureInventory
 from .ped import DpStats, band, cost_profile, dp_labels
@@ -52,9 +52,10 @@ class SimilarityReport:
 
 
 def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: bool):
-    """Distinct IPA strings of a list mapped to label tuples (and phones)."""
+    """Distinct IPA strings of a list mapped to label tuples, and one phone
+    per distinct label."""
     tokens = {}
-    phones = []
+    phones = {}
     for ipa in words.ipa_strings():
         try:
             ps = tokenize(ipa, inventory)
@@ -69,16 +70,14 @@ def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: 
             )
             continue
         tokens[ipa] = ps.labels
-        phones.extend(ps.phones)
-    return tokens, phones
+        phones.update(zip(ps.labels, ps.phones))
+    return tokens, phones.values()
 
 
 def align_lists(
     l1: WordList,
     l2: WordList,
     inventory: FeatureInventory,
-    cfg: DistanceConfig | None = None,
-    xi: MannerDistanceTable | None = None,
     *,
     costs: SubstitutionCosts | None = None,
     min_size: int = DEFAULT_MIN_SIZE,
@@ -94,24 +93,20 @@ def align_lists(
     skipped cell, and a ``min_size`` below 1 counts as 1, so a list with no
     usable words is always skipped. ``shuffle_seed`` replaces the sorted
     iteration order with a seeded shuffle, as a diagnostic for the
-    order-sensitivity of the greedy procedure.
+    order-sensitivity of the greedy procedure. ``costs`` prices
+    substitutions (default ``SubstitutionCosts()``).
     """
     if costs is None:
-        costs = SubstitutionCosts(cfg, xi)
+        costs = SubstitutionCosts()
     min_size = max(min_size, 1)
     tokens_1, phones_1 = _prepare_tokens(l1, inventory, skip_unknown)
     tokens_2, phones_2 = _prepare_tokens(l2, inventory, skip_unknown)
 
     lang_a, lang_b = sorted((l1.language, l2.language))
-    sizes = {l1.language: len(tokens_1), l2.language: len(tokens_2)}
-    if l1.language == l2.language:
-        size_a = len(tokens_1)
-        size_b = len(tokens_2)
-    else:
-        size_a, size_b = sizes[lang_a], sizes[lang_b]
-    base = dict(
-        lang_a=lang_a, lang_b=lang_b, pos=l1.pos, size_a=size_a, size_b=size_b
-    )
+    size_a, size_b = len(tokens_1), len(tokens_2)
+    if l1.language > l2.language:
+        size_a, size_b = size_b, size_a
+    base = dict(lang_a=lang_a, lang_b=lang_b, pos=l1.pos, size_a=size_a, size_b=size_b)
     if min(len(tokens_1), len(tokens_2)) < min_size:
         return SimilarityCell(mu_psi=None, skipped_reason=f"list smaller than {min_size}", **base)
 
@@ -244,21 +239,22 @@ def _cell_task(args):
 def build_matrix(
     lists: list[WordList],
     inventory: FeatureInventory,
-    cfg: DistanceConfig | None = None,
-    xi: MannerDistanceTable | None = None,
     *,
+    costs: SubstitutionCosts | None = None,
     min_size: int = DEFAULT_MIN_SIZE,
     skip_unknown: bool = False,
     jobs: int = 1,
 ) -> SimilarityReport:
     """One similarity cell per unordered language pair per shared tag.
 
-    Every cell prices substitutions from one ``SubstitutionCosts`` built
-    here (a pool worker unpickles its own copy with each cell). Cells are
-    independent and can run on ``jobs`` worker processes; the report is
-    assembled in canonical (pos, lang_a, lang_b) order either way.
+    Every cell prices substitutions with the one ``costs`` (default
+    ``SubstitutionCosts()``); a pool worker gets its config and manner
+    table with each cell. Cells are independent and can run on ``jobs``
+    worker processes; the report is assembled in canonical
+    (pos, lang_a, lang_b) order either way.
     """
-    costs = SubstitutionCosts(cfg, xi)
+    if costs is None:
+        costs = SubstitutionCosts()
     by_pos: dict[str, list[WordList]] = {}
     for wl in lists:
         by_pos.setdefault(wl.pos, []).append(wl)

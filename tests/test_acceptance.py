@@ -34,6 +34,7 @@ from pedlex.cli import main as cli_main
 INV = default_inventory()
 XI = default_manner_table()
 CFG = DistanceConfig()
+COSTS = SubstitutionCosts(CFG, XI)
 LABELS = sorted(INV.labels())
 
 
@@ -102,14 +103,14 @@ def test_criterion_2_consonant_goldens_and_deviations():
 
 
 def test_criterion_3_word_goldens():
-    father = ped(ps("fa:tər"), ps("pedær"), CFG, XI).distance
+    father = ped(ps("fa:tər"), ps("pedær"), costs=COSTS).distance
     assert father == pytest.approx(0.800, abs=0.005)
     assert abs(father - 0.817) <= 0.05  # published 0.817
 
-    greeting = ped(ps("ʃəlɒm"), ps("səla:m"), CFG, XI).distance
+    greeting = ped(ps("ʃəlɒm"), ps("səla:m"), costs=COSTS).distance
     assert abs(greeting - 0.934) <= 0.15  # published 0.934
 
-    pen = ped(ps("pɛn"), ps("bɛnd"), CFG, XI).distance
+    pen = ped(ps("pɛn"), ps("bɛnd"), costs=COSTS).distance
     assert pen == pytest.approx(1.200, abs=0.002)
     assert 1.0 < pen < 2.0
 
@@ -181,7 +182,7 @@ def test_criterion_5_property_sweep_10000_pairs():
 def test_criterion_6_self_similarity_and_skip(fixtures_dir):
     words = read_wordlist(fixtures_dir / "pronouns" / "ur.tsv")
     assert len(words.lemmas) == 20
-    cell = align_lists(words, words, INV, CFG, XI)
+    cell = align_lists(words, words, INV, costs=COSTS)
     assert cell.mu_psi == 0.0
 
     small = WordList(
@@ -190,7 +191,7 @@ def test_criterion_6_self_similarity_and_skip(fixtures_dir):
         lemmas=("pa", "ta", "ka", "ma"),
         ipa_by_lemma={w: w for w in ("pa", "ta", "ka", "ma")},
     )
-    skipped = align_lists(small, words, INV, CFG, XI)
+    skipped = align_lists(small, words, INV, costs=COSTS)
     assert skipped.skipped
     assert skipped.skipped_reason == "list smaller than 5"
 
@@ -212,8 +213,8 @@ def test_criterion_7_urdu_hindi_closer_than_urdu_arabic(fixtures_dir):
     ur = read_wordlist(fixtures_dir / "pronouns" / "ur.tsv")
     hi = read_wordlist(fixtures_dir / "pronouns" / "hi.tsv")
     ar = read_wordlist(fixtures_dir / "pronouns" / "ar.tsv")
-    ur_hi = align_lists(ur, hi, INV, CFG, XI).mu_psi
-    ur_ar = align_lists(ur, ar, INV, CFG, XI).mu_psi
+    ur_hi = align_lists(ur, hi, INV, costs=COSTS).mu_psi
+    ur_ar = align_lists(ur, ar, INV, costs=COSTS).mu_psi
     assert ur_hi < ur_ar, f"mu(ur,hi)={ur_hi:.4f} !< mu(ur,ar)={ur_ar:.4f}"
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from pedlex import DistanceConfig, default_inventory, paper_voice, ped, tokenize
+from pedlex import DistanceConfig, SubstitutionCosts, default_inventory, paper_voice, ped, tokenize
 from pedlex.cli import main
 
 
@@ -64,7 +64,7 @@ def test_paper_mode_changes_voice_encoding(capsys):
 def test_paper_voice_in_library_matches_paper_mode(capsys):
     inv = paper_voice(default_inventory())
     cfg = DistanceConfig(literal_vowel_branch=True)
-    value = ped(tokenize("ʃa", inv), tokenize("sa", inv), cfg).distance
+    value = ped(tokenize("ʃa", inv), tokenize("sa", inv), costs=SubstitutionCosts(cfg)).distance
     _, paper_out, _ = run(capsys, "dist", "ʃa", "sa", "--paper-mode")
     assert paper_out == f"{value:.3f}\n"
     assert default_inventory()["s"].features.voiced == 0  # the bundled copy is untouched
@@ -300,6 +300,74 @@ def test_skip_unknown_internal_error_exits_two(capsys, monkeypatch, fixtures_dir
     code, _, err = run(capsys, "compare", "--a", ur, "--b", ur, "--skip-unknown")
     assert code == 2
     assert "scanner bug" in err
+
+
+# ---------------------------------------------------------------- unreadable files
+
+
+def assert_bad_file(code, err, path, where):
+    assert code == 1, err
+    assert err.startswith("pedlex: error: ") and "Traceback" not in err
+    assert f"{path}" in err and where in err
+
+
+def test_word_list_not_utf8_exits_one(capsys, tmp_path, fixtures_dir):
+    lists_dir = tmp_path / "lists"
+    lists_dir.mkdir()
+    bad = lists_dir / "xx_PRON.tsv"
+    bad.write_bytes(b"# lang=xx pos=PRON\r\npa\tpa\r\nba\tb\xffa\r\n")
+    hi = str(fixtures_dir / "pronouns" / "hi.tsv")
+    code, _, err = run(capsys, "compare", "--a", str(bad), "--b", hi)
+    assert_bad_file(code, err, bad, "line 3: not valid UTF-8")
+    code, _, err = run(capsys, "matrix", "--lists", str(lists_dir),
+                       "--out", str(tmp_path / "r.csv"), "--jobs", "1")
+    assert_bad_file(code, err, bad, "line 3: not valid UTF-8")
+    code, _, err = run(capsys, "compare", "--a", str(lists_dir), "--b", hi)
+    assert_bad_file(code, err, lists_dir, "cannot read word list")
+
+
+def test_crlf_word_list_reads_like_lf(capsys, tmp_path, fixtures_dir):
+    hi = fixtures_dir / "pronouns" / "hi.tsv"
+    crlf = tmp_path / "hi.tsv"
+    crlf.write_bytes(hi.read_bytes().replace(b"\n", b"\r\n"))
+    ur = str(fixtures_dir / "pronouns" / "ur.tsv")
+    _, lf_out, _ = run(capsys, "compare", "--a", ur, "--b", str(hi))
+    code, crlf_out, err = run(capsys, "compare", "--a", ur, "--b", str(crlf))
+    assert code == 0, err
+    assert crlf_out == lf_out
+
+
+def test_inventory_not_utf8_or_a_directory_exits_one(capsys, tmp_path):
+    bad = tmp_path / "inventory.tsv"
+    bad.write_bytes(b"a\tv\t1\t0\t0\n\xfe\tv\t0\t0\t0\n")
+    code, _, err = run(capsys, "dist", "a", "a", "--inventory", str(bad))
+    assert_bad_file(code, err, bad, "line 2: not valid UTF-8")
+    code, _, err = run(capsys, "dist", "a", "a", "--inventory", str(tmp_path))
+    assert_bad_file(code, err, tmp_path, "cannot read inventory file")
+
+
+def test_manner_table_not_utf8_exits_one(capsys, tmp_path):
+    bad = tmp_path / "manner.tsv"
+    bad.write_bytes(b"# manner distances\nplosive\tnasal\t0.1\xc3\n")
+    code, _, err = run(capsys, "dist", "pa", "ba", "--manner-table", str(bad))
+    assert_bad_file(code, err, bad, "line 2: not valid UTF-8")
+
+
+def test_g2p_table_not_utf8_exits_one(capsys, tmp_path, fixtures_dir):
+    bad = tmp_path / "g2p.tsv"
+    bad.write_bytes(b"# script=perso-arabic\n\xd9\tb\n")
+    code, _, err = run(capsys, "g2p", "--script", "perso-arabic", "--table", str(bad),
+                       "--in", str(fixtures_dir / "pronouns" / "ur.tsv"),
+                       "--out", str(tmp_path / "out.tsv"))
+    assert_bad_file(code, err, bad, "line 2: not valid UTF-8")
+
+
+def test_conllu_not_utf8_exits_one(capsys, tmp_path):
+    conllu = tmp_path / "ur.conllu"
+    conllu.write_bytes(CONLLU.encode("utf-8") + b"2\t\xff\t\xff\tNOUN\t_\t_\t1\tdep\t_\t_\n")
+    code, _, err = run(capsys, "extract", "--input", str(conllu), "--lang", "ur",
+                       "--out-dir", str(tmp_path / "lists"))
+    assert_bad_file(code, err, conllu, f"line {CONLLU.count(chr(10)) + 1}: not valid UTF-8")
 
 
 def test_module_entrypoint_runs():

@@ -12,7 +12,7 @@ from pedlex import (
     SubstitutionCosts,
     default_inventory,
     default_manner_table,
-    normalized_ped,
+    paper_voice,
     ped,
     phonetic_difference,
     tokenize,
@@ -73,40 +73,57 @@ def random_word(rng, max_len=6, min_len=0):
 
 
 def test_word_golden_pen_bend():
-    result = ped(ps("pɛn"), ps("bɛnd"), CFG, XI)
+    result = ped(ps("pɛn"), ps("bɛnd"), costs=COSTS)
     assert result.distance == pytest.approx(1.200, abs=0.002)
     assert 1.0 < result.distance < 2.0
 
 
 def test_word_golden_father_words():
-    result = ped(ps("fa:tər"), ps("pedær"), CFG, XI)
+    result = ped(ps("fa:tər"), ps("pedær"), costs=COSTS)
     assert result.distance == pytest.approx(0.800, abs=0.005)
 
 
 def test_word_golden_greeting_words():
-    result = ped(ps("ʃəlɒm"), ps("səla:m"), CFG, XI)
+    result = ped(ps("ʃəlɒm"), ps("səla:m"), costs=COSTS)
     assert result.distance == pytest.approx(0.800, abs=0.005)
 
 
 def test_identical_strings_cost_zero():
     for text in ["", "a", "ʃəlɒm", "t̪ʰumhɛ:n"]:
-        assert ped(ps(text), ps(text), CFG, XI).distance == 0.0
+        assert ped(ps(text), ps(text), costs=COSTS).distance == 0.0
 
 
 def test_empty_versus_nonempty_is_pure_insertion():
-    result = ped(ps(""), ps("abc"), CFG, XI)
+    result = ped(ps(""), ps("abc"), costs=COSTS)
     assert result.distance == 3.0
     assert result.normalized == 1.0
 
 
 def test_both_empty():
-    result = ped(ps(""), ps(""), CFG, XI)
+    result = ped(ps(""), ps(""), costs=COSTS)
     assert result.distance == 0.0
     assert result.normalized == 0.0
 
 
 def test_normalized_golden():
-    assert normalized_ped(ps("fa:tər"), ps("pedær"), CFG, XI) == pytest.approx(0.160, abs=0.001)
+    normalized = ped(ps("fa:tər"), ps("pedær"), costs=COSTS).normalized
+    assert normalized == pytest.approx(0.160, abs=0.001)
+
+
+def test_one_cost_handle_serves_two_inventories():
+    # costs depend on the phones' features, never on their labels alone
+    costs = SubstitutionCosts()
+    assert ped(ps("s"), ps("z"), costs=costs).distance == pytest.approx(0.2)
+    paper = paper_voice(INV)  # s voiced, like z
+    assert ped(tokenize("s", paper), tokenize("z", paper), costs=costs).distance == 0.0
+
+
+def test_config_travels_only_in_the_cost_handle():
+    literal = DistanceConfig(literal_vowel_branch=True)
+    with pytest.raises(TypeError):
+        ped(ps("i"), ps("ɪ"), literal, costs=SubstitutionCosts())
+    result = ped(ps("i"), ps("ɪ"), costs=SubstitutionCosts(literal))
+    assert result.distance == pytest.approx(0.4733, abs=1e-4)
 
 
 # ---------------------------------------------------------------- oracle
@@ -256,7 +273,7 @@ def test_pruning_abandons_hopeless_pair():
 
 
 def test_trace_reconstructs_distance():
-    result = ped(ps("fa:tər"), ps("pedær"), CFG, XI, trace=True)
+    result = ped(ps("fa:tər"), ps("pedær"), costs=COSTS, trace=True)
     assert result.ops_trace is not None
     total = 0.0
     for op in result.ops_trace:
@@ -267,11 +284,11 @@ def test_trace_reconstructs_distance():
 
 
 def test_trace_insertion_script():
-    result = ped(ps("pɛn"), ps("bɛnd"), CFG, XI, trace=True)
+    result = ped(ps("pɛn"), ps("bɛnd"), costs=COSTS, trace=True)
     assert [op.op for op in result.ops_trace] == ["substitute", "match", "match", "insert"]
     assert result.ops_trace[-1].target == "d"
 
 
 def test_trace_deletion_script():
-    result = ped(ps("bɛnd"), ps("pɛn"), CFG, XI, trace=True)
+    result = ped(ps("bɛnd"), ps("pɛn"), costs=COSTS, trace=True)
     assert [op.op for op in result.ops_trace] == ["substitute", "match", "match", "delete"]

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from pedlex import (
     DistanceConfig,
     DpStats,
+    SubstitutionCosts,
     WordList,
     align_lists,
     build_matrix,
     default_inventory,
     default_manner_table,
     format_report,
-    normalized_ped,
+    ped,
     read_wordlist,
     tokenize,
 )
@@ -22,6 +23,7 @@ from pedlex.errors import TokenizeError
 INV = default_inventory()
 XI = default_manner_table()
 CFG = DistanceConfig()
+COSTS = SubstitutionCosts(CFG, XI)
 
 
 def wordlist(lang, pos, ipa_strings):
@@ -43,7 +45,7 @@ def greedy_oracle(short_ipas, long_ipas, shuffle_seed=None):
     for w in order:
         scored = []
         for x in remaining:
-            nd = normalized_ped(tokenize(w, INV), tokenize(x, INV), CFG, XI)
+            nd = ped(tokenize(w, INV), tokenize(x, INV), costs=COSTS).normalized
             scored.append((nd, x))
         best = min(scored)  # ties resolved lexicographically by the tuple
         total += best[0]
@@ -56,19 +58,23 @@ TOY_L2 = ["ba", "da", "ga", "sa", "la"]
 
 
 def test_toy_lists_match_greedy_oracle():
-    cell = align_lists(wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2), INV, CFG, XI)
+    cell = align_lists(
+        wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2), INV, costs=COSTS
+    )
     assert cell.mu_psi == greedy_oracle(TOY_L1, TOY_L2)
 
 
 def test_toy_lists_frozen_value():
     # hand total: 0.2/2 + 0.0667/2 + 0.0667/2 + 0.2/2 + 0.5333/2 over 5 words
-    cell = align_lists(wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2), INV, CFG, XI)
+    cell = align_lists(
+        wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2), INV, costs=COSTS
+    )
     assert cell.mu_psi == pytest.approx(0.10667, abs=0.0005)
 
 
 def test_self_similarity_zero(fixtures_dir):
     words = read_wordlist(fixtures_dir / "pronouns" / "ur.tsv")
-    cell = align_lists(words, words, INV, CFG, XI)
+    cell = align_lists(words, words, INV, costs=COSTS)
     assert cell.mu_psi == 0.0
     assert cell.size_a == cell.size_b == 20
 
@@ -76,7 +82,7 @@ def test_self_similarity_zero(fixtures_dir):
 def test_min_size_skip():
     small = wordlist("aa", "PRON", ["ab", "cd"])
     big = wordlist("bb", "PRON", TOY_L2)
-    cell = align_lists(small, big, INV, CFG, XI)
+    cell = align_lists(small, big, INV, costs=COSTS)
     assert cell.skipped
     assert cell.mu_psi is None
     assert cell.skipped_reason == "list smaller than 5"
@@ -85,7 +91,7 @@ def test_min_size_skip():
 def test_min_size_configurable():
     small = wordlist("aa", "PRON", ["ab", "cd"])
     big = wordlist("bb", "PRON", TOY_L2)
-    cell = align_lists(small, big, INV, CFG, XI, min_size=2)
+    cell = align_lists(small, big, INV, costs=COSTS, min_size=2)
     assert not cell.skipped
 
 
@@ -93,7 +99,7 @@ def test_longer_list_drives_sizes_not_roles():
     # sizes follow the lang_a/lang_b naming, not the L1/L2 roles
     l_big = wordlist("zz", "PRON", TOY_L1 + ["sa"])
     l_small = wordlist("aa", "PRON", TOY_L2)
-    cell = align_lists(l_big, l_small, INV, CFG, XI)
+    cell = align_lists(l_big, l_small, INV, costs=COSTS)
     assert (cell.lang_a, cell.size_a) == ("aa", 5)
     assert (cell.lang_b, cell.size_b) == ("zz", 6)
 
@@ -101,14 +107,14 @@ def test_longer_list_drives_sizes_not_roles():
 def test_equal_sizes_tie_broken_by_language_id():
     a = wordlist("aa", "PRON", TOY_L1)
     b = wordlist("bb", "PRON", TOY_L2)
-    assert align_lists(a, b, INV, CFG, XI) == align_lists(b, a, INV, CFG, XI)
+    assert align_lists(a, b, INV, costs=COSTS) == align_lists(b, a, INV, costs=COSTS)
 
 
 def test_pruned_equals_unpruned():
     a = wordlist("aa", "PRON", TOY_L1 + ["t̪ʰuma:", "xira:d̪", "ko:i:"])
     b = wordlist("bb", "PRON", TOY_L2 + ["d̪ʰuma:", "sira:t̪", "mo:i:"])
-    pruned = align_lists(a, b, INV, CFG, XI, prune=True)
-    unpruned = align_lists(a, b, INV, CFG, XI, prune=False)
+    pruned = align_lists(a, b, INV, costs=COSTS, prune=True)
+    unpruned = align_lists(a, b, INV, costs=COSTS, prune=False)
     assert pruned.mu_psi == unpruned.mu_psi
 
 
@@ -116,8 +122,8 @@ def test_pruning_reduces_cells():
     a = wordlist("aa", "PRON", TOY_L1 + ["t̪ʰuma:", "xira:d̪", "ko:i:"])
     b = wordlist("bb", "PRON", TOY_L2 + ["d̪ʰuma:", "sira:t̪", "mo:i:"])
     s_pruned, s_unpruned = DpStats(), DpStats()
-    align_lists(a, b, INV, CFG, XI, prune=True, stats=s_pruned)
-    align_lists(a, b, INV, CFG, XI, prune=False, stats=s_unpruned)
+    align_lists(a, b, INV, costs=COSTS, prune=True, stats=s_pruned)
+    align_lists(a, b, INV, costs=COSTS, prune=False, stats=s_unpruned)
     assert s_pruned.cells < s_unpruned.cells
 
 
@@ -125,7 +131,7 @@ def test_each_long_word_used_at_most_once():
     # one shared word: only one of the two identical shorts can claim it
     l1 = wordlist("aa", "PRON", ["pa", "po", "pi", "pe", "pu"])
     l2 = wordlist("bb", "PRON", ["pa", "pa:", "paj", "zzz", "qqq"])
-    cell = align_lists(l1, l2, INV, CFG, XI)
+    cell = align_lists(l1, l2, INV, costs=COSTS)
     assert cell.mu_psi == greedy_oracle(["pa", "po", "pi", "pe", "pu"],
                                         ["pa", "pa:", "paj", "zzz", "qqq"])
     assert cell.mu_psi > 0.0
@@ -134,8 +140,8 @@ def test_each_long_word_used_at_most_once():
 def test_shuffle_seed_is_deterministic_diagnostic():
     a = wordlist("aa", "PRON", TOY_L1)
     b = wordlist("bb", "PRON", TOY_L2)
-    one = align_lists(a, b, INV, CFG, XI, shuffle_seed=5)
-    two = align_lists(a, b, INV, CFG, XI, shuffle_seed=5)
+    one = align_lists(a, b, INV, costs=COSTS, shuffle_seed=5)
+    two = align_lists(a, b, INV, costs=COSTS, shuffle_seed=5)
     assert one == two
 
 
@@ -159,9 +165,9 @@ def test_align_lists_pruned_unpruned_and_oracle_agree(pair, shuffle_seed):
     short, long_ = pair
     l1, l2 = wordlist("aa", "NOUN", short), wordlist("bb", "NOUN", long_)
     s_pruned, s_unpruned = DpStats(), DpStats()
-    pruned = align_lists(l1, l2, INV, CFG, XI, min_size=1, shuffle_seed=shuffle_seed,
+    pruned = align_lists(l1, l2, INV, costs=COSTS, min_size=1, shuffle_seed=shuffle_seed,
                          stats=s_pruned)
-    unpruned = align_lists(l1, l2, INV, CFG, XI, min_size=1, shuffle_seed=shuffle_seed,
+    unpruned = align_lists(l1, l2, INV, costs=COSTS, min_size=1, shuffle_seed=shuffle_seed,
                            prune=False, stats=s_unpruned)
     oracle = greedy_oracle(short, long_, shuffle_seed)
     assert pruned.mu_psi.hex() == unpruned.mu_psi.hex() == oracle.hex()
@@ -179,9 +185,9 @@ def test_equal_nd_tie_goes_to_smaller_ipa():
     # which leaves "pam" (iterated second) with "ma" instead of its nearest
     short, long_ = ["m", "pam"], ["ma", "am", "uuuu"]
     cell = align_lists(wordlist("aa", "NOUN", short), wordlist("bb", "NOUN", long_),
-                       INV, CFG, XI, min_size=1)
+                       INV, costs=COSTS, min_size=1)
     assert cell.mu_psi == greedy_oracle(short, long_)
-    pam_ma = normalized_ped(tokenize("pam", INV), tokenize("ma", INV), CFG, XI)
+    pam_ma = ped(tokenize("pam", INV), tokenize("ma", INV), costs=COSTS).normalized
     assert pam_ma > 1 / 3
     assert cell.mu_psi == (0.5 + pam_ma) / 2
 
@@ -189,22 +195,22 @@ def test_equal_nd_tie_goes_to_smaller_ipa():
 def test_two_spellings_of_one_label_tuple():
     short, long_ = ["pa:", "paː"], ["ba:", "baː", "mu"]
     cell = align_lists(wordlist("aa", "NOUN", short), wordlist("bb", "NOUN", long_),
-                       INV, CFG, XI, min_size=1)
+                       INV, costs=COSTS, min_size=1)
     assert cell.mu_psi == greedy_oracle(short, long_)
-    assert cell.mu_psi == normalized_ped(tokenize("pa:", INV), tokenize("ba:", INV), CFG, XI)
+    assert cell.mu_psi == ped(tokenize("pa:", INV), tokenize("ba:", INV), costs=COSTS).normalized
 
 
 def test_unknown_symbol_fatal_by_default():
     bad = wordlist("aa", "PRON", ["pa", "ta", "ka", "ma", "☃a"])
     good = wordlist("bb", "PRON", TOY_L2)
     with pytest.raises(TokenizeError):
-        align_lists(bad, good, INV, CFG, XI)
+        align_lists(bad, good, INV, costs=COSTS)
 
 
 def test_skip_unknown_drops_word_not_symbol():
     bad = wordlist("aa", "PRON", ["pa", "ta", "ka", "ma", "na", "☃a"])
     good = wordlist("bb", "PRON", TOY_L2)
-    cell = align_lists(bad, good, INV, CFG, XI, skip_unknown=True)
+    cell = align_lists(bad, good, INV, costs=COSTS, skip_unknown=True)
     assert cell.size_a == 5  # the word is gone, not just the bad symbol
 
 
@@ -212,7 +218,7 @@ def test_min_size_below_one_skips_fully_dropped_list():
     bad = wordlist("aa", "PRON", ["☃a", "☃b"])
     good = wordlist("bb", "PRON", TOY_L2)
     for min_size in (0, -3):
-        cell = align_lists(bad, good, INV, CFG, XI, min_size=min_size, skip_unknown=True)
+        cell = align_lists(bad, good, INV, costs=COSTS, min_size=min_size, skip_unknown=True)
         assert cell.skipped_reason == "list smaller than 1"
         assert (cell.size_a, cell.size_b) == (0, 5)
 
@@ -224,7 +230,7 @@ def test_skip_unknown_lets_internal_errors_through(monkeypatch):
     monkeypatch.setattr(similarity, "tokenize", broken)
     with pytest.raises(RuntimeError, match="scanner bug"):
         align_lists(wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2),
-                    INV, CFG, XI, skip_unknown=True)
+                    INV, costs=COSTS, skip_unknown=True)
 
 
 # ---------------------------------------------------------------- matrix
@@ -242,7 +248,7 @@ def lists_for_matrix():
 
 
 def test_matrix_one_cell_per_pair_per_tag():
-    report = build_matrix(lists_for_matrix(), INV, CFG, XI)
+    report = build_matrix(lists_for_matrix(), INV, costs=COSTS)
     keys = [(c.pos, c.lang_a, c.lang_b) for c in report.cells]
     assert keys == [
         ("NOUN", "aa", "bb"),
@@ -254,14 +260,14 @@ def test_matrix_one_cell_per_pair_per_tag():
 
 def test_matrix_two_languages_one_tag():
     report = build_matrix(
-        [wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2)], INV, CFG, XI
+        [wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2)], INV, costs=COSTS
     )
     assert len(report.cells) == 1
 
 
 def test_matrix_same_language_twice_is_diagonal_zero():
     report = build_matrix(
-        [wordlist("aa", "PRON", TOY_L1), wordlist("aa", "PRON", TOY_L1)], INV, CFG, XI
+        [wordlist("aa", "PRON", TOY_L1), wordlist("aa", "PRON", TOY_L1)], INV, costs=COSTS
     )
     (cell,) = report.cells
     assert cell.lang_a == cell.lang_b == "aa"
@@ -270,22 +276,22 @@ def test_matrix_same_language_twice_is_diagonal_zero():
 
 def test_matrix_no_overlap_empty_report(caplog):
     report = build_matrix(
-        [wordlist("aa", "PRON", TOY_L1), wordlist("bb", "NOUN", TOY_L2)], INV, CFG, XI
+        [wordlist("aa", "PRON", TOY_L1), wordlist("bb", "NOUN", TOY_L2)], INV, costs=COSTS
     )
     assert report.cells == ()
 
 
 def test_matrix_parallel_determinism():
     lists = lists_for_matrix()
-    serial = build_matrix(lists, INV, CFG, XI, jobs=1)
-    parallel = build_matrix(lists, INV, CFG, XI, jobs=4)
+    serial = build_matrix(lists, INV, costs=COSTS, jobs=1)
+    parallel = build_matrix(lists, INV, costs=COSTS, jobs=4)
     assert serial.cells == parallel.cells
     assert format_report(serial) == format_report(parallel)
 
 
 def test_matrix_shares_one_cost_table(monkeypatch):
     lists = lists_for_matrix()
-    parallel = build_matrix(lists, INV, CFG, XI, jobs=4)
+    parallel = build_matrix(lists, INV, costs=COSTS, jobs=4)
     built = []
 
     class CountingCosts(similarity.SubstitutionCosts):
@@ -294,14 +300,32 @@ def test_matrix_shares_one_cost_table(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(similarity, "SubstitutionCosts", CountingCosts)
-    serial = build_matrix(lists, INV, CFG, XI, jobs=1)
+    serial = build_matrix(lists, INV, jobs=1)
     assert len(built) == 1  # one table for all four cells
     assert serial == parallel
 
 
+def test_fixture_matrix_pinned_bit_for_bit(fixtures_dir):
+    lists = [read_wordlist(p) for p in sorted((fixtures_dir / "pronouns").glob("*.tsv"))]
+    cells = {(c.lang_a, c.lang_b): c.mu_psi.hex() for c in build_matrix(lists, INV).cells}
+    assert cells == {
+        ("ar", "hi"): "0x1.1830373ccbdd2p-1",
+        ("ar", "ur"): "0x1.1f0c2a1ab20d7p-1",
+        ("hi", "ur"): "0x1.1111111111111p-6",
+    }
+
+
+def test_prepare_tokens_keeps_one_phone_per_label():
+    words = wordlist("aa", "NOUN", ["papa", "apa", "tat̪a"])
+    tokens, phones = similarity._prepare_tokens(words, INV, skip_unknown=False)
+    labels = [p.label for p in phones]
+    assert sorted(labels) == ["a", "p", "t", "t̪"]
+    assert all(INV[p.label] == p for p in phones)
+
+
 def test_report_csv_format():
     report = build_matrix(
-        [wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2)], INV, CFG, XI
+        [wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2)], INV, costs=COSTS
     )
     text = format_report(report, "csv")
     lines = text.splitlines()
@@ -311,7 +335,7 @@ def test_report_csv_format():
 
 def test_report_long_tsv_same_data():
     report = build_matrix(
-        [wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2)], INV, CFG, XI
+        [wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2)], INV, costs=COSTS
     )
     csv_text = format_report(report, "csv")
     tsv_text = format_report(report, "long-tsv")
@@ -320,7 +344,7 @@ def test_report_long_tsv_same_data():
 
 def test_report_skipped_cell_row():
     report = build_matrix(
-        [wordlist("aa", "PRON", ["pa"]), wordlist("bb", "PRON", TOY_L2)], INV, CFG, XI
+        [wordlist("aa", "PRON", ["pa"]), wordlist("bb", "PRON", TOY_L2)], INV, costs=COSTS
     )
     line = format_report(report).splitlines()[1]
     assert line == "aa,bb,PRON,,1,5,list smaller than 5"
@@ -331,7 +355,7 @@ def test_mu_psi_always_in_unit_interval(fixtures_dir):
         read_wordlist(fixtures_dir / "pronouns" / name)
         for name in ("ur.tsv", "hi.tsv", "ar.tsv")
     ]
-    report = build_matrix(lists, INV, CFG, XI)
+    report = build_matrix(lists, INV, costs=COSTS)
     assert len(report.cells) == 3
     for cell in report.cells:
         assert 0.0 <= cell.mu_psi <= 1.0
