@@ -73,11 +73,15 @@ def _configure_logging(args) -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s: %(message)s")
 
 
+def _load_inventory(args):
+    """The inventory named by --inventory, voice-overlaid under --paper-mode."""
+    inventory = load_inventory(args.inventory or defaults.default_inventory_path())
+    return paper_voice(inventory) if args.paper_mode else inventory
+
+
 def _load_tables(args):
     """(inventory, SubstitutionCosts) named by the distance flags."""
-    inventory = load_inventory(args.inventory or defaults.default_inventory_path())
-    if args.paper_mode:
-        inventory = paper_voice(inventory)
+    inventory = _load_inventory(args)
     xi = load_manner_table(args.manner_table or defaults.default_manner_table_path())
     overrides = {}
     if args.alpha is not None:
@@ -108,8 +112,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_phones(args) -> int:
-    inventory, _ = _load_tables(args)
-    phonestring = tokenize(args.ipa, inventory)
+    phonestring = tokenize(args.ipa, _load_inventory(args))
     for phone in phonestring:
         f = phone.features
         if phone.is_vowel:
@@ -128,9 +131,9 @@ def _cmd_extract(args) -> int:
     for tag in tags:
         if tag not in TARGET_TAGS:
             raise PedlexError(f"unsupported tag {tag!r}; choose from {', '.join(TARGET_TAGS)}")
+    wordlists = extract_wordlists(args.input, args.lang)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    wordlists = extract_wordlists(args.input, args.lang)
     written = 0
     for wl in wordlists:
         if wl.pos not in tags:
@@ -225,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phones",
                        help="tokenize an IPA word and show its features")
     p.add_argument("ipa")
-    _add_distance_flags(p)
+    p.add_argument("--inventory", metavar="FILE", help="feature inventory file")
+    p.add_argument("--paper-mode", action="store_true", help="published voice encoding")
+    _add_verbose_flag(p)
     p.set_defaults(func=_cmd_phones)
 
     p = sub.add_parser("extract",

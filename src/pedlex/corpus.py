@@ -124,7 +124,6 @@ class G2PTable:
 
     script: str
     rules: dict[tuple[str, str | None], str]
-    source: str = field(default="", compare=False)
     _scanners: dict[str | None, LongestMatch[str]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -189,7 +188,7 @@ def load_g2p_table(path: str | Path, script: str | None = None) -> G2PTable:
     resolved_script = script or declared
     if not resolved_script:
         raise G2PError(f"{path}: script not declared; add '# script=<name>' or pass one")
-    return G2PTable(script=resolved_script, rules=rules, source=str(path))
+    return G2PTable(script=resolved_script, rules=rules)
 
 
 def convert_word(word: str, table: G2PTable, language: str | None = None) -> str:

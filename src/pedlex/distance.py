@@ -12,7 +12,7 @@ costs ``cross_type_cost``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .defaults import default_manner_table
@@ -20,49 +20,33 @@ from .errors import ConfigError, MannerTableError, read_lines
 from .features import CONSONANT, MANNERS, ConsonantFeatures, Phone, VowelFeatures
 
 
+# The weights of pdc (the first three) and of pdv (the last two) each sum to 1.
+CONSONANT_PM_WEIGHT = 2.0 / 3.0
+VOICED_WEIGHT = 1.0 / 5.0
+BETA = 1.0 - 2.0 / 3.0 - 1.0 / 5.0
+VOWEL_NONBINARY_WEIGHT = 2.0 / 3.0
+VOWEL_BINARY_WEIGHT = 1.0 / 3.0
+
+
 @dataclass(frozen=True)
 class DistanceConfig:
-    """Weights and switches for the phone-distance formulas.
+    """Settings of the phone-distance formulas; the weights are constants.
 
-    The consonant weights must satisfy
-    ``consonant_pm_weight + voiced_weight + beta == 1``.
-    ``literal_vowel_branch`` switches the vowel formula to the two-branch
-    variant that charges (d_ob + 1)/3 whenever the open/back gap is at most
-    0.5; the default uniform formula scores every pair as the weighted
-    Manhattan distance. Both agree on pairs with an open/back gap above 0.5.
+    ``alpha`` is the consonants' place+manner threshold, ``cross_type_cost``
+    the vowel/consonant substitution cost. ``literal_vowel_branch`` switches
+    the vowel formula to the two-branch variant that charges (d_ob + 1)/3
+    whenever the open/back gap is at most 0.5; the default uniform formula
+    scores every pair as the weighted Manhattan distance. Both agree on
+    pairs with an open/back gap above 0.5.
     """
 
-    vowel_nonbinary_weight: float = 2.0 / 3.0
-    vowel_binary_weight: float = 1.0 / 3.0
-    consonant_pm_weight: float = 2.0 / 3.0
-    voiced_weight: float = 1.0 / 5.0
-    beta: float = 1.0 - 2.0 / 3.0 - 1.0 / 5.0
     alpha: float = 0.5
     literal_vowel_branch: bool = False
     cross_type_cost: float = 1.0
 
     def __post_init__(self):
-        weights = {
-            "vowel_nonbinary_weight": self.vowel_nonbinary_weight,
-            "vowel_binary_weight": self.vowel_binary_weight,
-            "consonant_pm_weight": self.consonant_pm_weight,
-            "voiced_weight": self.voiced_weight,
-            "beta": self.beta,
-            "cross_type_cost": self.cross_type_cost,
-        }
-        for name, value in weights.items():
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name}={value} outside [0, 1]")
-        if abs(self.consonant_pm_weight + self.voiced_weight + self.beta - 1.0) > 1e-12:
-            raise ConfigError(
-                "consonant weights must sum to 1: "
-                f"{self.consonant_pm_weight} + {self.voiced_weight} + {self.beta}"
-            )
-        if abs(self.vowel_nonbinary_weight + self.vowel_binary_weight - 1.0) > 1e-12:
-            raise ConfigError(
-                "vowel weights must sum to 1: "
-                f"{self.vowel_nonbinary_weight} + {self.vowel_binary_weight}"
-            )
+        if not 0.0 <= self.cross_type_cost <= 1.0:
+            raise ConfigError(f"cross_type_cost={self.cross_type_cost} outside [0, 1]")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha={self.alpha} outside (0, 1]")
 
@@ -72,7 +56,6 @@ class MannerDistanceTable:
     """Symmetric manner-pair distances with a zero diagonal."""
 
     entries: dict[tuple[str, str], float]
-    source: str = field(default="", compare=False)
 
     def __post_init__(self):
         for m1 in MANNERS:
@@ -123,7 +106,7 @@ def load_manner_table(path: str | Path) -> MannerDistanceTable:
             raise MannerTableError(f"line {lineno}: conflicting duplicate for ({m1}, {m2})")
         entries[(m1, m2)] = value
         entries[(m2, m1)] = value
-    return MannerDistanceTable(entries=entries, source=str(path))
+    return MannerDistanceTable(entries=entries)
 
 
 def pdv(w: VowelFeatures, x: VowelFeatures, cfg: DistanceConfig) -> float:
@@ -135,7 +118,7 @@ def pdv(w: VowelFeatures, x: VowelFeatures, cfg: DistanceConfig) -> float:
             return (d_ob + d_r) / 3.0
         return (d_ob + 1.0) / 3.0
     # uniform weighted Manhattan: open/back span 2 units, rounding spans 1
-    return cfg.vowel_nonbinary_weight * (d_ob / 2.0) + cfg.vowel_binary_weight * d_r
+    return VOWEL_NONBINARY_WEIGHT * (d_ob / 2.0) + VOWEL_BINARY_WEIGHT * d_r
 
 
 def pdc(
@@ -148,13 +131,13 @@ def pdc(
     d_mp = xi.lookup(w.manner, x.manner) + abs(w.place - x.place)
     if d_mp > cfg.alpha:
         return min(d_mp, 1.0)
-    d_v = abs(w.voiced - x.voiced) * cfg.voiced_weight
+    d_v = abs(w.voiced - x.voiced) * VOICED_WEIGHT
     remaining = (
         abs(w.aspirated - x.aspirated)
         + abs(w.airflow - x.airflow)
         + abs(w.pharyngeal - x.pharyngeal)
     ) / 3.0
-    return d_mp * cfg.consonant_pm_weight + d_v + remaining * cfg.beta
+    return d_mp * CONSONANT_PM_WEIGHT + d_v + remaining * BETA
 
 
 def phonetic_difference(

@@ -12,7 +12,7 @@ code changes.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -75,7 +75,6 @@ class FeatureInventory:
     """Immutable label -> Phone mapping; safe to share across workers."""
 
     entries: dict[str, Phone]
-    source: str = field(default="", compare=False)
 
     @cached_property
     def scanner(self) -> LongestMatch[Phone]:
@@ -128,7 +127,7 @@ def paper_voice(inventory: FeatureInventory) -> FeatureInventory:
         if phone is None or phone.is_vowel:
             continue
         entries[label] = replace(phone, features=replace(phone.features, voiced=voiced))
-    return FeatureInventory(entries=entries, source=inventory.source + "+paper-voice")
+    return FeatureInventory(entries=entries)
 
 
 def _parse_binary(text: str, name: str, lineno: int) -> int:
@@ -230,7 +229,7 @@ def load_inventory(path: str | Path) -> FeatureInventory:
         entries[label] = phone
     if not entries:
         raise InventoryError(f"inventory {path} is empty")
-    return FeatureInventory(entries=entries, source=str(path))
+    return FeatureInventory(entries=entries)
 
 
 def _format_number(value: float) -> str:

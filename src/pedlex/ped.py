@@ -29,9 +29,8 @@ class DpStats:
     """Counters for DP work done.
 
     Every candidate a query considers counts once in ``prefiltered`` (its
-    length gap alone exceeded the bound) or in ``dps``; a ``dps`` visit is
-    either completed or ``abandoned`` (a row, possibly one shared with
-    earlier candidates through a common prefix, proved it hopeless). A
+    length gap alone exceeded the bound) or in ``dps``, one ``dp_labels``
+    call each; ``abandoned`` counts the visits a row proved hopeless. A
     ``ped`` call is one visit. ``cells`` counts DP cells actually computed.
     """
 
@@ -84,26 +83,26 @@ def band(bound: float, maxlen: int, rows: int, cols: int):
     return min(0, delta) - slack, max(0, delta) + slack
 
 
-def dp_labels(x, prof, stack, mins, depth, lo, hi, bound, maxlen, stats):
+def dp_labels(x, prof, stack, depth, lo, hi, bound, maxlen, stats):
     """Extend the edit-distance rows of label tuple ``x`` from row ``depth``.
 
     Rows run over ``x``, columns over a query word of n labels: stack[0] is
     [0, 1, ..., n] and prof[label][j] is the cost of substituting ``label``
     for query label j (prof[label][0] is unused). Rows 1..depth must already
-    hold x[:depth]'s rows, with their minima in mins; this overwrites
-    stack[depth + 1:] and mins[depth + 1:] in place.
+    hold x[:depth]'s rows, even ones that proved an earlier candidate
+    hopeless; this overwrites stack[depth + 1:] in place.
 
     Row i computes only the columns j with lo <= i - j <= hi (see ``band``)
     and sets the column right of them to inf; those are the only cells of a
     row that the next row reads, so a row computed under a wider band stays
-    valid under a narrower one. The row minimum is a lower bound on the distance:
-    once row_min / maxlen > bound, no path through the row scores within it.
+    valid under a narrower one. Row minima never decrease down the rows and
+    bound the distance from below: once row_min / maxlen > bound, no path
+    through the row scores within it, and a candidate resumed from such a
+    row fails at its next row (or, with none left, ends above the bound).
 
     Returns (rows done, distance), with distance None when the last row
     done proved the prefix x[:rows done] hopeless.
     """
-    if depth and mins[depth] / maxlen > bound:
-        return depth, None  # the shared prefix is hopeless under the current bound
     m, n = len(x), len(stack[0]) - 1
     prev = stack[depth]
     cells = 0
@@ -135,7 +134,6 @@ def dp_labels(x, prof, stack, mins, depth, lo, hi, bound, maxlen, stats):
                 row_min = best
             diag = up
         cells += jhi - jlo + 1
-        mins[i] = row_min
         if row_min / maxlen > bound:
             stats.cells += cells
             return i, None
@@ -206,8 +204,7 @@ def ped(
     rows = costs.rows_for(source.phones, target.phones)
     prof = cost_profile(rows, w)
     stack = [[float(j) for j in range(len(w) + 1)] for _ in range(len(x) + 1)]
-    mins = [0.0] * len(stack)
-    _, distance = dp_labels(x, prof, stack, mins, 0, *diagonals, bound, maxlen, stats)
+    _, distance = dp_labels(x, prof, stack, 0, *diagonals, bound, maxlen, stats)
     if distance is not None:
         normalized = distance / maxlen if maxlen else 0.0
     if distance is None or normalized > bound:

@@ -134,68 +134,49 @@ def _greedy_total(queries, long_, rows, prune, stats):
     The long list is scanned in buckets of equal token length, nearest
     length first; a bucket whose length gap alone exceeds the best-so-far
     is skipped whole. Inside a bucket the words are sorted by labels, so
-    consecutive candidates share the DP rows of their common prefix, and a
-    prefix proved hopeless skips every candidate that starts with it.
+    consecutive candidates share the DP rows of their common prefix.
     """
     by_length: dict[int, list] = {}
     for ipa, labels in long_.items():
         by_length.setdefault(len(labels), []).append((labels, ipa))
     buckets = [_Bucket(length, by_length[length]) for length in sorted(by_length)]
-    visits: dict[int, list[_Bucket]] = {}  # query length -> buckets, nearest first
     # DP rows, reused across queries; dp_labels only reads cells it wrote
     stack = [[0.0] * (max(map(len, queries)) + 1) for _ in range(buckets[-1].length + 1)]
-    mins = [0.0] * len(stack)
-    completed = abandoned = prefiltered = 0
+    abandoned = 0
     total = 0.0
     for w in queries:
         n = len(w)
         prof = cost_profile(rows, w)
         stack[0] = [float(j) for j in range(n + 1)]
-        visit = visits.get(n)
-        if visit is None:
-            visit = visits[n] = sorted(buckets, key=lambda b: (abs(b.length - n), b.length))
         best = bound = inf
         best_ipa = best_at = None
-        for bucket in visit:
-            labels, lcp, length = bucket.labels, bucket.lcp, bucket.length
-            size = len(labels)
-            if not size:
+        for bucket in sorted(buckets, key=lambda b: (abs(b.length - n), b.length)):
+            maxlen = max(bucket.length, n)
+            diagonals = band(bound, maxlen, bucket.length, n)
+            if diagonals is None:
+                stats.prefiltered += len(bucket.labels)
                 continue
-            maxlen = max(length, n)
-            if maxlen and abs(length - n) / maxlen > bound:
-                prefiltered += size
-                continue
-            lo, hi = band(bound, maxlen, length, n)
+            stats.dps += len(bucket.labels)
+            lo, hi = diagonals
+            lcp = bucket.lcp
             depth = 0  # stack rows 1..depth hold the current candidate's prefix
-            k = 0
-            while k < size:
+            for k, labels in enumerate(bucket.labels):
                 if depth > lcp[k]:
                     depth = lcp[k]
-                depth, d = dp_labels(
-                    labels[k], prof, stack, mins, depth, lo, hi, bound, maxlen, stats
-                )
+                depth, d = dp_labels(labels, prof, stack, depth, lo, hi, bound, maxlen, stats)
                 if d is None:
-                    # every candidate sharing the hopeless prefix is hopeless
-                    end = k + 1
-                    while end < size and lcp[end] >= depth:
-                        end += 1
-                    abandoned += end - k
-                    k = end
+                    abandoned += 1
                     continue
-                completed += 1
                 nd = d / maxlen if maxlen else 0.0
                 if nd < best or (nd == best and bucket.ipas[k] < best_ipa):
                     best, best_ipa, best_at = nd, bucket.ipas[k], (bucket, k)
                     if prune:
                         bound = best
-                        lo, hi = band(bound, maxlen, length, n)
-                k += 1
+                        lo, hi = band(bound, maxlen, bucket.length, n)
         total += best
         bucket, k = best_at
         bucket.remove(k)
-    stats.dps += completed + abandoned
     stats.abandoned += abandoned
-    stats.prefiltered += prefiltered
     return total
 
 

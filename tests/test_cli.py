@@ -79,6 +79,16 @@ def test_phones_lists_tokens(capsys):
     assert lines[1].startswith("a:\tvowel\topen=1")
 
 
+def test_phones_ignores_a_broken_manner_table(capsys, tmp_path, monkeypatch):
+    # phones needs only the inventory; the manner table is never loaded
+    (tmp_path / "manner_distance.tsv").write_text("plosive\tnasal\n", encoding="utf-8")
+    monkeypatch.setenv("PEDLEX_DATA", str(tmp_path))
+    code, out, err = run(capsys, "phones", "tʃʰa:t", "--paper-mode")
+    assert code == 0, err
+    assert out.startswith("tʃʰ\tconsonant\tmanner=plosive")
+    assert run(capsys, "dist", "pa", "ba")[0] == 1  # the table is broken
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert run(capsys, "frobnicate")[0] == 1
 
@@ -191,6 +201,14 @@ def test_extract_and_g2p_take_no_distance_flags(capsys, tmp_path):
         assert "--verbose" in out
         for flag in ("--alpha", "--inventory", "--manner-table", "--paper-mode"):
             assert flag not in out
+    code, out, _ = run(capsys, "phones", "--help")
+    assert code == 0
+    assert "--inventory" in out and "--paper-mode" in out and "--verbose" in out
+    for flag in ("--alpha", "--cross-type-cost", "--literal-vowel-branch", "--manner-table"):
+        assert flag not in out
+    code, _, err = run(capsys, "phones", "a", "--alpha", "0.3")
+    assert code == 1
+    assert "unrecognized arguments: --alpha" in err
     conllu = tmp_path / "ur.conllu"
     conllu.write_text(CONLLU, encoding="utf-8")
     out_dir = tmp_path / "lists"
@@ -368,6 +386,17 @@ def test_conllu_not_utf8_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "extract", "--input", str(conllu), "--lang", "ur",
                        "--out-dir", str(tmp_path / "lists"))
     assert_bad_file(code, err, conllu, f"line {CONLLU.count(chr(10)) + 1}: not valid UTF-8")
+
+
+def test_extract_bad_input_leaves_no_out_dir(capsys, tmp_path):
+    conllu = tmp_path / "ur.conllu"
+    conllu.write_bytes(b"1\t\xff\t\xff\tNOUN\t_\t_\t0\troot\t_\t_\n")
+    for path in (conllu, tmp_path / "missing.conllu"):
+        out_dir = tmp_path / "lists"
+        code, _, err = run(capsys, "extract", "--input", str(path), "--lang", "ur",
+                           "--out-dir", str(out_dir))
+        assert code == 1, err
+        assert not out_dir.exists()
 
 
 def test_module_entrypoint_runs():

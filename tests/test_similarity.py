@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pedlex import (
     DistanceConfig,
@@ -161,6 +161,10 @@ def list_pairs(draw):
 
 @given(list_pairs(), st.one_of(st.none(), st.integers(0, 2**16)))
 @settings(max_examples=150, deadline=None)
+# after "pad" or "bat" sets the bound, later candidates of that length resume
+# from rows that already failed it: a shared "u"/"uu" prefix, or all of "paa:"
+@example((["pat"], ["pad", "uui", "uum", "uut"]), None)
+@example((["pat"], ["bat", "paa:", "paaː", "pas"]), None)
 def test_align_lists_pruned_unpruned_and_oracle_agree(pair, shuffle_seed):
     short, long_ = pair
     l1, l2 = wordlist("aa", "NOUN", short), wordlist("bb", "NOUN", long_)
