@@ -10,6 +10,7 @@ stdout or --out files, diagnostics to stderr. Exit codes: 0 ok, 1 bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -212,7 +213,9 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="pedlex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

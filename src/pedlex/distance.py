@@ -172,11 +172,7 @@ class SubstitutionCosts:
     def pair(self, a: Phone, b: Phone) -> float:
         return phonetic_difference(a, b, self.cfg, self.xi)
 
-    def rows_for(self, phones_a, phones_b) -> dict[str, dict[str, float]]:
-        """Dense label->label->cost rows for the DP inner loop."""
-        uniq_a = {p.label: p for p in phones_a}
-        uniq_b = {p.label: p for p in phones_b}
-        return {
-            la: {lb: self.pair(pa, pb) for lb, pb in uniq_b.items()}
-            for la, pa in uniq_a.items()
-        }
+    def rows_for(self, phones_a, phones_b) -> list[list[float]]:
+        """Dense cost table for the DP: rows[i][j] prices phones_a[i]
+        against phones_b[j] (two sequences of distinct phones)."""
+        return [[self.pair(a, b) for b in phones_b] for a in phones_a]

@@ -2,10 +2,11 @@
 
 The classic edit-distance recurrence with insertion/deletion at cost 1 and
 substitution priced by the articulatory distance of the two phones (0 when
-the labels are equal). One row-extension routine, ``dp_labels``, computes
-it for ``ped``, its edit-script trace and the greedy list alignment; rows
-run over one word and columns over the other, and rows already computed
-for a shared prefix are reused.
+the labels are equal). One kernel, ``dp_labels``, computes it for ``ped``,
+its edit-script trace and the greedy list alignment: one call scans a
+bucket of equal-length candidate words against one query word, rows over
+the candidate and columns over the query, and reuses the rows of a prefix
+shared with the previous candidate.
 
 The all-pairs callers can pass a normalized best-so-far ``bound``. Only the
 diagonal band that a path within the bound can reach is filled (Ukkonen's
@@ -19,7 +20,8 @@ without.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf as INF
+from functools import lru_cache
+from math import inf as INF, nextafter
 
 from .distance import SubstitutionCosts
 from .tokenizer import PhoneticString
@@ -29,9 +31,9 @@ class DpStats:
     """Counters for DP work done.
 
     Every candidate a query considers counts once in ``prefiltered`` (its
-    length gap alone exceeded the bound) or in ``dps``, one ``dp_labels``
-    call each; ``abandoned`` counts the visits a row proved hopeless. A
-    ``ped`` call is one visit. ``cells`` counts DP cells actually computed.
+    length gap alone exceeded the bound) or in ``dps`` (its DP started);
+    ``abandoned`` counts the candidates a row proved hopeless. A ``ped``
+    call is one candidate. ``cells`` counts DP cells actually computed.
     """
 
     __slots__ = ("cells", "dps", "abandoned", "prefiltered")
@@ -83,77 +85,186 @@ def band(bound: float, maxlen: int, rows: int, cols: int):
     return min(0, delta) - slack, max(0, delta) + slack
 
 
-def dp_labels(x, prof, stack, depth, lo, hi, bound, maxlen, stats):
-    """Extend the edit-distance rows of label tuple ``x`` from row ``depth``.
+def threshold(bound: float, maxlen: int) -> float:
+    """The largest float r with r / maxlen <= bound.
 
-    Rows run over ``x``, columns over a query word of n labels: stack[0] is
-    [0, 1, ..., n] and prof[label][j] is the cost of substituting ``label``
-    for query label j (prof[label][0] is unused). Rows 1..depth must already
-    hold x[:depth]'s rows, even ones that proved an earlier candidate
-    hopeless; this overwrites stack[depth + 1:] in place.
+    Float division by a positive number is monotone, so ``r > threshold``
+    holds exactly when ``r / maxlen > bound``: the row test needs no
+    division. An infinite bound gives inf, and so does maxlen 0 (two empty
+    words have no rows to test).
+    """
+    if bound == INF or not maxlen:
+        return INF
+    r = bound * maxlen
+    while r / maxlen > bound:
+        r = nextafter(r, -INF)
+    while nextafter(r, INF) / maxlen <= bound:
+        r = nextafter(r, INF)
+    return r
 
-    Row i computes only the columns j with lo <= i - j <= hi (see ``band``)
-    and sets the column right of them to inf; those are the only cells of a
-    row that the next row reads, so a row computed under a wider band stays
+
+@lru_cache(maxsize=4096)
+def row_spans(rows: int, cols: int, lo: int, hi: int) -> tuple:
+    """Per-row plan of the DP cells on diagonals lo..hi (see ``band``).
+
+    Entry i (1..rows; entry 0 is unused) is (first column, range of the
+    columns 1..cols computed, sentinel column set to inf right of them or 0
+    for none, the row's column-0 value or inf when column 0 is outside the
+    band, the number of columns).
+    """
+    spans = [None]
+    for i in range(1, rows + 1):
+        jlo, jhi = i - hi, i - lo
+        sentinel = 0
+        if jhi < cols:
+            sentinel = jhi + 1
+        else:
+            jhi = cols
+        left = INF
+        if jlo <= 0:
+            jlo, left = 1, float(i)
+        spans.append((jlo, range(jlo, jhi + 1), sentinel, left, jhi - jlo + 1))
+    return tuple(spans)
+
+
+class Bucket:
+    """Candidate words of one token length, sorted by (labels, ipa).
+
+    ``labels`` holds label-id tuples, ``ipas`` the IPA string of each (it
+    breaks distance ties), and lcp[k] the number of leading labels word k
+    shares with word k - 1 (0 for the first word).
+    """
+
+    __slots__ = ("length", "labels", "ipas", "lcp")
+
+    def __init__(self, length, entries):
+        entries.sort()
+        self.length = length
+        self.labels = [labels for labels, _ in entries]
+        self.ipas = [ipa for _, ipa in entries]
+        self.lcp = [0] * len(entries)
+        for k in range(1, len(entries)):
+            a, b = self.labels[k - 1], self.labels[k]
+            common = 0
+            while common < length and a[common] == b[common]:
+                common += 1
+            self.lcp[k] = common
+
+    def remove(self, k):
+        lcp = self.lcp
+        if k + 1 < len(lcp):
+            # the new neighbours share the shorter of the two prefixes
+            lcp[k + 1] = min(lcp[k], lcp[k + 1])
+        del self.labels[k], self.ipas[k], lcp[k]
+
+
+def dp_labels(bucket, prof, stack, diagonals, bound, best, best_ipa, prune, stats):
+    """Scan one bucket for a candidate nearer than ``best``; the DP kernel.
+
+    Rows run over a candidate, columns over a query word of n labels:
+    stack[0] is [0, 1, ..., n], stack[i][0] is i, and prof[label][j] is the
+    cost of substituting candidate label id ``label`` for query label j
+    (prof[label][0] is unused). Candidate k resumes from the rows of the
+    lcp[k] labels it shares with the one before, even rows that proved that
+    one hopeless; rows 1..m of the stack are overwritten.
+
+    Row i computes only the columns on ``diagonals`` (``band`` of bound) and
+    sets the column right of them to inf; those are the only cells of a row
+    that the next row reads, so a row computed under a wider band stays
     valid under a narrower one. Row minima never decrease down the rows and
     bound the distance from below: once row_min / maxlen > bound, no path
     through the row scores within it, and a candidate resumed from such a
     row fails at its next row (or, with none left, ends above the bound).
 
-    Returns (rows done, distance), with distance None when the last row
-    done proved the prefix x[:rows done] hopeless.
+    A completed candidate with normalized distance nd wins when nd < best,
+    or nd == best and its IPA sorts before ``best_ipa``; with ``prune`` the
+    bound then tightens to nd. Returns (index, nd) of the last winner, or
+    None. Books every candidate in ``stats.dps``.
     """
-    m, n = len(x), len(stack[0]) - 1
-    prev = stack[depth]
-    cells = 0
-    for i in range(depth + 1, m + 1):
-        cur = stack[i]
-        cost = prof[x[i - 1]]
-        jlo = i - hi
-        jhi = i - lo
-        if jhi < n:
-            cur[jhi + 1] = INF
+    m = bucket.length
+    n = len(stack[0]) - 1
+    maxlen = m if m > n else n
+    spans = row_spans(m, n, *diagonals)
+    limit = threshold(bound, maxlen)
+    lcp, ipas = bucket.lcp, bucket.ipas
+    hit = None
+    cells = abandoned = depth = 0
+    for k, x in enumerate(bucket.labels):
+        if depth > lcp[k]:
+            depth = lcp[k]
+        prev = stack[depth]
+        for i in range(depth + 1, m + 1):
+            jlo, cols, sentinel, left, width = spans[i]
+            cur = stack[i]
+            cost = prof[x[i - 1]]
+            if sentinel:
+                cur[sentinel] = INF
+            row_min = left
+            diag = prev[jlo - 1]
+            for j in cols:
+                up = prev[j]
+                d = diag + cost[j]
+                # min(up, left) + 1.0 == min(up + 1.0, left + 1.0) exactly
+                alt = (up if up < left else left) + 1.0
+                if alt < d:
+                    d = alt
+                cur[j] = left = d
+                if d < row_min:
+                    row_min = d
+                diag = up
+            cells += width
+            if row_min > limit:
+                depth = i
+                abandoned += 1
+                break
+            prev = cur
         else:
-            jhi = n
-        if jlo > 0:
-            left = INF
-        else:
-            jlo = 1
-            left = cur[0] = float(i)
-        row_min = left
-        diag = prev[jlo - 1]
-        for j in range(jlo, jhi + 1):
-            up = prev[j]
-            best = diag + cost[j]
-            # min(up, left) + 1.0 == min(up + 1.0, left + 1.0) exactly
-            alt = (up if up < left else left) + 1.0
-            if alt < best:
-                best = alt
-            cur[j] = left = best
-            if best < row_min:
-                row_min = best
-            diag = up
-        cells += jhi - jlo + 1
-        if row_min / maxlen > bound:
-            stats.cells += cells
-            return i, None
-        prev = cur
+            depth = m
+            nd = prev[n] / maxlen if maxlen else 0.0
+            if nd < best or (nd == best and ipas[k] < best_ipa):
+                best, best_ipa, hit = nd, ipas[k], (k, nd)
+                if prune:
+                    bound = nd
+                    spans = row_spans(m, n, *band(bound, maxlen, m, n))
+                    limit = threshold(bound, maxlen)
+    stats.dps += len(bucket.labels)
     stats.cells += cells
-    return m, prev[n]
+    stats.abandoned += abandoned
+    return hit
+
+
+def dp_stack(rows: int, cols: int) -> list[list[float]]:
+    """DP rows for candidates of up to ``rows`` labels against query words of
+    up to ``cols``: row 0 is [0, 1, ..., cols], and column 0 of row i is i,
+    which ``dp_labels`` reads but never writes."""
+    stack = [[float(i)] + [0.0] * cols for i in range(rows + 1)]
+    stack[0] = [float(j) for j in range(cols + 1)]
+    return stack
 
 
 def cost_profile(rows, w):
-    """prof[label][j]: substitution cost of ``label`` for w[j - 1], j >= 1."""
-    return {label: [0.0] + [row[lw] for lw in w] for label, row in rows.items()}
+    """prof[a][j]: the cost of candidate label id a against w[j - 1], j >= 1,
+    from a dense table ``rows`` (see ``SubstitutionCosts.rows_for``)."""
+    return [[0.0] + [row[j] for j in w] for row in rows]
 
 
-def _edit_script(x, w, prof, stack):
-    """Backtrack a full DP matrix into edit operations, source to target."""
+def label_ids(phones):
+    """Ids for the distinct labels of ``phones``, numbered in label order so
+    that id tuples sort like label tuples; returns (label -> id, the phones
+    by id)."""
+    unique = {p.label: p for p in phones}
+    order = sorted(unique)
+    return {label: k for k, label in enumerate(order)}, [unique[label] for label in order]
+
+
+def _edit_script(x, w, sub, stack):
+    """Backtrack a full DP matrix into edit operations, source to target;
+    sub[i - 1][j] prices x[i - 1] against w[j - 1]."""
     ops: list[EditOp] = []
     i, j = len(x), len(w)
     while i > 0 or j > 0:
         if i > 0 and j > 0:
-            cost = prof[x[i - 1]][j]
+            cost = sub[i - 1][j]
             if stack[i][j] == stack[i - 1][j - 1] + cost:
                 op = "match" if x[i - 1] == w[j - 1] else "substitute"
                 ops.append(EditOp(op, x[i - 1], w[j - 1], cost))
@@ -186,30 +297,33 @@ def ped(
     (0 for two empty words).
     With ``bound`` set, returns the exact result when the normalized
     distance is at most ``bound`` and None otherwise. ``trace=True`` ignores
-    the bound and additionally returns the aligned edit script.
+    the bound and additionally returns the aligned edit script. The DP runs
+    as ``dp_labels`` on a one-word bucket and books ``stats`` the same way.
     """
     if costs is None:
         costs = SubstitutionCosts()
     if stats is None:
         stats = DpStats()
-    stats.dps += 1
-    x, w = source.labels, target.labels
-    maxlen = max(len(x), len(w))
+    m, n = len(source), len(target)
+    maxlen = max(m, n)
     if bound is None or trace:
         bound = INF
-    diagonals = band(bound, maxlen, len(x), len(w))
+    diagonals = band(bound, maxlen, m, n)
     if diagonals is None:
-        stats.abandoned += 1
+        stats.prefiltered += 1
         return None
-    rows = costs.rows_for(source.phones, target.phones)
-    prof = cost_profile(rows, w)
-    stack = [[float(j) for j in range(len(w) + 1)] for _ in range(len(x) + 1)]
-    _, distance = dp_labels(x, prof, stack, 0, *diagonals, bound, maxlen, stats)
-    if distance is not None:
-        normalized = distance / maxlen if maxlen else 0.0
-    if distance is None or normalized > bound:
-        stats.abandoned += 1
+    ids_x, phones_x = label_ids(source.phones)
+    ids_w, phones_w = label_ids(target.phones)
+    x = tuple([ids_x[p.label] for p in source.phones])
+    w = [ids_w[p.label] for p in target.phones]
+    prof = cost_profile(costs.rows_for(phones_x, phones_w), w)
+    stack = dp_stack(m, n)
+    # the kernel takes nd < best; the next float up admits nd == bound
+    best = nextafter(bound, INF)
+    hit = dp_labels(Bucket(m, [(x, "")]), prof, stack, diagonals, bound, best, "", False, stats)
+    if hit is None:
         return None
-    ops = _edit_script(x, w, prof, stack) if trace else None
-    return PedResult(distance=distance, normalized=normalized, ops_trace=ops)
-
+    ops = None
+    if trace:
+        ops = _edit_script(source.labels, target.labels, [prof[k] for k in x], stack)
+    return PedResult(distance=stack[m][n], normalized=hit[1], ops_trace=ops)

@@ -23,7 +23,7 @@ from .corpus import WordList
 from .distance import SubstitutionCosts
 from .errors import TokenizeError, WordListError
 from .features import FeatureInventory
-from .ped import DpStats, band, cost_profile, dp_labels
+from .ped import Bucket, DpStats, band, cost_profile, dp_labels, dp_stack, label_ids
 from .tokenizer import tokenize
 
 log = logging.getLogger("pedlex.similarity")
@@ -52,13 +52,12 @@ class SimilarityReport:
 
 
 def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: bool):
-    """Distinct IPA strings of a list mapped to label tuples, and one phone
-    per distinct label."""
+    """Distinct IPA strings of a list mapped to label-id tuples, and the
+    list's distinct phones by id (see ``label_ids``)."""
     tokens = {}
-    phones = {}
     for ipa in words.ipa_strings():
         try:
-            ps = tokenize(ipa, inventory)
+            tokens[ipa] = tokenize(ipa, inventory).phones
         except TokenizeError:
             if not skip_unknown:
                 raise
@@ -68,10 +67,10 @@ def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: 
                 words.language,
                 words.pos,
             )
-            continue
-        tokens[ipa] = ps.labels
-        phones.update(zip(ps.labels, ps.phones))
-    return tokens, phones.values()
+    ids, phones = label_ids(p for word in tokens.values() for p in word)
+    for ipa, word in tokens.items():
+        tokens[ipa] = tuple([ids[p.label] for p in word])
+    return tokens, phones
 
 
 def align_lists(
@@ -133,16 +132,14 @@ def _greedy_total(queries, long_, rows, prune, stats):
 
     The long list is scanned in buckets of equal token length, nearest
     length first; a bucket whose length gap alone exceeds the best-so-far
-    is skipped whole. Inside a bucket the words are sorted by labels, so
-    consecutive candidates share the DP rows of their common prefix.
+    is skipped whole, and each other bucket is one ``dp_labels`` call.
+    rows[a][b] prices long-list label id a against short-list label id b.
     """
     by_length: dict[int, list] = {}
     for ipa, labels in long_.items():
         by_length.setdefault(len(labels), []).append((labels, ipa))
-    buckets = [_Bucket(length, by_length[length]) for length in sorted(by_length)]
-    # DP rows, reused across queries; dp_labels only reads cells it wrote
-    stack = [[0.0] * (max(map(len, queries)) + 1) for _ in range(buckets[-1].length + 1)]
-    abandoned = 0
+    buckets = [Bucket(length, by_length[length]) for length in sorted(by_length)]
+    stack = dp_stack(buckets[-1].length, max(map(len, queries)))  # reused across queries
     total = 0.0
     for w in queries:
         n = len(w)
@@ -156,58 +153,16 @@ def _greedy_total(queries, long_, rows, prune, stats):
             if diagonals is None:
                 stats.prefiltered += len(bucket.labels)
                 continue
-            stats.dps += len(bucket.labels)
-            lo, hi = diagonals
-            lcp = bucket.lcp
-            depth = 0  # stack rows 1..depth hold the current candidate's prefix
-            for k, labels in enumerate(bucket.labels):
-                if depth > lcp[k]:
-                    depth = lcp[k]
-                depth, d = dp_labels(labels, prof, stack, depth, lo, hi, bound, maxlen, stats)
-                if d is None:
-                    abandoned += 1
-                    continue
-                nd = d / maxlen if maxlen else 0.0
-                if nd < best or (nd == best and bucket.ipas[k] < best_ipa):
-                    best, best_ipa, best_at = nd, bucket.ipas[k], (bucket, k)
-                    if prune:
-                        bound = best
-                        lo, hi = band(bound, maxlen, bucket.length, n)
+            hit = dp_labels(bucket, prof, stack, diagonals, bound, best, best_ipa, prune, stats)
+            if hit is not None:
+                k, best = hit
+                best_ipa, best_at = bucket.ipas[k], (bucket, k)
+                if prune:
+                    bound = best
         total += best
         bucket, k = best_at
         bucket.remove(k)
-    stats.abandoned += abandoned
     return total
-
-
-class _Bucket:
-    """The unclaimed words of one token length, sorted by (labels, ipa).
-
-    lcp[k] is the number of leading labels word k shares with word k - 1
-    (0 for the first word).
-    """
-
-    __slots__ = ("length", "labels", "ipas", "lcp")
-
-    def __init__(self, length, entries):
-        entries.sort()
-        self.length = length
-        self.labels = [labels for labels, _ in entries]
-        self.ipas = [ipa for _, ipa in entries]
-        self.lcp = [0] * len(entries)
-        for k in range(1, len(entries)):
-            a, b = self.labels[k - 1], self.labels[k]
-            common = 0
-            while common < length and a[common] == b[common]:
-                common += 1
-            self.lcp[k] = common
-
-    def remove(self, k):
-        lcp = self.lcp
-        if k + 1 < len(lcp):
-            # the new neighbours share the shorter of the two prefixes
-            lcp[k + 1] = min(lcp[k], lcp[k + 1])
-        del self.labels[k], self.ipas[k], lcp[k]
 
 
 def _cell_task(args):

@@ -9,10 +9,14 @@ both spellings hit the same inventory entry.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import TokenizeError
 from .features import FeatureInventory, Phone, normalize_ipa
+
+# matches exactly the characters for which str.isspace() is true
+_SPACE = re.compile(r"\s")
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ def tokenize(text: str, inv: FeatureInventory) -> PhoneticString:
     PhoneticString; whitespace inside a word is rejected.
     """
     normalized = normalize_ipa(text)
-    if any(ch.isspace() for ch in normalized):
+    if _SPACE.search(normalized):
         raise TokenizeError(f"whitespace inside word {text!r}; tokenize words one at a time")
     phones, end = inv.scanner.scan(normalized)
     if end < len(normalized):

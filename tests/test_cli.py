@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from pedlex import DistanceConfig, SubstitutionCosts, default_inventory, paper_voice, ped, tokenize
-from pedlex.cli import main
+from pedlex.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -183,6 +183,21 @@ def test_extract_pos_filter(capsys, tmp_path):
     assert code == 0
     assert (out_dir / "ur_NOUN.tsv").exists()
     assert not (out_dir / "ur_PRON.tsv").exists()
+
+
+def test_parser_built_once_and_reused_unchanged(capsys, tmp_path):
+    conllu = tmp_path / "ur.conllu"
+    conllu.write_text(CONLLU, encoding="utf-8")
+    helps = [run(capsys, *argv)[1] for argv in (["--help"], ["extract", "--help"])]
+    for tag in ("NOUN", "PRON"):
+        out_dir = tmp_path / tag
+        code, _, _ = run(capsys, "extract", "--input", str(conllu), "--lang", "ur",
+                         "--pos", tag, "--out-dir", str(out_dir))
+        assert code == 0
+        # the --pos list of the first call must not leak into the second
+        assert [p.name for p in out_dir.iterdir()] == [f"ur_{tag}.tsv"]
+    assert [run(capsys, *argv)[1] for argv in (["--help"], ["extract", "--help"])] == helps
+    assert build_parser() is build_parser()
 
 
 def test_extract_rejects_unknown_tag(capsys, tmp_path):

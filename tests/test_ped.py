@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pedlex import (
     DistanceConfig,
@@ -17,6 +17,7 @@ from pedlex import (
     phonetic_difference,
     tokenize,
 )
+from pedlex.ped import band, row_spans, threshold
 
 INV = default_inventory()
 XI = default_manner_table()
@@ -265,8 +266,49 @@ def test_pruning_abandons_hopeless_pair():
     stats = DpStats()
     result = ped(ps("kkkkkk"), ps("a"), costs=COSTS, bound=0.01, stats=stats)
     assert result is None
-    assert stats.abandoned == 1
+    assert stats.prefiltered == 1  # the length gap alone exceeds the bound
     assert stats.cells < 6  # stopped before finishing all rows
+
+
+def test_row_test_abandons_hopeless_pair():
+    stats = DpStats()
+    result = ped(ps("kkk"), ps("aaa"), costs=COSTS, bound=0.01, stats=stats)
+    assert result is None
+    assert (stats.dps, stats.abandoned, stats.prefiltered, stats.cells) == (1, 1, 0, 1)
+
+
+# ---------------------------------------------------------------- kernel plan
+
+
+@given(st.floats(-0.5, 1.5), st.integers(1, 40), st.lists(st.floats(-100, 100), max_size=5))
+@settings(max_examples=300)
+def test_threshold_is_the_row_test(bound, maxlen, extra):
+    limit = threshold(bound, maxlen)
+    near = [limit, math.nextafter(limit, -math.inf), math.nextafter(limit, math.inf)]
+    for r in near + extra:
+        assert (r > limit) == (r / maxlen > bound)
+
+
+def test_threshold_of_an_infinite_bound_is_inf():
+    assert threshold(math.inf, 7) == math.inf
+
+
+@given(st.one_of(st.floats(-0.5, 1.5), st.just(math.inf)), st.integers(0, 12),
+       st.integers(0, 12))
+@settings(max_examples=300)
+def test_row_spans_cover_the_band(bound, m, n):
+    diagonals = band(bound, max(m, n), m, n)
+    assume(diagonals is not None)
+    lo, hi = diagonals
+    spans = row_spans(m, n, lo, hi)
+    assert len(spans) == m + 1
+    for i in range(1, m + 1):
+        jlo, cols, sentinel, left, width = spans[i]
+        expected = [j for j in range(1, n + 1) if lo <= i - j <= hi]
+        assert list(cols) == expected and width == len(expected)
+        assert jlo == (expected[0] if expected else 1)
+        assert left == (float(i) if i <= hi else math.inf)
+        assert sentinel == (i - lo + 1 if i - lo < n else 0)
 
 
 # ---------------------------------------------------------------- trace

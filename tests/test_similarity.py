@@ -184,6 +184,28 @@ def test_align_lists_pruned_unpruned_and_oracle_agree(pair, shuffle_seed):
     assert s_pruned.cells <= s_unpruned.cells
 
 
+def test_seeded_200_word_cell_work_and_score_pinned():
+    # the DP work and score of one mid-sized cell, bit for bit: the kernel
+    # must compute the same cells, abandon the same candidates and pick the
+    # same words
+    rng = random.Random(200)
+    alphabet = ["p", "t", "k", "b", "d", "g", "m", "n", "s", "z", "a", "e", "i", "o", "u",
+                "a:", "ʃ", "r", "l"]
+
+    def seeded_list(lang):
+        words = set()
+        while len(words) < 200:
+            words.add("".join(rng.choice(alphabet) for _ in range(rng.randint(2, 9))))
+        return wordlist(lang, "NOUN", sorted(words))
+
+    a, b = seeded_list("aa"), seeded_list("bb")
+    stats = DpStats()
+    cell = align_lists(a, b, INV, costs=COSTS, stats=stats)
+    assert (stats.cells, stats.dps, stats.abandoned, stats.prefiltered) == (
+        126127, 9511, 7644, 10589)
+    assert cell.mu_psi.hex() == "0x1.72c24e72ba1d2p-2"
+
+
 def test_equal_nd_tie_goes_to_smaller_ipa():
     # "m" is 1/2 from both "am" and "ma" and must claim "am", the smaller IPA,
     # which leaves "pam" (iterated second) with "ma" instead of its nearest

@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from pedlex import default_inventory, tokenize
 from pedlex.errors import TokenizeError
-from pedlex.tokenizer import normalize_ipa
+from pedlex.tokenizer import _SPACE, normalize_ipa
 
 INV = default_inventory()
 LABELS = sorted(INV.labels())
@@ -44,6 +46,11 @@ def test_unknown_symbol_reports_offset():
 def test_whitespace_rejected():
     with pytest.raises(TokenizeError, match="whitespace"):
         tokenize("a b", INV)
+
+
+def test_whitespace_pattern_is_str_isspace():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert _SPACE.findall(everything) == [ch for ch in everything if ch.isspace()]
 
 
 def test_concatenated_labels_reconstruct_source():
