@@ -8,10 +8,10 @@ bucket of equal-length candidate words against one query word, rows over
 the candidate and columns over the query, and reuses the rows of a prefix
 shared with the previous candidate.
 
-The all-pairs callers can pass a normalized best-so-far ``bound``. Only the
-diagonal band that a path within the bound can reach is filled (Ukkonen's
-cutoff), and the DP is abandoned as soon as the minimum of the current row,
-divided by the longer length, exceeds the bound. Both tests are lower
+The kernel cuts its search off at the normalized best-so-far. Only the
+diagonal band that a path within it can reach is filled (Ukkonen's cutoff),
+and a candidate is abandoned as soon as the minimum of the current row,
+divided by the longer length, exceeds it. Both tests are lower
 bounds on the final distance, so they never discard a candidate that could
 still win or tie; results with pruning are bit-identical to results
 without.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf as INF, nextafter
+from math import floor, inf as INF, nextafter
 
 from .distance import SubstitutionCosts
 from .tokenizer import PhoneticString
@@ -60,24 +60,22 @@ class PedResult:
     ops_trace: tuple[EditOp, ...] | None = None
 
 
-def band(bound: float, maxlen: int, rows: int, cols: int):
-    """Diagonals (lo, hi) a DP path scoring at most ``bound`` can touch.
+def band(limit: float, rows: int, cols: int):
+    """Diagonals (lo, hi) a DP path scoring at most ``limit`` can touch.
 
     Cell (i, j) lies on diagonal i - j. Every path through it takes at least
     s = |i-j| + |(rows-i) - (cols-j)| unit steps, and in floats a value built
-    from s additions of 1.0 to non-negative numbers is at least s, so a path
-    whose distance d satisfies d / maxlen <= bound only visits cells with
-    s <= t, t the largest integer with t / maxlen <= bound (the same float
-    division as the caller's). Those cells are the diagonals lo..hi; None
-    when no path can qualify. An infinite bound gives every diagonal.
+    from s additions of 1.0 to non-negative numbers is at least s, so such a
+    path only visits cells with s <= floor(limit). Those cells are the
+    diagonals lo..hi; None when no path can qualify. An infinite or NaN
+    limit gives every diagonal.
+
+    With limit = ``threshold(bound, maxlen)``, floor(limit) is the largest
+    integer t with t / maxlen <= bound: float division is monotone.
     """
-    t = rows + cols
-    if maxlen and bound * maxlen < t:
-        t = int(bound * maxlen)
-        while t >= 0 and t / maxlen > bound:
-            t -= 1
-        while (t + 1) / maxlen <= bound:
-            t += 1
+    if limit < 0:
+        return None
+    t = floor(limit) if limit < rows + cols else rows + cols
     delta = rows - cols
     slack = (t - abs(delta)) // 2
     if slack < 0:
@@ -158,7 +156,7 @@ class Bucket:
         del self.labels[k], self.ipas[k], lcp[k]
 
 
-def dp_labels(bucket, prof, stack, diagonals, bound, best, best_ipa, prune, stats):
+def dp_labels(bucket, prof, stack, best, best_ipa, prune, stats):
     """Scan one bucket for a candidate nearer than ``best``; the DP kernel.
 
     Rows run over a candidate, columns over a query word of n labels:
@@ -168,24 +166,31 @@ def dp_labels(bucket, prof, stack, diagonals, bound, best, best_ipa, prune, stat
     lcp[k] labels it shares with the one before, even rows that proved that
     one hopeless; rows 1..m of the stack are overwritten.
 
-    Row i computes only the columns on ``diagonals`` (``band`` of bound) and
-    sets the column right of them to inf; those are the only cells of a row
-    that the next row reads, so a row computed under a wider band stays
-    valid under a narrower one. Row minima never decrease down the rows and
-    bound the distance from below: once row_min / maxlen > bound, no path
-    through the row scores within it, and a candidate resumed from such a
-    row fails at its next row (or, with none left, ends above the bound).
+    With ``prune`` the search is cut off at ``best``: limit is
+    ``threshold(best, maxlen)``, and row i computes only the columns on
+    ``band(limit, ...)`` and sets the column right of them to inf; those are
+    the only cells of a row that the next row reads, so a row computed under
+    a wider band stays valid under a narrower one. A bucket whose length gap
+    alone exceeds the limit is booked in ``stats.prefiltered`` and not
+    scanned. Row minima never decrease down the rows and bound the distance
+    from below: once row_min > limit, no path through the row scores within
+    best, and a candidate resumed from such a row fails at its next row (or,
+    with none left, ends above it).
 
     A completed candidate with normalized distance nd wins when nd < best,
     or nd == best and its IPA sorts before ``best_ipa``; with ``prune`` the
-    bound then tightens to nd. Returns (index, nd) of the last winner, or
-    None. Books every candidate in ``stats.dps``.
+    cut-offs then tighten to nd. Returns (index, nd) of the last winner, or
+    None. Books every scanned candidate in ``stats.dps``.
     """
     m = bucket.length
     n = len(stack[0]) - 1
     maxlen = m if m > n else n
+    limit = threshold(best, maxlen) if prune else INF
+    diagonals = band(limit, m, n)
+    if diagonals is None:
+        stats.prefiltered += len(bucket.labels)
+        return None
     spans = row_spans(m, n, *diagonals)
-    limit = threshold(bound, maxlen)
     lcp, ipas = bucket.lcp, bucket.ipas
     hit = None
     cells = abandoned = depth = 0
@@ -224,9 +229,8 @@ def dp_labels(bucket, prof, stack, diagonals, bound, best, best_ipa, prune, stat
             if nd < best or (nd == best and ipas[k] < best_ipa):
                 best, best_ipa, hit = nd, ipas[k], (k, nd)
                 if prune:
-                    bound = nd
-                    spans = row_spans(m, n, *band(bound, maxlen, m, n))
-                    limit = threshold(bound, maxlen)
+                    limit = threshold(nd, maxlen)
+                    spans = row_spans(m, n, *band(limit, m, n))
     stats.dps += len(bucket.labels)
     stats.cells += cells
     stats.abandoned += abandoned
@@ -240,21 +244,6 @@ def dp_stack(rows: int, cols: int) -> list[list[float]]:
     stack = [[float(i)] + [0.0] * cols for i in range(rows + 1)]
     stack[0] = [float(j) for j in range(cols + 1)]
     return stack
-
-
-def cost_profile(rows, w):
-    """prof[a][j]: the cost of candidate label id a against w[j - 1], j >= 1,
-    from a dense table ``rows`` (see ``SubstitutionCosts.rows_for``)."""
-    return [[0.0] + [row[j] for j in w] for row in rows]
-
-
-def label_ids(phones):
-    """Ids for the distinct labels of ``phones``, numbered in label order so
-    that id tuples sort like label tuples; returns (label -> id, the phones
-    by id)."""
-    unique = {p.label: p for p in phones}
-    order = sorted(unique)
-    return {label: k for k, label in enumerate(order)}, [unique[label] for label in order]
 
 
 def _edit_script(x, w, sub, stack):
@@ -298,32 +287,26 @@ def ped(
     With ``bound`` set, returns the exact result when the normalized
     distance is at most ``bound`` and None otherwise. ``trace=True`` ignores
     the bound and additionally returns the aligned edit script. The DP runs
-    as ``dp_labels`` on a one-word bucket and books ``stats`` the same way.
+    as ``dp_labels`` on a one-word bucket and books ``stats`` the same way;
+    a pair whose length gap alone exceeds the bound is not priced.
     """
     if costs is None:
         costs = SubstitutionCosts()
     if stats is None:
         stats = DpStats()
     m, n = len(source), len(target)
-    maxlen = max(m, n)
-    if bound is None or trace:
-        bound = INF
-    diagonals = band(bound, maxlen, m, n)
-    if diagonals is None:
+    # the kernel takes nd < best; the next float up admits nd == bound
+    best = INF if bound is None or trace else nextafter(bound, INF)
+    if band(threshold(best, max(m, n)), m, n) is None:
         stats.prefiltered += 1
         return None
-    ids_x, phones_x = label_ids(source.phones)
-    ids_w, phones_w = label_ids(target.phones)
-    x = tuple([ids_x[p.label] for p in source.phones])
-    w = [ids_w[p.label] for p in target.phones]
-    prof = cost_profile(costs.rows_for(phones_x, phones_w), w)
+    # candidate label ids are source positions
+    prof = [[0.0] + [costs.pair(a, b) for b in target] for a in source]
     stack = dp_stack(m, n)
-    # the kernel takes nd < best; the next float up admits nd == bound
-    best = nextafter(bound, INF)
-    hit = dp_labels(Bucket(m, [(x, "")]), prof, stack, diagonals, bound, best, "", False, stats)
+    hit = dp_labels(Bucket(m, [(tuple(range(m)), "")]), prof, stack, best, "", True, stats)
     if hit is None:
         return None
     ops = None
     if trace:
-        ops = _edit_script(source.labels, target.labels, [prof[k] for k in x], stack)
+        ops = _edit_script(source.labels, target.labels, prof, stack)
     return PedResult(distance=stack[m][n], normalized=hit[1], ops_trace=ops)

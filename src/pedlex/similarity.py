@@ -21,9 +21,9 @@ from math import inf
 
 from .corpus import WordList
 from .distance import SubstitutionCosts
-from .errors import TokenizeError, WordListError
+from .errors import PedlexError, TokenizeError, WordListError
 from .features import FeatureInventory
-from .ped import Bucket, DpStats, band, cost_profile, dp_labels, dp_stack, label_ids
+from .ped import Bucket, DpStats, dp_labels, dp_stack
 from .tokenizer import tokenize
 
 log = logging.getLogger("pedlex.similarity")
@@ -53,24 +53,29 @@ class SimilarityReport:
 
 def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: bool):
     """Distinct IPA strings of a list mapped to label-id tuples, and the
-    list's distinct phones by id (see ``label_ids``)."""
+    list's distinct phones by id. Ids are numbered in label order, so id
+    tuples sort like label tuples."""
     tokens = {}
     for ipa in words.ipa_strings():
         try:
             tokens[ipa] = tokenize(ipa, inventory).phones
-        except TokenizeError:
+        except TokenizeError as exc:
             if not skip_unknown:
-                raise
+                raise TokenizeError(
+                    f"list ({words.language}, {words.pos}): {exc}", offset=exc.offset
+                ) from None
             log.warning(
                 "dropped %r (%s, %s): not tokenizable against the inventory",
                 ipa,
                 words.language,
                 words.pos,
             )
-    ids, phones = label_ids(p for word in tokens.values() for p in word)
+    unique = {p.label: p for word in tokens.values() for p in word}
+    order = sorted(unique)
+    ids = {label: k for k, label in enumerate(order)}
     for ipa, word in tokens.items():
         tokens[ipa] = tuple([ids[p.label] for p in word])
-    return tokens, phones
+    return tokens, [unique[label] for label in order]
 
 
 def align_lists(
@@ -131,8 +136,8 @@ def _greedy_total(queries, long_, rows, prune, stats):
     unclaimed word of ``long_`` (ties to the smaller IPA), which it claims.
 
     The long list is scanned in buckets of equal token length, nearest
-    length first; a bucket whose length gap alone exceeds the best-so-far
-    is skipped whole, and each other bucket is one ``dp_labels`` call.
+    length first; each bucket is one ``dp_labels`` call, which skips it
+    whole when its length gap alone exceeds the best-so-far.
     rows[a][b] prices long-list label id a against short-list label id b.
     """
     by_length: dict[int, list] = {}
@@ -143,22 +148,15 @@ def _greedy_total(queries, long_, rows, prune, stats):
     total = 0.0
     for w in queries:
         n = len(w)
-        prof = cost_profile(rows, w)
+        prof = [[0.0] + [row[j] for j in w] for row in rows]
         stack[0] = [float(j) for j in range(n + 1)]
-        best = bound = inf
+        best = inf
         best_ipa = best_at = None
         for bucket in sorted(buckets, key=lambda b: (abs(b.length - n), b.length)):
-            maxlen = max(bucket.length, n)
-            diagonals = band(bound, maxlen, bucket.length, n)
-            if diagonals is None:
-                stats.prefiltered += len(bucket.labels)
-                continue
-            hit = dp_labels(bucket, prof, stack, diagonals, bound, best, best_ipa, prune, stats)
+            hit = dp_labels(bucket, prof, stack, best, best_ipa, prune, stats)
             if hit is not None:
                 k, best = hit
                 best_ipa, best_at = bucket.ipas[k], (bucket, k)
-                if prune:
-                    bound = best
         total += best
         bucket, k = best_at
         bucket.remove(k)
@@ -167,9 +165,16 @@ def _greedy_total(queries, long_, rows, prune, stats):
 
 def _cell_task(args):
     l1, l2, inventory, costs, min_size, skip_unknown = args
-    return align_lists(
-        l1, l2, inventory, costs=costs, min_size=min_size, skip_unknown=skip_unknown
-    )
+    try:
+        return align_lists(
+            l1, l2, inventory, costs=costs, min_size=min_size, skip_unknown=skip_unknown
+        )
+    except PedlexError:
+        raise
+    except Exception as exc:
+        # a pool worker's traceback does not say which cell it was on
+        cell = (*sorted((l1.language, l2.language)), l1.pos)
+        raise RuntimeError(f"cell ({', '.join(cell)}) failed: {exc!r}") from exc
 
 
 def build_matrix(
@@ -186,8 +191,9 @@ def build_matrix(
     Every cell prices substitutions with the one ``costs`` (default
     ``SubstitutionCosts()``); a pool worker gets its config and manner
     table with each cell. Cells are independent and can run on ``jobs``
-    worker processes; the report is assembled in canonical
-    (pos, lang_a, lang_b) order either way.
+    worker processes, at most one per cell; the report is assembled in
+    canonical (pos, lang_a, lang_b) order either way. A cell that fails with
+    anything but a ``PedlexError`` raises a ``RuntimeError`` naming it.
     """
     if costs is None:
         costs = SubstitutionCosts()
@@ -201,9 +207,10 @@ def build_matrix(
             tasks.append((l1, l2, inventory, costs, min_size, skip_unknown))
     if not tasks:
         log.warning("no language pair shares a tag; empty report")
-        cells: list[SimilarityCell] = []
-    elif jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers up front; never more than there are cells
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_cell_task, tasks))
     else:
         cells = [_cell_task(task) for task in tasks]

@@ -344,6 +344,42 @@ def assert_bad_file(code, err, path, where):
     assert f"{path}" in err and where in err
 
 
+def test_untokenizable_word_names_its_list(capsys, tmp_path, fixtures_dir):
+    bad = tmp_path / "xx_PRON.tsv"
+    bad.write_text("# lang=xx pos=PRON\nba\tbQa\n", encoding="utf-8")
+    code, _, err = run(capsys, "compare", "--a", str(bad),
+                       "--b", str(fixtures_dir / "pronouns" / "hi.tsv"))
+    assert code == 1
+    assert "(xx, PRON)" in err and "'bQa'" in err and "offset 1" in err
+
+
+def test_pool_worker_error_names_its_cell(capsys, tmp_path, monkeypatch, fixtures_dir):
+    from pedlex import similarity
+    from pedlex.errors import WordListError
+
+    lists_dir = fixtures_dir / "pronouns"  # three cells
+    out = str(tmp_path / "r.csv")
+    align_lists = similarity.align_lists
+
+    def broken(l1, l2, *args, **kwargs):
+        if {l1.language, l2.language} == {"hi", "ur"}:
+            raise ZeroDivisionError("kernel bug")
+        return align_lists(l1, l2, *args, **kwargs)
+
+    monkeypatch.setattr(similarity, "align_lists", broken)
+    code, _, err = run(capsys, "matrix", "--lists", str(lists_dir), "--out", out, "--jobs", "2")
+    assert code == 2
+    assert "cell (hi, ur, PRON) failed: ZeroDivisionError('kernel bug')" in err
+
+    def bad_input(*args, **kwargs):
+        raise WordListError("bad list")
+
+    monkeypatch.setattr(similarity, "align_lists", bad_input)
+    code, _, err = run(capsys, "matrix", "--lists", str(lists_dir), "--out", out, "--jobs", "2")
+    assert code == 1
+    assert err == "pedlex: error: bad list\n"
+
+
 def test_word_list_not_utf8_exits_one(capsys, tmp_path, fixtures_dir):
     lists_dir = tmp_path / "lists"
     lists_dir.mkdir()

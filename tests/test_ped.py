@@ -190,7 +190,7 @@ def test_random_bound_exact_or_none(a, b, data):
     exact = ped(a, b, costs=COSTS)
     near = [exact.normalized, math.nextafter(exact.normalized, -math.inf),
             math.nextafter(exact.normalized, math.inf)]
-    bound = data.draw(st.one_of(st.sampled_from(near), st.floats(-0.5, 1.5)))
+    bound = data.draw(st.one_of(st.sampled_from(near + [-math.inf]), st.floats(-0.5, 1.5)))
     result = ped(a, b, costs=COSTS, bound=bound)
     if result is None:
         assert exact.normalized > bound
@@ -277,6 +277,21 @@ def test_row_test_abandons_hopeless_pair():
     assert (stats.dps, stats.abandoned, stats.prefiltered, stats.cells) == (1, 1, 0, 1)
 
 
+def test_length_gap_prefilter_prices_no_pair():
+    priced = []
+
+    class CountingCosts(SubstitutionCosts):
+        def pair(self, a, b):
+            priced.append((a.label, b.label))
+            return super().pair(a, b)
+
+    stats = DpStats()
+    result = ped(ps("pa"), ps("pabababa"), costs=CountingCosts(CFG, XI), bound=0.1, stats=stats)
+    assert result is None
+    assert priced == []
+    assert (stats.prefiltered, stats.dps, stats.abandoned, stats.cells) == (1, 0, 0, 0)
+
+
 # ---------------------------------------------------------------- kernel plan
 
 
@@ -293,11 +308,29 @@ def test_threshold_of_an_infinite_bound_is_inf():
     assert threshold(math.inf, 7) == math.inf
 
 
+@given(st.floats(-0.5, 1.5), st.integers(1, 40))
+@settings(max_examples=300)
+def test_floor_of_threshold_is_the_band_limit(bound, maxlen):
+    # band() reads floor(threshold) as the largest integer t with t / maxlen <= bound
+    largest = max(t for t in range(-maxlen - 1, 2 * maxlen + 1) if t / maxlen <= bound)
+    assert math.floor(threshold(bound, maxlen)) == largest
+
+
+def test_infinite_limit_bands_every_cell():
+    for m in range(8):
+        for n in range(8):
+            lo, hi = band(math.inf, m, n)
+            assert lo <= -n and hi >= m  # every diagonal i - j of the m x n grid
+            spans = row_spans(m, n, lo, hi)
+            for i in range(1, m + 1):
+                assert list(spans[i][1]) == list(range(1, n + 1))
+
+
 @given(st.one_of(st.floats(-0.5, 1.5), st.just(math.inf)), st.integers(0, 12),
        st.integers(0, 12))
 @settings(max_examples=300)
 def test_row_spans_cover_the_band(bound, m, n):
-    diagonals = band(bound, max(m, n), m, n)
+    diagonals = band(threshold(bound, max(m, n)), m, n)
     assume(diagonals is not None)
     lo, hi = diagonals
     spans = row_spans(m, n, lo, hi)

@@ -233,6 +233,13 @@ def test_unknown_symbol_fatal_by_default():
         align_lists(bad, good, INV, costs=COSTS)
 
 
+def test_unknown_symbol_names_its_list():
+    bad = wordlist("aa", "PRON", ["pa", "ta", "ka", "ma", "p☃a"])
+    with pytest.raises(TokenizeError, match=r"list \(aa, PRON\): .*'p☃a'") as info:
+        align_lists(bad, wordlist("bb", "PRON", TOY_L2), INV, costs=COSTS)
+    assert info.value.offset == 1
+
+
 def test_skip_unknown_drops_word_not_symbol():
     bad = wordlist("aa", "PRON", ["pa", "ta", "ka", "ma", "na", "☃a"])
     good = wordlist("bb", "PRON", TOY_L2)
@@ -313,6 +320,31 @@ def test_matrix_parallel_determinism():
     parallel = build_matrix(lists, INV, costs=COSTS, jobs=4)
     assert serial.cells == parallel.cells
     assert format_report(serial) == format_report(parallel)
+
+
+def test_matrix_pool_never_outnumbers_its_cells(monkeypatch):
+    started = []
+
+    class RecordingPool:  # runs the cells in-process; starts no worker
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(similarity, "ProcessPoolExecutor", RecordingPool)
+    lists = lists_for_matrix()  # four cells
+    serial = build_matrix(lists, INV, costs=COSTS, jobs=1)
+    assert build_matrix(lists, INV, costs=COSTS, jobs=64) == serial
+    assert build_matrix(lists, INV, costs=COSTS, jobs=3).cells == serial.cells
+    assert len(build_matrix(lists[:2], INV, costs=COSTS, jobs=8).cells) == 1
+    assert started == [4, 3]  # the one-cell matrix ran in-process
 
 
 def test_matrix_shares_one_cost_table(monkeypatch):
