@@ -38,7 +38,7 @@ from .features import (
 )
 from .ped import DpStats, EditOp, PedResult, ped
 from .similarity import SimilarityCell, SimilarityReport, align_lists, build_matrix, format_report
-from .tokenizer import PhoneticString, tokenize
+from .tokenizer import tokenize
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "PedResult",
     "PedlexError",
     "Phone",
-    "PhoneticString",
     "SimilarityCell",
     "SimilarityReport",
     "SubstitutionCosts",

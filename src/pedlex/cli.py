@@ -113,8 +113,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_phones(args) -> int:
-    phonestring = tokenize(args.ipa, _load_inventory(args))
-    for phone in phonestring:
+    for phone in tokenize(args.ipa, _load_inventory(args)):
         f = phone.features
         if phone.is_vowel:
             detail = f"open={f.open:g} back={f.back:g} rounded={f.rounded}"

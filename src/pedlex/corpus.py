@@ -128,9 +128,6 @@ class G2PTable:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def languages(self) -> tuple[str, ...]:
-        return tuple(sorted({lang for _, lang in self.rules if lang}))
-
     def scanner(self, language: str | None) -> LongestMatch[str]:
         """Longest-match scanner over the rules that apply to ``language``.
 
@@ -245,19 +242,22 @@ def g2p_convert(words: WordList, table: G2PTable) -> WordList:
 
 
 def write_wordlist(words: WordList, path: str | Path) -> None:
-    """Write ``# lang=.. pos=..`` header plus one ``lemma[<TAB>ipa]`` row per lemma."""
+    """Write a ``# lang=.. pos=..`` header plus one row per lemma: ``lemma``
+    in an unconverted list, ``lemma<TAB>ipa`` in a converted one, where a
+    lemma that g2p dropped has an empty IPA field."""
     lines = [f"# lang={words.language} pos={words.pos}"]
-    ipa = words.ipa_by_lemma or {}
+    ipa = words.ipa_by_lemma
     for lemma in sorted(words.lemmas):
-        if lemma in ipa:
-            lines.append(f"{lemma}\t{ipa[lemma]}")
-        else:
-            lines.append(lemma)
+        lines.append(lemma if ipa is None else f"{lemma}\t{ipa.get(lemma, '')}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_wordlist(path: str | Path) -> WordList:
-    """Read a word-list file written by :func:`write_wordlist`."""
+    """Read a word-list file written by :func:`write_wordlist`.
+
+    The list counts as converted when any row has an IPA field, even an
+    empty one; rows with an empty IPA field are lemmas g2p dropped.
+    """
     path = Path(path)
     language = pos = None
     lemmas: set[str] = set()
@@ -282,9 +282,10 @@ def read_wordlist(path: str | Path) -> WordList:
         if lemma in lemmas:
             raise WordListError(f"{path} line {lineno}: duplicate lemma {lemma!r}")
         lemmas.add(lemma)
-        if len(fields) == 2 and fields[1]:
-            ipa_by_lemma[lemma] = fields[1]
+        if len(fields) == 2:
             saw_ipa = True
+            if fields[1]:
+                ipa_by_lemma[lemma] = fields[1]
     if language is None or pos is None:
         raise WordListError(f"{path}: missing '# lang=<id> pos=<TAG>' header")
     return WordList(

@@ -89,24 +89,28 @@ def load_manner_table(path: str | Path) -> MannerDistanceTable:
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
+        where = f"{path} line {lineno}"
         if len(fields) != 3:
-            raise MannerTableError(
-                f"line {lineno}: expected 'manner1<TAB>manner2<TAB>distance'"
-            )
+            raise MannerTableError(f"{where}: expected 'manner1<TAB>manner2<TAB>distance'")
         m1, m2, text = fields
         for m in (m1, m2):
             if m not in MANNERS:
-                raise MannerTableError(f"line {lineno}: unknown manner {m!r}")
+                raise MannerTableError(f"{where}: unknown manner {m!r}")
         try:
             value = float(text)
         except ValueError:
-            raise MannerTableError(f"line {lineno}: bad distance {text!r}") from None
+            raise MannerTableError(f"{where}: bad distance {text!r}") from None
+        if not 0.0 <= value <= 1.0:
+            raise MannerTableError(f"{where}: distance {value} for ({m1}, {m2}) outside [0, 1]")
         key = (m1, m2)
         if key in entries and entries[key] != value:
-            raise MannerTableError(f"line {lineno}: conflicting duplicate for ({m1}, {m2})")
+            raise MannerTableError(f"{where}: conflicting duplicate for ({m1}, {m2})")
         entries[(m1, m2)] = value
         entries[(m2, m1)] = value
-    return MannerDistanceTable(entries=entries)
+    try:
+        return MannerDistanceTable(entries=entries)
+    except MannerTableError as exc:
+        raise MannerTableError(f"{path}: {exc}") from None
 
 
 def pdv(w: VowelFeatures, x: VowelFeatures, cfg: DistanceConfig) -> float:

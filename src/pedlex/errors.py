@@ -25,10 +25,6 @@ class UnknownSymbolError(PedlexError):
 class TokenizeError(PedlexError):
     """Input text cannot be tokenized against the inventory."""
 
-    def __init__(self, message, offset=None):
-        super().__init__(message)
-        self.offset = offset
-
 
 class ConfigError(PedlexError):
     """Distance-weight configuration violates its invariants."""

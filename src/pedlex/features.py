@@ -130,62 +130,54 @@ def paper_voice(inventory: FeatureInventory) -> FeatureInventory:
     return FeatureInventory(entries=entries)
 
 
-def _parse_binary(text: str, name: str, lineno: int) -> int:
+def _parse_binary(text: str, name: str, where: str) -> int:
     if text not in ("0", "1"):
-        raise InventoryError(f"line {lineno}: {name} must be 0 or 1, got {text!r}")
+        raise InventoryError(f"{where}: {name} must be 0 or 1, got {text!r}")
     return int(text)
 
 
-def _parse_float(text: str, name: str, lineno: int) -> float:
+def _parse_float(text: str, name: str, where: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise InventoryError(
-            f"line {lineno}: {name} is not a number: {text!r}"
-        ) from None
+        raise InventoryError(f"{where}: {name} is not a number: {text!r}") from None
 
 
-def _parse_vowel(fields: list[str], lineno: int) -> VowelFeatures:
+def _parse_vowel(fields: list[str], where: str) -> VowelFeatures:
     if len(fields) != 5:
         raise InventoryError(
-            f"line {lineno}: vowel rows need 5 fields (label v open back rounded), "
+            f"{where}: vowel rows need 5 fields (label v open back rounded), "
             f"got {len(fields)}"
         )
-    open_ = _parse_float(fields[2], "open", lineno)
-    back = _parse_float(fields[3], "back", lineno)
+    open_ = _parse_float(fields[2], "open", where)
+    back = _parse_float(fields[3], "back", where)
     if open_ not in VOWEL_OPEN_GRID:
-        raise InventoryError(
-            f"line {lineno}: open={open_} not on the height grid {VOWEL_OPEN_GRID}"
-        )
+        raise InventoryError(f"{where}: open={open_} not on the height grid {VOWEL_OPEN_GRID}")
     if back not in VOWEL_BACK_GRID:
-        raise InventoryError(
-            f"line {lineno}: back={back} not on the backness grid {VOWEL_BACK_GRID}"
-        )
-    rounded = _parse_binary(fields[4], "rounded", lineno)
+        raise InventoryError(f"{where}: back={back} not on the backness grid {VOWEL_BACK_GRID}")
+    rounded = _parse_binary(fields[4], "rounded", where)
     return VowelFeatures(open=open_, back=back, rounded=rounded)
 
 
-def _parse_consonant(fields: list[str], lineno: int) -> ConsonantFeatures:
+def _parse_consonant(fields: list[str], where: str) -> ConsonantFeatures:
     if len(fields) != 8:
         raise InventoryError(
-            f"line {lineno}: consonant rows need 8 fields "
+            f"{where}: consonant rows need 8 fields "
             f"(label c manner place voiced aspirated airflow pharyngeal), "
             f"got {len(fields)}"
         )
     manner = fields[2]
     if manner not in MANNERS:
-        raise InventoryError(f"line {lineno}: unknown manner {manner!r}")
-    place = _parse_float(fields[3], "place", lineno)
+        raise InventoryError(f"{where}: unknown manner {manner!r}")
+    place = _parse_float(fields[3], "place", where)
     if not 0.0 < place < 1.0:
-        raise InventoryError(f"line {lineno}: place={place} outside (0, 1)")
-    voiced = _parse_binary(fields[4], "voiced", lineno)
-    aspirated = _parse_binary(fields[5], "aspirated", lineno)
-    airflow = _parse_float(fields[6], "airflow", lineno)
+        raise InventoryError(f"{where}: place={place} outside (0, 1)")
+    voiced = _parse_binary(fields[4], "voiced", where)
+    aspirated = _parse_binary(fields[5], "aspirated", where)
+    airflow = _parse_float(fields[6], "airflow", where)
     if airflow not in AIRFLOW_VALUES:
-        raise InventoryError(
-            f"line {lineno}: airflow={airflow} not in {AIRFLOW_VALUES}"
-        )
-    pharyngeal = _parse_binary(fields[7], "pharyngeal", lineno)
+        raise InventoryError(f"{where}: airflow={airflow} not in {AIRFLOW_VALUES}")
+    pharyngeal = _parse_binary(fields[7], "pharyngeal", where)
     return ConsonantFeatures(
         manner=manner,
         place=place,
@@ -209,23 +201,22 @@ def load_inventory(path: str | Path) -> FeatureInventory:
     for lineno, line in read_lines(path, InventoryError, "inventory file"):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
+        where = f"{path} line {lineno}"
         fields = line.split("\t")
         if len(fields) < 2:
-            raise InventoryError(
-                f"line {lineno}: expected tab-separated fields, got {line!r}"
-            )
+            raise InventoryError(f"{where}: expected tab-separated fields, got {line!r}")
         label = normalize_ipa(fields[0])
         if not label:
-            raise InventoryError(f"line {lineno}: empty label")
+            raise InventoryError(f"{where}: empty label")
         kind = fields[1]
         if kind == "v":
-            phone = Phone(label, VOWEL, _parse_vowel(fields, lineno))
+            phone = Phone(label, VOWEL, _parse_vowel(fields, where))
         elif kind == "c":
-            phone = Phone(label, CONSONANT, _parse_consonant(fields, lineno))
+            phone = Phone(label, CONSONANT, _parse_consonant(fields, where))
         else:
-            raise InventoryError(f"line {lineno}: type must be 'v' or 'c', got {kind!r}")
+            raise InventoryError(f"{where}: type must be 'v' or 'c', got {kind!r}")
         if label in entries:
-            raise InventoryError(f"line {lineno}: duplicate label {label!r}")
+            raise InventoryError(f"{where}: duplicate label {label!r}")
         entries[label] = phone
     if not entries:
         raise InventoryError(f"inventory {path} is empty")

@@ -19,12 +19,13 @@ without.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import floor, inf as INF, nextafter
 
 from .distance import SubstitutionCosts
-from .tokenizer import PhoneticString
+from .features import Phone
 
 
 class DpStats:
@@ -246,9 +247,11 @@ def dp_stack(rows: int, cols: int) -> list[list[float]]:
     return stack
 
 
-def _edit_script(x, w, sub, stack):
+def _edit_script(source, target, sub, stack):
     """Backtrack a full DP matrix into edit operations, source to target;
-    sub[i - 1][j] prices x[i - 1] against w[j - 1]."""
+    sub[i - 1][j] prices source[i - 1] against target[j - 1]."""
+    x = [p.label for p in source]
+    w = [p.label for p in target]
     ops: list[EditOp] = []
     i, j = len(x), len(w)
     while i > 0 or j > 0:
@@ -271,15 +274,16 @@ def _edit_script(x, w, sub, stack):
 
 
 def ped(
-    source: PhoneticString,
-    target: PhoneticString,
+    source: Sequence[Phone],
+    target: Sequence[Phone],
     *,
     costs: SubstitutionCosts | None = None,
     bound: float | None = None,
     trace: bool = False,
     stats: DpStats | None = None,
 ) -> PedResult | None:
-    """Phonetic edit distance between two tokenized words.
+    """Phonetic edit distance between two words, each a sequence of phones
+    (as ``tokenize`` returns them).
 
     ``costs`` prices substitutions (default ``SubstitutionCosts()``); the
     result's ``normalized`` is the distance over the longer token length
@@ -308,5 +312,5 @@ def ped(
         return None
     ops = None
     if trace:
-        ops = _edit_script(source.labels, target.labels, prof, stack)
+        ops = _edit_script(source, target, prof, stack)
     return PedResult(distance=stack[m][n], normalized=hit[1], ops_trace=ops)

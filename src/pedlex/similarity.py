@@ -58,12 +58,10 @@ def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: 
     tokens = {}
     for ipa in words.ipa_strings():
         try:
-            tokens[ipa] = tokenize(ipa, inventory).phones
+            tokens[ipa] = tokenize(ipa, inventory)
         except TokenizeError as exc:
             if not skip_unknown:
-                raise TokenizeError(
-                    f"list ({words.language}, {words.pos}): {exc}", offset=exc.offset
-                ) from None
+                raise TokenizeError(f"list ({words.language}, {words.pos}): {exc}") from None
             log.warning(
                 "dropped %r (%s, %s): not tokenizable against the inventory",
                 ipa,

@@ -16,7 +16,6 @@ import pytest
 from pedlex import (
     DistanceConfig,
     DpStats,
-    PhoneticString,
     SubstitutionCosts,
     WordList,
     align_lists,
@@ -47,9 +46,7 @@ def ps(text):
 
 
 def word_to_ps(labels):
-    return PhoneticString(
-        phones=tuple(INV[l] for l in labels), source_text="".join(labels)
-    )
+    return tuple(INV[l] for l in labels)
 
 
 def random_word(rng, min_len, max_len):
@@ -141,7 +138,7 @@ def test_criterion_4_oracle_equivalence_1000_pairs():
     for _ in range(1000):
         a = word_to_ps(random_word(rng, 0, 6))
         b = word_to_ps(random_word(rng, 0, 6))
-        assert ped(a, b, costs=costs).distance == naive(a.phones, b.phones)
+        assert ped(a, b, costs=costs).distance == naive(a, b)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s"
 
@@ -170,7 +167,7 @@ def test_criterion_5_property_sweep_10000_pairs():
         assert ab.distance == ba.distance  # symmetry, exact
         assert 0.0 <= ab.distance <= max(len(a), len(b))
         assert ab.distance >= abs(len(a) - len(b))
-        assert ab.distance <= unit_levenshtein(a.labels, b.labels)
+        assert ab.distance <= unit_levenshtein([p.label for p in a], [p.label for p in b])
         assert 0.0 <= ab.normalized <= 1.0
         pruned = ped(a, b, costs=costs, bound=ab.normalized)
         assert pruned is not None and pruned.distance == ab.distance

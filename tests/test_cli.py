@@ -112,6 +112,14 @@ def test_inventory_override_flag(capsys, tmp_path):
     assert code == 1
 
 
+def test_bad_inventory_row_names_its_file(capsys, tmp_path):
+    bad = tmp_path / "inv.tsv"
+    bad.write_text("a\tv\t1\t0\t0\nb\tc\tplosivez\t0.05\t1\t0\t0\t0\n", encoding="utf-8")
+    code, _, err = run(capsys, "dist", "a", "b", "--inventory", str(bad))
+    assert code == 1
+    assert f"{bad} line 2: unknown manner 'plosivez'" in err
+
+
 def test_missing_data_file_exits_one(capsys):
     code, _, err = run(capsys, "dist", "a", "b", "--inventory", "/no/such/file.tsv")
     assert code == 1
@@ -312,6 +320,26 @@ def test_matrix_rejects_jobs_below_one(capsys, tmp_path, fixtures_dir):
         assert code == 1
         assert "--jobs" in err
     assert not out.exists()
+
+
+def test_matrix_skips_a_list_g2p_emptied(capsys, tmp_path, fixtures_dir):
+    lists_dir = tmp_path / "lists"
+    lists_dir.mkdir()
+    ur = lists_dir / "ur_PROPN.tsv"
+    ur.write_text("# lang=ur pos=PROPN\nAli\nBob\n", encoding="utf-8")
+    hi = (fixtures_dir / "pronouns" / "hi.tsv").read_text(encoding="utf-8")
+    (lists_dir / "hi_PROPN.tsv").write_text(hi.replace("pos=PRON", "pos=PROPN"), encoding="utf-8")
+    code, _, err = run(capsys, "g2p", "--script", "perso-arabic",
+                       "--in", str(ur), "--out", str(ur))
+    assert code == 0, err
+    assert "converted 0/2 lemmas" in err
+    out = tmp_path / "r.csv"
+    code, _, err = run(capsys, "matrix", "--lists", str(lists_dir), "--out", str(out),
+                       "--jobs", "1")
+    assert code == 0, err
+    assert out.read_text(encoding="utf-8").splitlines()[1] == (
+        "hi,ur,PROPN,,20,0,list smaller than 5"
+    )
 
 
 def test_compare_min_size_zero_with_every_word_dropped(capsys, tmp_path, fixtures_dir):

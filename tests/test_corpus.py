@@ -298,8 +298,8 @@ def test_scanner_matches_greedy_loop(table, language, data):
 
 
 def test_filtered_languages_of_bundled_tables():
-    assert PERSO_ARABIC.languages() == ("fa", "ur")
-    assert DEVANAGARI.languages() == ()
+    assert sorted({lang for _, lang in PERSO_ARABIC.rules if lang}) == ["fa", "ur"]
+    assert not any(lang for _, lang in DEVANAGARI.rules)
 
 
 # ---------------------------------------------------------------- word-list files
@@ -315,6 +315,16 @@ def test_wordlist_roundtrip(tmp_path):
     path = tmp_path / "ur_PRON.tsv"
     write_wordlist(words, path)
     assert read_wordlist(path) == words
+
+
+def test_wordlist_dropped_lemmas_roundtrip(tmp_path):
+    # g2p dropped some or all lemmas: the list stays converted
+    path = tmp_path / "ur_PROPN.tsv"
+    for ipa_by_lemma in ({"Ali": "ali"}, {}):
+        words = WordList("ur", "PROPN", ("Ali", "Bob"), ipa_by_lemma=ipa_by_lemma)
+        write_wordlist(words, path)
+        assert read_wordlist(path) == words
+    assert path.read_text(encoding="utf-8") == "# lang=ur pos=PROPN\nAli\t\nBob\t\n"
 
 
 def test_wordlist_without_ipa_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -212,7 +213,18 @@ def test_manner_table_rejects_missing_pair():
 def test_manner_table_load_rejects_unknown_manner(tmp_path):
     path = tmp_path / "xi.tsv"
     path.write_text("plosive\tclick\t0.1\n", encoding="utf-8")
-    with pytest.raises(MannerTableError, match="unknown manner"):
+    with pytest.raises(MannerTableError, match=rf"^{re.escape(str(path))} line 1: unknown manner"):
+        load_manner_table(path)
+
+
+def test_manner_table_load_errors_name_the_file(tmp_path):
+    path = tmp_path / "xi.tsv"
+    path.write_text("# distances\nplosive\tnasal\t2.0\n", encoding="utf-8")
+    where = re.escape(str(path))
+    with pytest.raises(MannerTableError, match=rf"^{where} line 2: distance 2.0 for \(plosive"):
+        load_manner_table(path)
+    path.write_text("plosive\tnasal\t0.1\n", encoding="utf-8")
+    with pytest.raises(MannerTableError, match=rf"^{where}: missing manner pair"):
         load_manner_table(path)
 
 

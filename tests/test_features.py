@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from pedlex import load_inventory, save_inventory
@@ -60,13 +62,13 @@ def test_load_rejects_empty_file(tmp_path):
 
 def test_load_rejects_duplicate_label(tmp_path):
     path = write_inventory(tmp_path, "i\tv\t0\t0\t0\ni\tv\t0\t0\t1\n")
-    with pytest.raises(InventoryError, match="line 2.*duplicate"):
+    with pytest.raises(InventoryError, match=rf"^{re.escape(str(path))} line 2: duplicate"):
         load_inventory(path)
 
 
 def test_load_reports_line_number_on_malformed_row(tmp_path):
     path = write_inventory(tmp_path, "i\tv\t0\t0\t0\nq\tc\tplosive\n")
-    with pytest.raises(InventoryError, match="line 2"):
+    with pytest.raises(InventoryError, match=rf"^{re.escape(str(path))} line 2: consonant rows"):
         load_inventory(path)
 
 
@@ -84,7 +86,7 @@ def test_load_rejects_off_grid_vowel(tmp_path):
 
 def test_load_rejects_unknown_manner(tmp_path):
     path = write_inventory(tmp_path, "q\tc\tclick\t0.5\t0\t0\t0\t0\n")
-    with pytest.raises(InventoryError, match="manner"):
+    with pytest.raises(InventoryError, match=rf"^{re.escape(str(path))} line 1: unknown manner"):
         load_inventory(path)
 
 

@@ -8,7 +8,6 @@ from pedlex import (
     DistanceConfig,
     DpStats,
     EditOp,
-    PhoneticString,
     SubstitutionCosts,
     default_inventory,
     default_manner_table,
@@ -32,9 +31,7 @@ def ps(text):
 
 def word_to_ps(labels):
     # built directly so adjacent labels never merge into a longer symbol
-    return PhoneticString(
-        phones=tuple(INV[l] for l in labels), source_text="".join(labels)
-    )
+    return tuple(INV[l] for l in labels)
 
 
 def naive_ped(a, b):
@@ -56,7 +53,7 @@ def naive_ped(a, b):
 
 
 def unit_levenshtein(a, b):
-    la, lb = a.labels, b.labels
+    la, lb = [p.label for p in a], [p.label for p in b]
     prev = list(range(len(lb) + 1))
     for i, ca in enumerate(la, 1):
         cur = [i]
@@ -87,6 +84,10 @@ def test_word_golden_father_words():
 def test_word_golden_greeting_words():
     result = ped(ps("ʃəlɒm"), ps("səla:m"), costs=COSTS)
     assert result.distance == pytest.approx(0.800, abs=0.005)
+    # a word built from labels is the same tuple of phones
+    by_label = word_to_ps(["s", "ə", "l", "a:", "m"])
+    assert by_label == ps("səla:m")
+    assert ped(word_to_ps(["ʃ", "ə", "l", "ɒ", "m"]), by_label, costs=COSTS) == result
 
 
 def test_identical_strings_cost_zero():
@@ -134,7 +135,7 @@ def test_dp_matches_exhaustive_recursion_sampled():
     rng = random.Random(42)
     for _ in range(60):
         a, b = word_to_ps(random_word(rng, 5)), word_to_ps(random_word(rng, 5))
-        assert ped(a, b, costs=COSTS).distance == naive_ped(a.phones, b.phones)
+        assert ped(a, b, costs=COSTS).distance == naive_ped(a, b)
 
 
 # ---------------------------------------------------------------- properties
@@ -165,8 +166,8 @@ def test_dominated_by_unit_levenshtein(a, b):
 @given(phone_words(), phone_words(), st.sampled_from(LABELS))
 def test_prefix_monotonicity(a, b, extra):
     base = ped(a, b, costs=COSTS).distance
-    a2 = word_to_ps(a.labels + (extra,))
-    b2 = word_to_ps(b.labels + (extra,))
+    a2 = word_to_ps([p.label for p in a] + [extra])
+    b2 = word_to_ps([p.label for p in b] + [extra])
     assert ped(a2, b2, costs=COSTS).distance <= base + 1e-12
 
 
@@ -200,9 +201,8 @@ def test_random_bound_exact_or_none(a, b, data):
         assert result.normalized.hex() == exact.normalized.hex()
 
 
-def reference_trace(source, target, costs):
+def reference_trace(src, tgt, costs):
     """Full-matrix DP plus backtrack, as a separate routine; returns (distance, ops)."""
-    src, tgt = source.phones, target.phones
     m, n = len(src), len(tgt)
     dist = [[0.0] * (n + 1) for _ in range(m + 1)]
     for i in range(1, m + 1):

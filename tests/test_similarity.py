@@ -235,9 +235,8 @@ def test_unknown_symbol_fatal_by_default():
 
 def test_unknown_symbol_names_its_list():
     bad = wordlist("aa", "PRON", ["pa", "ta", "ka", "ma", "p☃a"])
-    with pytest.raises(TokenizeError, match=r"list \(aa, PRON\): .*'p☃a'") as info:
+    with pytest.raises(TokenizeError, match=r"list \(aa, PRON\): .* at offset 1 in 'p☃a'"):
         align_lists(bad, wordlist("bb", "PRON", TOY_L2), INV, costs=COSTS)
-    assert info.value.offset == 1
 
 
 def test_skip_unknown_drops_word_not_symbol():

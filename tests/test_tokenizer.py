@@ -11,36 +11,37 @@ INV = default_inventory()
 LABELS = sorted(INV.labels())
 
 
+def labels_of(text):
+    return [p.label for p in tokenize(text, INV)]
+
+
 def test_five_sounds_of_father_word():
-    assert tokenize("fa:tər", INV).labels == ("f", "a:", "t", "ə", "r")
+    assert labels_of("fa:tər") == ["f", "a:", "t", "ə", "r"]
 
 
 def test_five_sounds_of_greeting_word():
-    assert tokenize("ʃəlɒm", INV).labels == ("ʃ", "ə", "l", "ɒ", "m")
+    assert labels_of("ʃəlɒm") == ["ʃ", "ə", "l", "ɒ", "m"]
 
 
 def test_empty_input_is_empty_not_error():
-    result = tokenize("", INV)
-    assert len(result) == 0
-    assert result.source_text == ""
+    assert tokenize("", INV) == ()
 
 
 def test_longest_match_takes_aspirated_stop():
-    assert tokenize("tʰat", INV).labels == ("tʰ", "a", "t")
+    assert labels_of("tʰat") == ["tʰ", "a", "t"]
 
 
 def test_length_mark_variants_normalize_to_same_tokens():
-    assert tokenize("faːtər", INV).labels == tokenize("fa:tər", INV).labels
+    assert labels_of("faːtər") == labels_of("fa:tər")
 
 
 def test_affricate_is_one_token():
-    assert tokenize("tʃʰa", INV).labels == ("tʃʰ", "a")
+    assert labels_of("tʃʰa") == ["tʃʰ", "a"]
 
 
 def test_unknown_symbol_reports_offset():
-    with pytest.raises(TokenizeError) as excinfo:
+    with pytest.raises(TokenizeError, match="at offset 2"):
         tokenize("ab☃cd", INV)
-    assert excinfo.value.offset == 2
 
 
 def test_whitespace_rejected():
@@ -54,16 +55,17 @@ def test_whitespace_pattern_is_str_isspace():
 
 
 def test_concatenated_labels_reconstruct_source():
-    result = tokenize("t̪ʰumhɛ:n", INV)
-    assert "".join(result.labels) == result.source_text
+    text = "t̪ʰumhɛ:n"
+    result = tokenize(text, INV)
+    assert type(result) is tuple
+    assert "".join(p.label for p in result) == normalize_ipa(text)
 
 
 @given(st.lists(st.sampled_from(LABELS), max_size=10))
 def test_retokenizing_concatenation_is_a_fixed_point(labels):
     text = "".join(labels)
-    first = tokenize(text, INV)
-    again = tokenize("".join(first.labels), INV)
-    assert again.labels == first.labels
+    first = labels_of(text)
+    assert labels_of("".join(first)) == first
 
 
 @given(st.lists(st.sampled_from(LABELS), max_size=10))
@@ -87,10 +89,7 @@ def greedy_tokenize(text, inv):
             if phone is not None:
                 break
         else:
-            raise TokenizeError(
-                f"unknown symbol {normalized[pos]!r} at offset {pos} in {text!r}",
-                offset=pos,
-            )
+            raise TokenizeError(f"unknown symbol {normalized[pos]!r} at offset {pos} in {text!r}")
         phones.append(phone)
         pos += length
     return tuple(phones)
@@ -100,7 +99,7 @@ def outcome(fn):
     try:
         return fn()
     except TokenizeError as exc:
-        return ("TokenizeError", str(exc), exc.offset)
+        return ("TokenizeError", str(exc))
 
 
 PREFIXES = sorted({label[:k] for label in LABELS for k in range(1, len(label))})
@@ -119,5 +118,5 @@ PIECES = st.one_of(
 @given(st.lists(PIECES, max_size=12).map("".join))
 def test_scanner_matches_greedy_loop(text):
     expected = outcome(lambda: greedy_tokenize(text, INV))
-    actual = outcome(lambda: tokenize(text, INV).phones)
+    actual = outcome(lambda: tokenize(text, INV))
     assert actual == expected
