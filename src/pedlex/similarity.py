@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
+from operator import itemgetter
 
 from .corpus import WordList
 from .distance import SubstitutionCosts
@@ -142,15 +143,24 @@ def _greedy_total(queries, long_, rows, prune, stats):
     for ipa, labels in long_.items():
         by_length.setdefault(len(labels), []).append((labels, ipa))
     buckets = [Bucket(length, by_length[length]) for length in sorted(by_length)]
+    visits: dict[int, list] = {}  # bucket visit order per query length
     stack = dp_stack(buckets[-1].length, max(map(len, queries)))  # reused across queries
+    head = (0.0,)  # prof[label][0] is unused
     total = 0.0
     for w in queries:
         n = len(w)
-        prof = [[0.0] + [row[j] for j in w] for row in rows]
+        if n > 1:
+            get = itemgetter(*w)
+            prof = [head + get(row) for row in rows]
+        else:  # itemgetter of one index returns the item, not a tuple
+            prof = [head + tuple([row[j] for j in w]) for row in rows]
         stack[0] = [float(j) for j in range(n + 1)]
+        order = visits.get(n)
+        if order is None:
+            order = visits[n] = sorted(buckets, key=lambda b: (abs(b.length - n), b.length))
         best = inf
         best_ipa = best_at = None
-        for bucket in sorted(buckets, key=lambda b: (abs(b.length - n), b.length)):
+        for bucket in order:
             hit = dp_labels(bucket, prof, stack, best, best_ipa, prune, stats)
             if hit is not None:
                 k, best = hit
@@ -161,8 +171,23 @@ def _greedy_total(queries, long_, rows, prune, stats):
     return total
 
 
-def _cell_task(args):
-    l1, l2, inventory, costs, min_size, skip_unknown = args
+# (lists, inventory, costs, min_size, skip_unknown) of the matrix a pool
+# worker serves; set once per worker by its initializer, never in the caller
+_worker_state = None
+
+
+def _init_worker(*state):
+    global _worker_state
+    _worker_state = state
+
+
+def _pooled_cell(pair):
+    return _cell_task(_worker_state, pair)
+
+
+def _cell_task(state, pair):
+    lists, inventory, costs, min_size, skip_unknown = state
+    l1, l2 = lists[pair[0]], lists[pair[1]]
     try:
         return align_lists(
             l1, l2, inventory, costs=costs, min_size=min_size, skip_unknown=skip_unknown
@@ -187,31 +212,42 @@ def build_matrix(
     """One similarity cell per unordered language pair per shared tag.
 
     Every cell prices substitutions with the one ``costs`` (default
-    ``SubstitutionCosts()``); a pool worker gets its config and manner
-    table with each cell. Cells are independent and can run on ``jobs``
-    worker processes, at most one per cell; the report is assembled in
-    canonical (pos, lang_a, lang_b) order either way. A cell that fails with
-    anything but a ``PedlexError`` raises a ``RuntimeError`` naming it.
+    ``SubstitutionCosts()``). Cells are independent and can run on ``jobs``
+    worker processes, at most one per cell: each worker receives the lists,
+    ``inventory``, ``costs``, ``min_size`` and ``skip_unknown`` once, when it
+    starts, and each cell is sent to it as a pair of list indices. Cells run
+    largest first (by the product of the lists' distinct IPA strings; ties in
+    canonical order), in the pool and in-process alike, so when several
+    cells fail the first of them in that order is the one raised. The report
+    is assembled in canonical (pos, lang_a, lang_b) order either way. A cell
+    that fails with anything but a ``PedlexError`` raises a ``RuntimeError``
+    naming it.
     """
     if costs is None:
         costs = SubstitutionCosts()
-    by_pos: dict[str, list[WordList]] = {}
-    for wl in lists:
-        by_pos.setdefault(wl.pos, []).append(wl)
-    tasks = []
+    lists = tuple(lists)
+    by_pos: dict[str, list[int]] = {}
+    for k, wl in enumerate(lists):
+        by_pos.setdefault(wl.pos, []).append(k)
+    pairs = []
     for pos in sorted(by_pos):
-        group = sorted(by_pos[pos], key=lambda wl: wl.language)
-        for l1, l2 in combinations(group, 2):
-            tasks.append((l1, l2, inventory, costs, min_size, skip_unknown))
-    if not tasks:
+        group = sorted(by_pos[pos], key=lambda k: lists[k].language)
+        pairs.extend(combinations(group, 2))
+    if not pairs:
         log.warning("no language pair shares a tag; empty report")
+    # a list without IPA sizes 0; its cells raise when their turn comes
+    sizes = [len(set((wl.ipa_by_lemma or {}).values())) for wl in lists]
+    pairs.sort(key=lambda pair: -sizes[pair[0]] * sizes[pair[1]])
+    state = (lists, inventory, costs, min_size, skip_unknown)
     # the pool starts all its workers up front; never more than there are cells
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(pairs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_cell_task, tasks))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=state
+        ) as pool:
+            cells = list(pool.map(_pooled_cell, pairs))
     else:
-        cells = [_cell_task(task) for task in tasks]
+        cells = [_cell_task(state, pair) for pair in pairs]
     cells.sort(key=lambda c: (c.pos, c.lang_a, c.lang_b))
     return SimilarityReport(cells=tuple(cells))
 

@@ -408,6 +408,42 @@ def test_pool_worker_error_names_its_cell(capsys, tmp_path, monkeypatch, fixture
     assert err == "pedlex: error: bad list\n"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_first_failing_cell_in_largest_first_order_is_reported(
+    capsys, tmp_path, monkeypatch, fixtures_dir, jobs
+):
+    from pedlex import similarity
+    from pedlex.errors import WordListError
+
+    lists_dir = tmp_path / "lists"
+    shutil.copytree(fixtures_dir / "pronouns", lists_dir)
+    ar = lists_dir / "ar.tsv"
+    rows = ar.read_text(encoding="utf-8").splitlines(keepends=True)
+    ar.write_text("".join(rows[:12]), encoding="utf-8")  # 10 of its 20 words
+    out = str(tmp_path / "r.csv")
+    align_lists = similarity.align_lists
+
+    def broken(l1, l2, *args, **kwargs):
+        if "hi" in (l1.language, l2.language):
+            raise ZeroDivisionError("kernel bug")
+        return align_lists(l1, l2, *args, **kwargs)
+
+    # (hi, ur) is 20 x 20, (ar, hi) 10 x 20: the larger cell runs first
+    monkeypatch.setattr(similarity, "align_lists", broken)
+    code, _, err = run(capsys, "matrix", "--lists", str(lists_dir), "--out", out, "--jobs", jobs)
+    assert code == 2
+    assert "cell (hi, ur, PRON) failed: ZeroDivisionError('kernel bug')" in err
+    assert "(ar, hi, PRON)" not in err
+
+    def bad_input(l1, l2, *args, **kwargs):
+        raise WordListError(f"bad list {l1.language} {l2.language}")
+
+    monkeypatch.setattr(similarity, "align_lists", bad_input)
+    code, _, err = run(capsys, "matrix", "--lists", str(lists_dir), "--out", out, "--jobs", jobs)
+    assert code == 1
+    assert err == "pedlex: error: bad list hi ur\n"
+
+
 def test_word_list_not_utf8_exits_one(capsys, tmp_path, fixtures_dir):
     lists_dir = tmp_path / "lists"
     lists_dir.mkdir()

@@ -1,4 +1,8 @@
+import functools
+import multiprocessing
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -165,6 +169,8 @@ def list_pairs(draw):
 # from rows that already failed it: a shared "u"/"uu" prefix, or all of "paa:"
 @example((["pat"], ["pad", "uui", "uum", "uut"]), None)
 @example((["pat"], ["bat", "paa:", "paaː", "pas"]), None)
+# one-phone queries only: each cost profile row holds a single cost
+@example((["a", "p"], ["a:", "b", "pa"]), None)
 def test_align_lists_pruned_unpruned_and_oracle_agree(pair, shuffle_seed):
     short, long_ = pair
     l1, l2 = wordlist("aa", "NOUN", short), wordlist("bb", "NOUN", long_)
@@ -325,8 +331,9 @@ def test_matrix_pool_never_outnumbers_its_cells(monkeypatch):
     started = []
 
     class RecordingPool:  # runs the cells in-process; starts no worker
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -338,12 +345,91 @@ def test_matrix_pool_never_outnumbers_its_cells(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(similarity, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(similarity, "_worker_state", None)  # restored after the test
     lists = lists_for_matrix()  # four cells
     serial = build_matrix(lists, INV, costs=COSTS, jobs=1)
     assert build_matrix(lists, INV, costs=COSTS, jobs=64) == serial
     assert build_matrix(lists, INV, costs=COSTS, jobs=3).cells == serial.cells
     assert len(build_matrix(lists[:2], INV, costs=COSTS, jobs=8).cells) == 1
     assert started == [4, 3]  # the one-cell matrix ran in-process
+
+
+def sized_lists():
+    """Lists of 5 to 40 words, so cell sizes differ and the canonical order
+    (NOUN before PRON) is not the largest-first one."""
+    rng = random.Random(7)
+    syllables = ["pa", "ti", "ku", "ma", "ne", "so", "la", "ri", "ba", "d̪u"]
+
+    def words(count):
+        out = set()
+        while len(out) < count:
+            out.add("".join(rng.choice(syllables) for _ in range(rng.randint(1, 3))))
+        return sorted(out)
+
+    return [
+        wordlist("aa", "NOUN", words(5)),
+        wordlist("bb", "NOUN", words(9)),
+        wordlist("aa", "PRON", words(40)),
+        wordlist("bb", "PRON", words(12)),
+        wordlist("cc", "PRON", words(25)),
+        wordlist("cc", "VERB", words(30)),  # unshared tag
+    ]
+
+
+def test_matrix_pool_gets_state_once_and_index_pairs_largest_first(monkeypatch):
+    pools = []
+
+    class RecordingPool:  # runs the cells in-process, as one worker would; starts no process
+        def __init__(self, max_workers, **kwargs):
+            self.kwargs = kwargs
+            self.tasks = []
+            pools.append(self)
+            kwargs["initializer"](*kwargs["initargs"])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            self.tasks.extend(tasks)
+            return map(fn, self.tasks)
+
+    monkeypatch.setattr(similarity, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(similarity, "_worker_state", None)  # restored after the test
+    lists = sized_lists()
+    serial = build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=1)
+    assert build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=2) == serial
+    [pool] = pools
+    assert set(pool.kwargs) == {"initializer", "initargs"}
+    assert pool.kwargs["initargs"] == (tuple(lists), INV, COSTS, 3, False)
+    assert len(pool.tasks) == len(serial.cells) == 4
+    for task in pool.tasks:
+        assert type(task) is tuple and [type(k) for k in task] == [int, int]
+        assert len(pickle.dumps(task)) < 100
+    products = [len(lists[i].ipa_strings()) * len(lists[j].ipa_strings()) for i, j in pool.tasks]
+    assert products == sorted(products, reverse=True)
+    assert products[0] > products[-1]
+
+
+def test_in_process_matrix_keeps_no_list_alive():
+    lists = sized_lists()
+    refs = [weakref.ref(wl) for wl in lists]
+    build_matrix(lists, INV, costs=COSTS, jobs=1)
+    del lists
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_matrix_pool_workers_start_from_a_fresh_import(monkeypatch, method):
+    # the initializer and task function must pickle by name, not be inherited
+    lists = lists_for_matrix()
+    serial = build_matrix(lists, INV, costs=COSTS, jobs=1)
+    context = multiprocessing.get_context(method)
+    pool = functools.partial(similarity.ProcessPoolExecutor, mp_context=context)
+    monkeypatch.setattr(similarity, "ProcessPoolExecutor", pool)
+    assert build_matrix(lists, INV, costs=COSTS, jobs=2) == serial
 
 
 def test_matrix_shares_one_cost_table(monkeypatch):
