@@ -16,7 +16,7 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ConlluError, G2PError, WordListError, read_lines
+from .errors import ConlluError, G2PError, WordListError, open_lines
 from .longest_match import LongestMatch
 
 log = logging.getLogger("pedlex.corpus")
@@ -43,18 +43,22 @@ LANGUAGE_SCRIPTS = {
     "sa": "devanagari",
 }
 
-_ID, _FORM, _LEMMA, _UPOS = 0, 1, 2, 3
 _N_COLUMNS = 10
 
 
 @dataclass(frozen=True)
 class WordList:
-    """De-duplicated lemmas of one (language, PoS), with optional IPA forms."""
+    """De-duplicated lemmas of one (language, PoS), with optional IPA forms.
+
+    ``path`` is the file :func:`read_wordlist` read the list from, and None
+    for a list built any other way.
+    """
 
     language: str
     pos: str
     lemmas: tuple[str, ...]
     ipa_by_lemma: dict[str, str] | None = None
+    path: Path | None = field(default=None, compare=False)
 
     def ipa_strings(self) -> tuple[str, ...]:
         """Distinct IPA strings, sorted; what list alignment operates on."""
@@ -63,6 +67,21 @@ class WordList:
                 f"word list ({self.language}, {self.pos}) has no IPA; run g2p first"
             )
         return tuple(sorted(set(self.ipa_by_lemma.values())))
+
+    def locate(self, ipa: str) -> str | None:
+        """``<file> line <n>`` of the first row whose IPA is ``ipa``, found by
+        reading the list's file again; None when that is not possible."""
+        if self.path is None:
+            return None
+        try:
+            with open_lines(self.path, WordListError, "word list") as lines:
+                for lineno, line in lines:
+                    fields = line.rstrip("\n").split("\t")
+                    if len(fields) == 2 and fields[1] == ipa and not line.startswith("#"):
+                        return f"{self.path} line {lineno}"
+        except WordListError:
+            pass  # the file went away or became unreadable after it was read
+        return None
 
 
 def extract_wordlists(conllu: str | Path, language: str) -> list[WordList]:
@@ -73,37 +92,36 @@ def extract_wordlists(conllu: str | Path, language: str) -> list[WordList]:
     "_" and "" are excluded. A file with no sentences is an error.
     """
     path = Path(conllu)
-    lemmas_by_tag: dict[str, set[str]] = {}
+    lemmas_by_tag: dict[str, set[str]] = {tag: set() for tag in TARGET_TAGS}
+    nfc = unicodedata.normalize
     sentences = 0
     in_sentence = False
-    for lineno, line in read_lines(path, ConlluError, "CoNLL-U file"):
-        if not line.strip():
-            if in_sentence:
-                sentences += 1
-                in_sentence = False
-            continue
-        if line.startswith("#"):
-            continue
-        columns = line.split("\t")
-        if len(columns) != _N_COLUMNS:
-            log.warning(
-                "%s line %d: expected 10 columns, got %d; line skipped",
-                path,
-                lineno,
-                len(columns),
-            )
-            continue
-        in_sentence = True
-        token_id = columns[_ID]
-        if "-" in token_id or "." in token_id:
-            continue  # multiword-token range / empty node
-        upos = columns[_UPOS]
-        if upos not in TARGET_TAGS:
-            continue
-        lemma = unicodedata.normalize("NFC", columns[_LEMMA])
-        if lemma in ("", "_"):
-            continue
-        lemmas_by_tag.setdefault(upos, set()).add(lemma)
+    with open_lines(path, ConlluError, "CoNLL-U file") as lines:
+        for lineno, line in lines:
+            if line.isspace():
+                if in_sentence:
+                    sentences += 1
+                    in_sentence = False
+                continue
+            if line[0] == "#":  # the file iterator yields no empty line
+                continue
+            tabs = line.count("\t")
+            if tabs != _N_COLUMNS - 1:
+                log.warning(
+                    "%s line %d: expected 10 columns, got %d; line skipped",
+                    path,
+                    lineno,
+                    tabs + 1,
+                )
+                continue
+            in_sentence = True
+            token_id, _form, lemma, upos, _rest = line.split("\t", 4)
+            if "-" in token_id or "." in token_id:
+                continue  # multiword-token range / empty node
+            lemmas = lemmas_by_tag.get(upos)
+            if lemmas is None or lemma == "_" or not lemma:
+                continue
+            lemmas.add(nfc("NFC", lemma))
     if in_sentence:
         sentences += 1
     if sentences == 0:
@@ -111,6 +129,7 @@ def extract_wordlists(conllu: str | Path, language: str) -> list[WordList]:
     return [
         WordList(language=language, pos=tag, lemmas=tuple(sorted(lemmas)))
         for tag, lemmas in sorted(lemmas_by_tag.items())
+        if lemmas
     ]
 
 
@@ -155,31 +174,33 @@ def load_g2p_table(path: str | Path, script: str | None = None) -> G2PTable:
     path = Path(path)
     rules: dict[tuple[str, str | None], str] = {}
     declared = None
-    for lineno, line in read_lines(path, G2PError, "G2P table"):
-        if not line.strip():
-            continue
-        if line.lstrip().startswith("#"):
-            stripped = line.lstrip("# ").strip()
-            if stripped.startswith("script="):
-                declared = stripped.split("=", 1)[1].strip()
-            continue
-        fields = line.split("\t")
-        if len(fields) not in (2, 3):
-            raise G2PError(
-                f"{path} line {lineno}: expected 'grapheme<TAB>ipa[<TAB>language]'"
-            )
-        grapheme = unicodedata.normalize("NFC", fields[0])
-        if not grapheme:
-            raise G2PError(f"{path} line {lineno}: empty grapheme")
-        ipa = fields[1]
-        lang = fields[2] if len(fields) == 3 and fields[2] else None
-        key = (grapheme, lang)
-        if key in rules:
-            raise G2PError(
-                f"{path} line {lineno}: duplicate rule for {grapheme!r}"
-                + (f" [{lang}]" if lang else "")
-            )
-        rules[key] = ipa
+    with open_lines(path, G2PError, "G2P table") as lines:
+        for lineno, line in lines:
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.lstrip().startswith("#"):
+                stripped = line.lstrip("# ").strip()
+                if stripped.startswith("script="):
+                    declared = stripped.split("=", 1)[1].strip()
+                continue
+            fields = line.split("\t")
+            if len(fields) not in (2, 3):
+                raise G2PError(
+                    f"{path} line {lineno}: expected 'grapheme<TAB>ipa[<TAB>language]'"
+                )
+            grapheme = unicodedata.normalize("NFC", fields[0])
+            if not grapheme:
+                raise G2PError(f"{path} line {lineno}: empty grapheme")
+            ipa = fields[1]
+            lang = fields[2] if len(fields) == 3 and fields[2] else None
+            key = (grapheme, lang)
+            if key in rules:
+                raise G2PError(
+                    f"{path} line {lineno}: duplicate rule for {grapheme!r}"
+                    + (f" [{lang}]" if lang else "")
+                )
+            rules[key] = ipa
     if not rules:
         raise G2PError(f"{path}: no rules")
     resolved_script = script or declared
@@ -238,7 +259,8 @@ def g2p_convert(words: WordList, table: G2PTable) -> WordList:
             words.language,
             words.pos,
         )
-    return replace(words, ipa_by_lemma=ipa_by_lemma)
+    # the converted list is no longer the content of the file it came from
+    return replace(words, ipa_by_lemma=ipa_by_lemma, path=None)
 
 
 def write_wordlist(words: WordList, path: str | Path) -> None:
@@ -263,29 +285,38 @@ def read_wordlist(path: str | Path) -> WordList:
     lemmas: set[str] = set()
     ipa_by_lemma: dict[str, str] = {}
     saw_ipa = False
-    for lineno, line in read_lines(path, WordListError, "word list"):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            for part in line.lstrip("# ").split():
-                if part.startswith("lang="):
-                    language = part.split("=", 1)[1]
-                elif part.startswith("pos="):
-                    pos = part.split("=", 1)[1]
-            continue
-        fields = line.split("\t")
-        if len(fields) > 2:
-            raise WordListError(f"{path} line {lineno}: expected 'lemma[<TAB>ipa]'")
-        lemma = unicodedata.normalize("NFC", fields[0])
-        if not lemma:
-            raise WordListError(f"{path} line {lineno}: empty lemma")
-        if lemma in lemmas:
-            raise WordListError(f"{path} line {lineno}: duplicate lemma {lemma!r}")
-        lemmas.add(lemma)
-        if len(fields) == 2:
-            saw_ipa = True
-            if fields[1]:
-                ipa_by_lemma[lemma] = fields[1]
+    with open_lines(path, WordListError, "word list") as lines:
+        for lineno, line in lines:
+            if line.isspace():
+                continue
+            if line[0] == "#":
+                for part in line.lstrip("# ").split():
+                    key, sep, value = part.partition("=")
+                    if not sep or key not in ("lang", "pos"):
+                        continue
+                    if not value or "," in value:
+                        raise WordListError(
+                            f"{path} line {lineno}: header {key}= must be non-empty "
+                            f"and hold no comma, got {value!r}"
+                        )
+                    if key == "lang":
+                        language = value
+                    else:
+                        pos = value
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) > 2:
+                raise WordListError(f"{path} line {lineno}: expected 'lemma[<TAB>ipa]'")
+            lemma = unicodedata.normalize("NFC", fields[0])
+            if not lemma:
+                raise WordListError(f"{path} line {lineno}: empty lemma")
+            if lemma in lemmas:
+                raise WordListError(f"{path} line {lineno}: duplicate lemma {lemma!r}")
+            lemmas.add(lemma)
+            if len(fields) == 2:
+                saw_ipa = True
+                if fields[1]:
+                    ipa_by_lemma[lemma] = fields[1]
     if language is None or pos is None:
         raise WordListError(f"{path}: missing '# lang=<id> pos=<TAG>' header")
     return WordList(
@@ -293,4 +324,5 @@ def read_wordlist(path: str | Path) -> WordList:
         pos=pos,
         lemmas=tuple(sorted(lemmas)),
         ipa_by_lemma=ipa_by_lemma if saw_ipa else None,
+        path=path,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .defaults import default_manner_table
-from .errors import ConfigError, MannerTableError, read_lines
+from .errors import ConfigError, MannerTableError, open_lines
 from .features import CONSONANT, MANNERS, ConsonantFeatures, Phone, VowelFeatures
 
 
@@ -84,29 +84,32 @@ def load_manner_table(path: str | Path) -> MannerDistanceTable:
     zero diagonal are filled in, and the result is validated complete."""
     path = Path(path)
     entries: dict[tuple[str, str], float] = {(m, m): 0.0 for m in MANNERS}
-    for lineno, line in read_lines(path, MannerTableError, "manner table"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        where = f"{path} line {lineno}"
-        if len(fields) != 3:
-            raise MannerTableError(f"{where}: expected 'manner1<TAB>manner2<TAB>distance'")
-        m1, m2, text = fields
-        for m in (m1, m2):
-            if m not in MANNERS:
-                raise MannerTableError(f"{where}: unknown manner {m!r}")
-        try:
-            value = float(text)
-        except ValueError:
-            raise MannerTableError(f"{where}: bad distance {text!r}") from None
-        if not 0.0 <= value <= 1.0:
-            raise MannerTableError(f"{where}: distance {value} for ({m1}, {m2}) outside [0, 1]")
-        key = (m1, m2)
-        if key in entries and entries[key] != value:
-            raise MannerTableError(f"{where}: conflicting duplicate for ({m1}, {m2})")
-        entries[(m1, m2)] = value
-        entries[(m2, m1)] = value
+    with open_lines(path, MannerTableError, "manner table") as lines:
+        for lineno, line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            where = f"{path} line {lineno}"
+            if len(fields) != 3:
+                raise MannerTableError(f"{where}: expected 'manner1<TAB>manner2<TAB>distance'")
+            m1, m2, text = fields
+            for m in (m1, m2):
+                if m not in MANNERS:
+                    raise MannerTableError(f"{where}: unknown manner {m!r}")
+            try:
+                value = float(text)
+            except ValueError:
+                raise MannerTableError(f"{where}: bad distance {text!r}") from None
+            if not 0.0 <= value <= 1.0:
+                raise MannerTableError(
+                    f"{where}: distance {value} for ({m1}, {m2}) outside [0, 1]"
+                )
+            key = (m1, m2)
+            if key in entries and entries[key] != value:
+                raise MannerTableError(f"{where}: conflicting duplicate for ({m1}, {m2})")
+            entries[(m1, m2)] = value
+            entries[(m2, m1)] = value
     try:
         return MannerDistanceTable(entries=entries)
     except MannerTableError as exc:

@@ -3,10 +3,11 @@
 Everything raised for bad *input* (files, symbols, flags) derives from
 PedlexError; the CLI maps these to exit code 1. Anything else escaping to
 the CLI is treated as an internal invariant violation (exit code 2).
-``read_lines`` is the one reader of input text files, so a file that is
+``open_lines`` is the one reader of input text files, so a file that is
 missing, unreadable or not UTF-8 is bad input too.
 """
 
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -46,28 +47,34 @@ class WordListError(PedlexError):
     """Word-list file malformed, or list unusable for alignment."""
 
 
-def read_lines(path: Path, error: type[PedlexError], what: str):
-    """Yield (line number, line without its newline) of a UTF-8 text file.
+@contextmanager
+def open_lines(path: Path, error: type[PedlexError], what: str):
+    """Open a UTF-8 text file for reading as ``enumerate(file, 1)``.
 
-    Lines end at LF, CRLF or CR. A missing file raises ``error`` with
-    "<what> not found: <path>"; a directory, an unreadable file or bytes
-    that are not UTF-8 raise ``error`` naming the file (and the first bad
-    line).
+    The block iterates (line number, line) pairs. Lines end at LF, CRLF or
+    CR and keep their "\n" (the last line may have none); a leading UTF-8
+    byte-order mark is dropped. A missing file raises ``error`` with
+    "<what> not found: <path>"; a directory, an unreadable file or bytes that
+    are not UTF-8 raise ``error`` naming the file (and the first bad line).
+    A ``PedlexError`` raised inside the block passes through unchanged.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                yield lineno, raw.rstrip("\n")
+        fh = open(path, encoding="utf-8-sig")
     except (FileNotFoundError, NotADirectoryError):
         raise error(f"{what} not found: {path}") from None
-    except UnicodeDecodeError:
-        data = path.read_bytes()  # the text decoder works in chunks; find the line
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # bytes.splitlines ends lines where the text reader does
-            lineno = len((data[: exc.start] + b".").splitlines())
-            raise error(f"{path} line {lineno}: not valid UTF-8") from None
-        raise
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    with fh:
+        try:
+            yield enumerate(fh, 1)
+        except UnicodeDecodeError:
+            data = path.read_bytes()  # the text decoder works in chunks; find the line
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # bytes.splitlines ends lines where the text reader does
+                lineno = len((data[: exc.start] + b".").splitlines())
+                raise error(f"{path} line {lineno}: not valid UTF-8") from None
+            raise
+        except OSError as exc:
+            raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
-from .errors import InventoryError, UnknownSymbolError, read_lines
+from .errors import InventoryError, UnknownSymbolError, open_lines
 from .longest_match import LongestMatch
 
 MANNERS = (
@@ -198,26 +198,31 @@ def load_inventory(path: str | Path) -> FeatureInventory:
     """
     path = Path(path)
     entries: dict[str, Phone] = {}
-    for lineno, line in read_lines(path, InventoryError, "inventory file"):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        where = f"{path} line {lineno}"
-        fields = line.split("\t")
-        if len(fields) < 2:
-            raise InventoryError(f"{where}: expected tab-separated fields, got {line!r}")
-        label = normalize_ipa(fields[0])
-        if not label:
-            raise InventoryError(f"{where}: empty label")
-        kind = fields[1]
-        if kind == "v":
-            phone = Phone(label, VOWEL, _parse_vowel(fields, where))
-        elif kind == "c":
-            phone = Phone(label, CONSONANT, _parse_consonant(fields, where))
-        else:
-            raise InventoryError(f"{where}: type must be 'v' or 'c', got {kind!r}")
-        if label in entries:
-            raise InventoryError(f"{where}: duplicate label {label!r}")
-        entries[label] = phone
+    with open_lines(path, InventoryError, "inventory file") as lines:
+        for lineno, line in lines:
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            where = f"{path} line {lineno}"
+            fields = line.split("\t")
+            if len(fields) < 2:
+                raise InventoryError(f"{where}: expected tab-separated fields, got {line!r}")
+            label = normalize_ipa(fields[0])
+            if not label:
+                raise InventoryError(f"{where}: empty label")
+            if any(c.isspace() for c in label):
+                # tokenize rejects whitespace in words, and relies on labels having none
+                raise InventoryError(f"{where}: whitespace in label {label!r}")
+            kind = fields[1]
+            if kind == "v":
+                phone = Phone(label, VOWEL, _parse_vowel(fields, where))
+            elif kind == "c":
+                phone = Phone(label, CONSONANT, _parse_consonant(fields, where))
+            else:
+                raise InventoryError(f"{where}: type must be 'v' or 'c', got {kind!r}")
+            if label in entries:
+                raise InventoryError(f"{where}: duplicate label {label!r}")
+            entries[label] = phone
     if not entries:
         raise InventoryError(f"inventory {path} is empty")
     return FeatureInventory(entries=entries)

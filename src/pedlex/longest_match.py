@@ -5,7 +5,9 @@ Both the IPA tokenizer (inventory labels) and the grapheme-to-phoneme step
 key that matches at the current position. ``LongestMatch`` does that walk
 in the regular-expression engine: the keys form one alternation, longest
 first, and alternation tries its branches in order, so the first branch that
-matches is the longest key starting there.
+matches is the longest key starting there. One-character keys that start no
+longer key come first, as one character class: where one of them matches,
+no longer key can, so it is the longest match there too.
 """
 
 from __future__ import annotations
@@ -26,8 +28,12 @@ class LongestMatch(Generic[V]):
     def __init__(self, table: Mapping[str, V]):
         self._values = dict(table)
         keys = sorted((k for k in self._values if k), key=len, reverse=True)
+        singles = {k for k in keys if len(k) == 1} - {k[0] for k in keys if len(k) > 1}
+        branches = [re.escape(k) for k in keys if k not in singles]
+        if singles:
+            branches.insert(0, "[" + "".join(map(re.escape, sorted(singles))) + "]")
         # "(?!)" never matches: with no keys every text stops at offset 0
-        self._pattern = re.compile("|".join(map(re.escape, keys)) or "(?!)")
+        self._pattern = re.compile("|".join(branches) or "(?!)")
 
     def scan(self, text: str) -> tuple[list[V], int]:
         """Values of the keys matched from the start of ``text``, and the stop offset.
@@ -47,5 +53,4 @@ class LongestMatch(Generic[V]):
                     break
                 keys.append(match.group())
                 end = match.end()
-        values = self._values
-        return [values[k] for k in keys], end
+        return list(map(self._values.__getitem__, keys)), end

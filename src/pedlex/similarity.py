@@ -62,7 +62,11 @@ def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: 
             tokens[ipa] = tokenize(ipa, inventory)
         except TokenizeError as exc:
             if not skip_unknown:
-                raise TokenizeError(f"list ({words.language}, {words.pos}): {exc}") from None
+                where = words.locate(ipa)
+                raise TokenizeError(
+                    (f"{where}: " if where else "")
+                    + f"list ({words.language}, {words.pos}): {exc}"
+                ) from None
             log.warning(
                 "dropped %r (%s, %s): not tokenizable against the inventory",
                 ipa,

@@ -27,9 +27,13 @@ def tokenize(text: str, inv: FeatureInventory) -> tuple[Phone, ...]:
     is rejected.
     """
     normalized = normalize_ipa(text)
-    if _SPACE.search(normalized):
-        raise TokenizeError(f"whitespace inside word {text!r}; tokenize words one at a time")
     phones, end = inv.scanner.scan(normalized)
     if end < len(normalized):
+        # no label holds whitespace (load_inventory rejects one), so a word
+        # with whitespace always stops short of its end
+        if _SPACE.search(normalized):
+            raise TokenizeError(
+                f"whitespace inside word {text!r}; tokenize words one at a time"
+            )
         raise TokenizeError(f"unknown symbol {normalized[end]!r} at offset {end} in {text!r}")
     return tuple(phones)

@@ -381,6 +381,21 @@ def test_untokenizable_word_names_its_list(capsys, tmp_path, fixtures_dir):
     assert "(xx, PRON)" in err and "'bQa'" in err and "offset 1" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_untokenizable_word_names_its_file_and_line(capsys, tmp_path, fixtures_dir, jobs):
+    lists_dir = tmp_path / "lists"
+    lists_dir.mkdir()
+    bad = lists_dir / "xx_PRON.tsv"
+    bad.write_text("# lang=xx pos=PRON\npa\tpa\nba\tbQa\nda\tbQa\n", encoding="utf-8")
+    shutil.copy(fixtures_dir / "pronouns" / "hi.tsv", lists_dir)
+    where = f"pedlex: error: {bad} line 3: list (xx, PRON): unknown symbol 'Q' at offset 1"
+    code, _, err = run(capsys, "compare", "--a", str(bad), "--b", str(lists_dir / "hi.tsv"))
+    assert code == 1 and err.startswith(where), err
+    code, _, err = run(capsys, "matrix", "--lists", str(lists_dir),
+                       "--out", str(tmp_path / "r.csv"), "--jobs", jobs)
+    assert code == 1 and err.startswith(where), err
+
+
 def test_pool_worker_error_names_its_cell(capsys, tmp_path, monkeypatch, fixtures_dir):
     from pedlex import similarity
     from pedlex.errors import WordListError

@@ -1,4 +1,5 @@
 import logging
+import re
 import unicodedata
 
 import pytest
@@ -131,6 +132,107 @@ def test_nfc_normalization_dedups(tmp_path):
     )
     (nouns,) = extract_wordlists(path, "xx")
     assert nouns.lemmas == (composed,)
+
+
+def reference_extract(path, language):
+    """The extraction loop as it was before the one-split rewrite, kept as the
+    reference: per-tag lemmas (or the error) and the warning texts."""
+    lemmas_by_tag = {}
+    sentences = 0
+    in_sentence = False
+    warnings = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                if in_sentence:
+                    sentences += 1
+                    in_sentence = False
+                continue
+            if line.startswith("#"):
+                continue
+            columns = line.split("\t")
+            if len(columns) != 10:
+                warnings.append(
+                    f"{path} line {lineno}: expected 10 columns, got {len(columns)}; "
+                    "line skipped"
+                )
+                continue
+            in_sentence = True
+            token_id = columns[0]
+            if "-" in token_id or "." in token_id:
+                continue
+            upos = columns[3]
+            if upos not in TARGET_TAGS:
+                continue
+            lemma = unicodedata.normalize("NFC", columns[2])
+            if lemma in ("", "_"):
+                continue
+            lemmas_by_tag.setdefault(upos, set()).add(lemma)
+    if in_sentence:
+        sentences += 1
+    if sentences == 0:
+        return ("ConlluError", f"{path}: no sentences found"), warnings
+    lists = [
+        (language, tag, tuple(sorted(lemmas))) for tag, lemmas in sorted(lemmas_by_tag.items())
+    ]
+    return lists, warnings
+
+
+class Collect(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def extract_outcome(path, language):
+    handler = Collect()
+    logger = logging.getLogger("pedlex.corpus")
+    logger.addHandler(handler)
+    try:
+        lists = [(w.language, w.pos, w.lemmas) for w in extract_wordlists(path, language)]
+    except ConlluError as exc:
+        lists = ("ConlluError", str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return lists, handler.messages
+
+
+@st.composite
+def conllu_row(draw):
+    columns = [
+        draw(st.sampled_from(["1", "2", "10", "1-2", "1.1"])),
+        "form",
+        draw(st.sampled_from(["_", "", "ab", "a b", "café", "cafe\u0301", "e\u0301", "é"])),
+        draw(st.sampled_from(["NOUN", "VERB", "PRON", "PROPN", "PUNCT", "noun", ""])),
+        "_", "_", "0", "root", "_",
+        draw(st.sampled_from(["_", "", "  ", "SpaceAfter=No"])),
+    ]
+    # wrong column counts: a column short, or one or two too many
+    width = draw(st.sampled_from([10] * 6 + [9, 11, 12, 1]))
+    return "\t".join((columns + ["x", "y"])[:width])
+
+
+CONLLU_LINES = st.one_of(
+    conllu_row(),
+    st.sampled_from(["", " ", "\t", " \t ", "# sent_id = 1", "#", "# a\tb", "#\t" * 9]),
+)
+
+
+@given(
+    lines=st.lists(st.tuples(CONLLU_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=14),
+    last_newline=st.booleans(),
+)
+def test_extract_matches_reference_loop(tmp_path_factory, lines, last_newline):
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_newline:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path_factory.getbasetemp() / "differential.conllu"
+    path.write_bytes(text.encode("utf-8"))
+    assert extract_outcome(path, "xx") == reference_extract(path, "xx")
 
 
 def test_all_ten_target_tags():
@@ -341,6 +443,38 @@ def test_wordlist_requires_header(tmp_path):
     path.write_text("lemma\tipa\n", encoding="utf-8")
     with pytest.raises(WordListError, match="header"):
         read_wordlist(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["# lang=hi,xx pos=PRON", "# lang= pos=", "# lang=xx pos=", "# lang=xx pos=PRON,NOUN"],
+)
+def test_wordlist_header_values_must_be_nonempty_without_comma(tmp_path, header):
+    # a comma would add a field to the report's CSV rows
+    path = tmp_path / "w.tsv"
+    path.write_text(f"# comment\n{header}\na\tx\n", encoding="utf-8")
+    with pytest.raises(WordListError, match=rf"^{re.escape(str(path))} line 2: header"):
+        read_wordlist(path)
+
+
+def test_wordlist_with_byte_order_mark_reads_like_without(tmp_path):
+    plain = tmp_path / "plain.tsv"
+    plain.write_text("# lang=xx pos=PRON\na\tx\n", encoding="utf-8")
+    marked = tmp_path / "marked.tsv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_wordlist(marked) == read_wordlist(plain)
+
+
+def test_wordlist_keeps_its_file_out_of_equality(tmp_path):
+    words = WordList("xx", "PRON", ("a", "b"), ipa_by_lemma={"a": "pa", "b": "pa"})
+    path = tmp_path / "w.tsv"
+    write_wordlist(words, path)
+    loaded = read_wordlist(path)
+    assert loaded == words and words.path is None and loaded.path == path
+    assert loaded.locate("pa") == f"{path} line 2"
+    assert loaded.locate("zz") is None and words.locate("pa") is None
+    # a converted list no longer holds what its file holds
+    assert g2p_convert(loaded, DEVANAGARI).path is None
 
 
 def test_wordlist_rejects_duplicate_lemma(tmp_path):

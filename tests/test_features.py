@@ -72,6 +72,14 @@ def test_load_reports_line_number_on_malformed_row(tmp_path):
         load_inventory(path)
 
 
+@pytest.mark.parametrize("label", ["a ", " a", "a\u00a0b"])
+def test_load_rejects_whitespace_in_label(tmp_path, label):
+    # tokenize rejects whitespace in a word, so such a label could never match
+    path = write_inventory(tmp_path, f"i\tv\t0\t0\t0\n{label}\tv\t1\t0\t0\n")
+    with pytest.raises(InventoryError, match=rf"^{re.escape(str(path))} line 2: whitespace"):
+        load_inventory(path)
+
+
 def test_load_rejects_out_of_range_place(tmp_path):
     path = write_inventory(tmp_path, "q\tc\tplosive\t1.5\t0\t0\t0\t0\n")
     with pytest.raises(InventoryError, match="place"):

@@ -49,6 +49,12 @@ def test_whitespace_rejected():
         tokenize("a b", INV)
 
 
+@pytest.mark.parametrize("text", ["☃ a", "a ☃", "ab☃\tc", "a\u00a0"])
+def test_whitespace_reported_before_unknown_symbol(text):
+    with pytest.raises(TokenizeError, match="^whitespace inside word"):
+        tokenize(text, INV)
+
+
 def test_whitespace_pattern_is_str_isspace():
     everything = "".join(map(chr, range(sys.maxunicode + 1)))
     assert _SPACE.findall(everything) == [ch for ch in everything if ch.isspace()]
