@@ -20,6 +20,7 @@ from pathlib import Path
 from . import defaults
 from .corpus import (
     TARGET_TAGS,
+    check_header_value,
     g2p_convert,
     extract_wordlists,
     load_g2p_table,
@@ -127,6 +128,7 @@ def _cmd_phones(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    check_header_value("--lang", args.lang)
     tags = args.pos or list(TARGET_TAGS)
     for tag in tags:
         if tag not in TARGET_TAGS:

@@ -226,9 +226,9 @@ def g2p_convert(words: WordList, table: G2PTable) -> WordList:
     """Populate a word list's IPA forms via the table.
 
     Words that hit an unmapped grapheme or convert to the empty string are
-    dropped (left out of the IPA mapping) and logged once each with the
-    reason. Raises G2PError when the table's script does not serve the
-    list's language, or warns when every word was dropped.
+    dropped (left out of the IPA mapping): one warning per list gives the
+    count for each reason, and each dropped word is logged at DEBUG. Raises
+    G2PError when the table's script does not serve the list's language.
     """
     script = LANGUAGE_SCRIPTS.get(words.language)
     if script is not None and script != table.script:
@@ -237,36 +237,50 @@ def g2p_convert(words: WordList, table: G2PTable) -> WordList:
             f"but the table is for {table.script}"
         )
     ipa_by_lemma: dict[str, str] = {}
+    reasons: dict[str, int] = {}
     for lemma in words.lemmas:
         try:
             ipa = convert_word(lemma, table, language=words.language)
         except G2PError as exc:
-            log.warning("dropped %r (%s, %s): %s", lemma, words.language, words.pos, exc)
-            continue
-        if not ipa:
-            log.warning(
-                "dropped %r (%s, %s): empty after conversion",
-                lemma,
-                words.language,
-                words.pos,
-            )
-            continue
-        ipa_by_lemma[lemma] = ipa
-    if words.lemmas and not ipa_by_lemma:
+            reason, detail = "with an unmapped grapheme", str(exc)
+        else:
+            if ipa:
+                ipa_by_lemma[lemma] = ipa
+                continue
+            reason = detail = "empty after conversion"
+        reasons[reason] = reasons.get(reason, 0) + 1
+        log.debug("dropped %r (%s, %s): %s", lemma, words.language, words.pos, detail)
+    if reasons:
         log.warning(
-            "all %d words of (%s, %s) were dropped by g2p",
+            "g2p dropped %d of %d words of (%s, %s): %s",
+            sum(reasons.values()),
             len(words.lemmas),
             words.language,
             words.pos,
+            ", ".join(f"{count} {reason}" for reason, count in reasons.items()),
         )
     # the converted list is no longer the content of the file it came from
     return replace(words, ipa_by_lemma=ipa_by_lemma, path=None)
 
 
+def check_header_value(name: str, value: str) -> None:
+    """Raise WordListError unless ``value`` can be a list header's lang= or
+    pos= value and a file-name part: non-empty, with no comma (the report's
+    separator), whitespace (the header's) or path separator."""
+    if not value or any(c in ",/\\" or c.isspace() for c in value):
+        raise WordListError(
+            f"{name} must be non-empty and hold no comma, whitespace or path "
+            f"separator, got {value!r}"
+        )
+
+
 def write_wordlist(words: WordList, path: str | Path) -> None:
     """Write a ``# lang=.. pos=..`` header plus one row per lemma: ``lemma``
     in an unconverted list, ``lemma<TAB>ipa`` in a converted one, where a
-    lemma that g2p dropped has an empty IPA field."""
+    lemma that g2p dropped has an empty IPA field. A language or tag that
+    ``check_header_value`` rejects raises WordListError and writes nothing."""
+    check_header_value(f"{path}: header lang=", words.language)
+    check_header_value(f"{path}: header pos=", words.pos)
     lines = [f"# lang={words.language} pos={words.pos}"]
     ipa = words.ipa_by_lemma
     for lemma in sorted(words.lemmas):

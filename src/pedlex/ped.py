@@ -15,6 +15,18 @@ divided by the longer length, exceeds it. Both tests are lower
 bounds on the final distance, so they never discard a candidate that could
 still win or tie; results with pruning are bit-identical to results
 without.
+
+The band's shape, a plan (m, n, lo, hi), fixes the columns of every row,
+and the kernel runs each plan in one of two tiers that compute the same
+cells in the same order and write the same rows. The interpreted scan runs
+any plan. Pruned rows are 2-3 cells wide, and per row it unpacks the plan,
+builds a range, tests a sentinel and sums the row minimum, which costs
+about as much as the cells. So a plan whose rows are all narrow, once it
+has proved hot, is generated as straight-line code with the rows and
+columns unrolled at constant indices and compiled. Compiling costs time
+and memory in proportion to the plan's cells, so only the narrow, hot
+plans that carry most of the work are worth it: wide plans (long words,
+loose bounds) and rarely used ones stay interpreted.
 """
 
 from __future__ import annotations
@@ -182,20 +194,62 @@ def dp_labels(bucket, prof, stack, best, best_ipa, prune, stats):
     or nd == best and its IPA sorts before ``best_ipa``; with ``prune`` the
     cut-offs then tighten to nd. Returns (index, nd) of the last winner, or
     None. Books every scanned candidate in ``stats.dps``.
+
+    The bucket is run by scans, one plan (m, n, lo, hi) at a time: each
+    scan stops at the first winner, and the scan of the tightened plan takes
+    over from the next candidate.
     """
     m = bucket.length
     n = len(stack[0]) - 1
     maxlen = m if m > n else n
     limit = threshold(best, maxlen) if prune else INF
     diagonals = band(limit, m, n)
+    labels = bucket.labels
     if diagonals is None:
-        stats.prefiltered += len(bucket.labels)
+        stats.prefiltered += len(labels)
         return None
-    spans = row_spans(m, n, *diagonals)
     lcp, ipas = bucket.lcp, bucket.ipas
     hit = None
-    cells = abandoned = depth = 0
-    for k, x in enumerate(bucket.labels):
+    k = depth = cells = abandoned = 0
+    while True:
+        plan = (m, n, *diagonals)
+        args = (labels, lcp, ipas, prof, stack, k, depth, limit, best, best_ipa)
+        scan = _compiled.get(plan)
+        if scan is not None:
+            k, depth, c, a, nd = scan(*args)
+        else:
+            k, depth, c, a, nd = _interpret(row_spans(*plan), *args)
+            _warm(plan, c)
+        cells += c
+        abandoned += a
+        if nd is None:
+            break
+        best, best_ipa, hit = nd, ipas[k], (k, nd)
+        k += 1
+        if prune:
+            limit = threshold(nd, maxlen)
+            diagonals = band(limit, m, n)
+    stats.dps += len(labels)
+    stats.cells += cells
+    stats.abandoned += abandoned
+    return hit
+
+
+def _interpret(spans, labels, lcp, ipas, prof, stack, k, depth, limit, best, best_ipa):
+    """Scan candidates k, k + 1, ... on the plan ``spans`` until one wins.
+
+    ``depth`` rows of the stack are valid for candidate k - 1, and
+    ``limit``, ``best`` and ``best_ipa`` are those of ``dp_labels``. Returns
+    (index, depth, cells, abandoned, nd) at the first winner, or
+    (len(labels), depth, cells, abandoned, None) when none wins. Every plan
+    can run here; generated scans (``_generate``) must agree with it.
+    """
+    m = len(spans) - 1
+    n = len(stack[0]) - 1
+    maxlen = m if m > n else n
+    cells = abandoned = 0
+    for k in range(k, len(labels)):
+        x = labels[k]
         if depth > lcp[k]:
             depth = lcp[k]
         prev = stack[depth]
@@ -228,14 +282,108 @@ def dp_labels(bucket, prof, stack, best, best_ipa, prune, stats):
             depth = m
             nd = prev[n] / maxlen if maxlen else 0.0
             if nd < best or (nd == best and ipas[k] < best_ipa):
-                best, best_ipa, hit = nd, ipas[k], (k, nd)
-                if prune:
-                    limit = threshold(nd, maxlen)
-                    spans = row_spans(m, n, *band(limit, m, n))
-    stats.dps += len(bucket.labels)
-    stats.cells += cells
-    stats.abandoned += abandoned
-    return hit
+                return k, depth, cells, abandoned, nd
+    return len(labels), depth, cells, abandoned, None
+
+
+# Scans are generated for plans whose rows are at most _NARROW cells wide,
+# once the interpreted scan has computed _HOT cells on the plan in this
+# process; at most _MAX_COMPILED of them are kept. Measured on a 2-core
+# Xeon under CPython 3.11: compiling a plan takes about 80 us per cell of
+# its rows (0.7 ms for 10 cells, 1.3 ms for 16, 6.5 ms for 118) and keeps
+# 4-30 KB, and a generated scan computes a cell 75-215 ns faster than the
+# interpreted one. _HOT is that compile cost of a typical plan divided by
+# the saving, so a plan is compiled once the interpreted scan has spent
+# about as long on it as compiling will take. The width cap keeps long
+# words interpreted: on two 300-word lists of 8-30 phones, 0.6% of the cells
+# fall in narrow plans, and without the cap 519 plans compiled, which cost
+# 2.7 s and 34 MB of peak RSS.
+# Both caches change only the speed of a scan, never its result.
+_NARROW = 4
+_HOT = 8192
+_MAX_COMPILED = 128
+_compiled: dict[tuple, object] = {}  # plan -> generated scan
+_heat: dict[tuple, float] = {}  # plan -> cells the interpreted scan computed
+
+
+def _warm(plan, cells):
+    """Book ``cells`` of interpreted work on ``plan`` and compile it once hot."""
+    if len(_compiled) >= _MAX_COMPILED:
+        return
+    if len(_heat) >= 4096 and plan not in _heat:
+        _heat.clear()  # as many plans as row_spans caches; start counting again
+    heat = _heat[plan] = _heat.get(plan, 0) + cells
+    if heat >= _HOT:
+        if max((span[4] for span in row_spans(*plan)[1:]), default=0) <= _NARROW:
+            _compiled[plan] = _generate(*plan)
+        else:
+            _heat[plan] = -INF  # wide: never compiles
+
+
+def _generate(m, n, lo, hi):
+    """The scan of plan (m, n, lo, hi) as straight-line code.
+
+    It does what ``_interpret`` does on ``row_spans(m, n, lo, hi)``, with
+    the row and column loops unrolled: row i runs when depth < i, reads the
+    row above from the stack at constant indices and writes its own row
+    there, the row test is an ``and`` of ``> limit`` compares (row_min >
+    limit exactly when every term exceeds it), and cells are booked per
+    candidate as a difference of cumulative row widths.
+    """
+    spans = row_spans(m, n, lo, hi)
+    rows = ", ".join(f"s{i}" for i in range(m + 1))
+    code = [
+        "def scan(labels, lcp, ipas, prof, stack, k, depth, limit, best, best_ipa):",
+        f"    {rows}, = stack[:{m + 1}]",
+        "    cells = abandoned = 0",
+        "    for k in range(k, len(labels)):",
+        "        x = labels[k]",
+        "        if depth > lcp[k]:",
+        "            depth = lcp[k]",
+        "        cells -= CUM[depth]",
+    ]
+    cum = [0]
+    for i in range(1, m + 1):
+        jlo, cols, sentinel, left, width = spans[i]
+        cum.append(cum[-1] + width)
+        prev, cur = f"s{i - 1}", f"s{i}"
+        code += [f"        if depth < {i}:", f"            c = prof[x[{i - 1}]]"]
+        if sentinel:
+            code.append(f"            {cur}[{sentinel}] = INF")
+        diag = f"{prev}[{jlo - 1}]"
+        west = None if left == INF else repr(left)  # column 0, when in the band
+        test = [] if west is None else [f"{west} > limit"]
+        for t, j in enumerate(cols):
+            up, d = f"u{t}", f"d{t}"
+            alt = f"{up} + 1.0" if west is None else f"({up} if {up} < {west} else {west}) + 1.0"
+            code += [
+                f"            {up} = {prev}[{j}]",
+                f"            {d} = {diag} + c[{j}]",
+                f"            a = {alt}",
+                f"            if a < {d}: {d} = a",
+                f"            {cur}[{j}] = {d}",
+            ]
+            diag, west = up, d
+            test.append(f"{d} > limit")
+        code += [
+            f"            if {' and '.join(test)}:",
+            f"                depth = {i}",
+            "                abandoned += 1",
+            f"                cells += {cum[i]}",
+            "                continue",
+        ]
+    maxlen = max(m, n)
+    code += [
+        f"        depth = {m}",
+        f"        cells += {cum[m]}",
+        f"        nd = s{m}[{n}] / {maxlen}" if maxlen else "        nd = 0.0",
+        "        if nd < best or (nd == best and ipas[k] < best_ipa):",
+        "            return k, depth, cells, abandoned, nd",
+        "    return len(labels), depth, cells, abandoned, None",
+    ]
+    namespace = {"INF": INF, "CUM": tuple(cum)}
+    exec(compile("\n".join(code), f"<scan {m}x{n} {lo}..{hi}>", "exec"), namespace)
+    return namespace["scan"]
 
 
 def dp_stack(rows: int, cols: int) -> list[list[float]]:

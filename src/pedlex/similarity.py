@@ -55,9 +55,12 @@ class SimilarityReport:
 def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: bool):
     """Distinct IPA strings of a list mapped to label-id tuples, and the
     list's distinct phones by id. Ids are numbered in label order, so id
-    tuples sort like label tuples."""
+    tuples sort like label tuples. With ``skip_unknown``, strings that do not
+    tokenize are dropped: one warning per list gives their count, and each
+    is logged at DEBUG."""
     tokens = {}
-    for ipa in words.ipa_strings():
+    strings = words.ipa_strings()
+    for ipa in strings:
         try:
             tokens[ipa] = tokenize(ipa, inventory)
         except TokenizeError as exc:
@@ -67,12 +70,15 @@ def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: 
                     (f"{where}: " if where else "")
                     + f"list ({words.language}, {words.pos}): {exc}"
                 ) from None
-            log.warning(
-                "dropped %r (%s, %s): not tokenizable against the inventory",
-                ipa,
-                words.language,
-                words.pos,
-            )
+            log.debug("dropped %r (%s, %s): %s", ipa, words.language, words.pos, exc)
+    if len(tokens) < len(strings):
+        log.warning(
+            "dropped %d of %d words of (%s, %s): not tokenizable against the inventory",
+            len(strings) - len(tokens),
+            len(strings),
+            words.language,
+            words.pos,
+        )
     unique = {p.label: p for word in tokens.values() for p in word}
     order = sorted(unique)
     ids = {label: k for k, label in enumerate(order)}

@@ -518,6 +518,19 @@ def test_conllu_not_utf8_exits_one(capsys, tmp_path):
     assert_bad_file(code, err, conllu, f"line {CONLLU.count(chr(10)) + 1}: not valid UTF-8")
 
 
+@pytest.mark.parametrize("lang", ["../esc", "a/b", "a,b", "a b", ""])
+def test_extract_rejects_bad_lang_before_reading(capsys, tmp_path, lang):
+    # the input does not exist: --lang is checked before it is read
+    out_dir = tmp_path / "lists"
+    code, _, err = run(capsys, "extract", "--input", str(tmp_path / "missing.conllu"),
+                       "--lang", lang, "--out-dir", str(out_dir))
+    assert code == 1, err
+    assert "pedlex: error: --lang must be non-empty and hold no comma" in err
+    assert repr(lang) in err
+    assert not out_dir.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_extract_bad_input_leaves_no_out_dir(capsys, tmp_path):
     conllu = tmp_path / "ur.conllu"
     conllu.write_bytes(b"1\t\xff\t\xff\tNOUN\t_\t_\t0\troot\t_\t_\n")

@@ -1,6 +1,7 @@
 import logging
 import re
 import unicodedata
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -288,12 +289,28 @@ def test_g2p_convert_populates_ipa_and_drops():
     assert converted.lemmas == words.lemmas
 
 
-def test_g2p_drop_log_one_entry_per_word(caplog):
-    words = WordList(language="hi", pos="PRON", lemmas=("इ", "उ"))
-    with caplog.at_level(logging.WARNING, logger="pedlex.corpus"):
+def test_g2p_drop_log_one_warning_per_list(caplog):
+    # इ and उ are lone short vowels (empty output), पि٭ has an unmapped sign
+    words = WordList(language="hi", pos="PRON", lemmas=("इ", "उ", "पि٭", "पिता"))
+    with caplog.at_level(logging.DEBUG, logger="pedlex.corpus"):
         g2p_convert(words, DEVANAGARI)
-    dropped = [rec for rec in caplog.records if rec.getMessage().startswith("dropped")]
-    assert len(dropped) == 2
+    warnings = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.WARNING]
+    assert warnings == [
+        "g2p dropped 3 of 4 words of (hi, PRON): 2 empty after conversion, "
+        "1 with an unmapped grapheme"
+    ]
+    per_word = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.DEBUG]
+    assert per_word == [
+        "dropped 'इ' (hi, PRON): empty after conversion",
+        "dropped 'उ' (hi, PRON): empty after conversion",
+        "dropped 'पि٭' (hi, PRON): unmapped grapheme '٭' at offset 2 in 'पि٭'",
+    ]
+
+
+def test_g2p_keeping_every_word_logs_nothing(caplog):
+    with caplog.at_level(logging.DEBUG, logger="pedlex.corpus"):
+        g2p_convert(WordList(language="hi", pos="PRON", lemmas=("पिता",)), DEVANAGARI)
+    assert caplog.records == []
 
 
 def test_g2p_script_mismatch_rejected():
@@ -427,6 +444,18 @@ def test_wordlist_dropped_lemmas_roundtrip(tmp_path):
         write_wordlist(words, path)
         assert read_wordlist(path) == words
     assert path.read_text(encoding="utf-8") == "# lang=ur pos=PROPN\nAli\t\nBob\t\n"
+
+
+@pytest.mark.parametrize("value", ["", "a,b", "a b", "a\tb", "a/b", "../esc", "a\\b"])
+@pytest.mark.parametrize("field", ["language", "pos"])
+def test_write_wordlist_rejects_bad_header_value(tmp_path, field, value):
+    words = WordList(language="ur", pos="PRON", lemmas=("تم",))
+    path = tmp_path / "list.tsv"
+    key = "lang=" if field == "language" else "pos="
+    message = f"^{re.escape(str(path))}: header {key} must be non-empty and hold no comma"
+    with pytest.raises(WordListError, match=message):
+        write_wordlist(replace(words, **{field: value}), path)
+    assert not path.exists()
 
 
 def test_wordlist_without_ipa_roundtrip(tmp_path):

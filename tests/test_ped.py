@@ -1,14 +1,18 @@
+import importlib
 import math
 import random
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pedlex import (
     DistanceConfig,
     DpStats,
     EditOp,
     SubstitutionCosts,
+    WordList,
+    align_lists,
     default_inventory,
     default_manner_table,
     paper_voice,
@@ -16,7 +20,10 @@ from pedlex import (
     phonetic_difference,
     tokenize,
 )
-from pedlex.ped import band, row_spans, threshold
+from pedlex.ped import Bucket, band, dp_labels, dp_stack, row_spans, threshold
+
+# the package re-exports a function named ``ped``, so import the module by path
+kernel = importlib.import_module("pedlex.ped")
 
 INV = default_inventory()
 XI = default_manner_table()
@@ -342,6 +349,127 @@ def test_row_spans_cover_the_band(bound, m, n):
         assert jlo == (expected[0] if expected else 1)
         assert left == (float(i) if i <= hi else math.inf)
         assert sentinel == (i - lo + 1 if i - lo < n else 0)
+
+
+# ---------------------------------------------------------------- kernel tiers
+
+
+@contextmanager
+def tiers(hot, narrow=None, bound=None):
+    """Run with compile threshold ``hot`` (and, if given, width cap and cache
+    bound) and empty caches; yields the cache of compiled scans."""
+    names = ("_HOT", "_NARROW", "_MAX_COMPILED", "_compiled", "_heat")
+    saved = [getattr(kernel, name) for name in names]
+    kernel._HOT, kernel._compiled, kernel._heat = hot, {}, {}
+    if narrow is not None:
+        kernel._NARROW = narrow
+    if bound is not None:
+        kernel._MAX_COMPILED = bound
+    try:
+        yield kernel._compiled
+    finally:
+        for name, value in zip(names, saved):
+            setattr(kernel, name, value)
+
+
+def scan_twice(bucket, prof, n, best, best_ipa, prune):
+    """Two identical dp_labels calls on one stack; per call, the hit, the
+    stack rows and the four DpStats counters."""
+    stack = dp_stack(bucket.length, n)
+    runs = []
+    for _ in range(2):
+        stats = DpStats()
+        hit = dp_labels(bucket, prof, stack, best, best_ipa, prune, stats)
+        counters = (stats.cells, stats.dps, stats.abandoned, stats.prefiltered)
+        runs.append((hit, [row[:] for row in stack], counters))
+    return runs
+
+
+@st.composite
+def scan_cases(draw):
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    alphabet = draw(st.integers(1, 3))  # few labels: shared prefixes and ties
+    words = draw(st.lists(st.tuples(*[st.integers(0, alphabet - 1)] * m),
+                          min_size=1, max_size=12, unique=True))
+    entries = [(word, "".join(map(str, word)) + draw(st.sampled_from(["", "x"])))
+               for word in words]
+    cost = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
+    prof = [[0.0] + draw(st.lists(cost, min_size=n, max_size=n)) for _ in range(alphabet)]
+    best = draw(st.one_of(st.just(math.inf), st.floats(0.0, 1.2)))
+    best_ipa = None if best == math.inf else draw(st.sampled_from(["", "1", "2x"]))
+    return entries, m, n, prof, best, best_ipa, draw(st.booleans())
+
+
+@given(scan_cases(), st.sampled_from([None, math.inf]))
+@example(([((), "")], 0, 3, [[0.0, 0.5, 1.0, 0.5]], math.inf, None, True), math.inf)
+@example(([((0, 0), "00"), ((0, 1), "01")], 2, 0, [[0.0], [0.0]], 0.9, "", True), None)
+@settings(max_examples=300, deadline=None)
+def test_generated_scans_match_the_interpreted_scan(case, narrow):
+    entries, m, n, prof, best, best_ipa, prune = case
+    results = []
+    for hot in (math.inf, 0):
+        with tiers(hot, narrow) as compiled:
+            results.append(scan_twice(Bucket(m, list(entries)), prof, n, best, best_ipa, prune))
+            scanned = results[-1][0][2][1]  # dps of the first call
+            if hot == 0 and narrow == math.inf and scanned:
+                assert compiled  # the first call compiled every plan it ran
+    assert results[0] == results[1]
+
+
+def test_a_win_switches_plan_and_tier_mid_bucket():
+    # every candidate beats the one before it against a 6-label query: the
+    # first wins on the full band and the second on band -3..3, both wider
+    # than the cap and interpreted; the last two win on -1..1 and 0..0,
+    # which the first call compiled
+    prof = [[0.0] + [1.0] * 6, [0.0] + [0.5] * 6, [0.0] + [0.0] * 6]
+    entries = [((0,) * 6, "a"), ((1,) * 6, "b"), ((2,) * 5 + (1,), "c"), ((2,) * 6, "d")]
+
+    def scan():
+        stats = DpStats()
+        hit = dp_labels(Bucket(6, list(entries)), prof, dp_stack(6, 6), math.inf, None, True,
+                        stats)
+        return hit, (stats.cells, stats.dps, stats.abandoned)
+
+    with tiers(math.inf):
+        reference = scan()
+    assert reference[0] == (3, 0.0)
+    interpreted = []
+    with tiers(0) as compiled:
+        interpret = kernel._interpret
+
+        def spy(spans, *args):
+            interpreted.append(max(span[4] for span in spans[1:]))
+            return interpret(spans, *args)
+
+        kernel._interpret = spy
+        try:
+            assert scan() == reference
+            interpreted.clear()
+            assert scan() == reference
+        finally:
+            kernel._interpret = interpret
+        plans = sorted(compiled)
+    assert interpreted == [6, 6]
+    assert plans == [(6, 6, -1, 1), (6, 6, 0, 0)]
+
+
+def test_long_words_compile_only_narrow_plans_within_the_bound():
+    rng = random.Random(40)
+    phones = "ptkbdgmnszaeiou"  # one phone per character
+    aa = {"".join(rng.choices(phones, k=rng.randint(20, 40))) for _ in range(24)}
+    # bb: a near copy of half of aa (narrow bands), and unrelated words (wide)
+    bb = {"".join(rng.choice(phones) if rng.random() < 0.05 else p for p in word)
+          for word in sorted(aa)[::2]}
+    bb |= {"".join(rng.choices(phones, k=rng.randint(20, 40))) for _ in range(12)}
+    lists = [WordList(lang, "NOUN", tuple(words), {w: w for w in words})
+             for lang, words in (("aa", aa), ("bb", bb))]
+    exact = align_lists(*lists, INV, costs=COSTS, prune=False).mu_psi
+    with tiers(0, bound=6) as compiled:
+        mu_psi = align_lists(*lists, INV, costs=COSTS).mu_psi
+        assert len(compiled) == 6
+        assert all(max(span[4] for span in row_spans(*plan)[1:]) <= kernel._NARROW
+                   for plan in compiled)
+    assert mu_psi.hex() == exact.hex()
 
 
 # ---------------------------------------------------------------- trace

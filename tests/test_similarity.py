@@ -1,4 +1,5 @@
 import functools
+import logging
 import multiprocessing
 import pickle
 import random
@@ -250,6 +251,21 @@ def test_skip_unknown_drops_word_not_symbol():
     good = wordlist("bb", "PRON", TOY_L2)
     cell = align_lists(bad, good, INV, costs=COSTS, skip_unknown=True)
     assert cell.size_a == 5  # the word is gone, not just the bad symbol
+
+
+def test_skip_unknown_logs_one_warning_per_list(caplog):
+    bad = wordlist("aa", "PRON", ["pa", "ta", "ka", "ma", "na", "☃a", "b☃"])
+    with caplog.at_level(logging.DEBUG, logger="pedlex.similarity"):
+        align_lists(bad, wordlist("bb", "PRON", TOY_L2), INV, costs=COSTS, skip_unknown=True)
+    warnings = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.WARNING]
+    assert warnings == [
+        "dropped 2 of 7 words of (aa, PRON): not tokenizable against the inventory"
+    ]
+    per_word = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.DEBUG]
+    assert [message.split(":")[0] for message in per_word] == [
+        "dropped 'b☃' (aa, PRON)",
+        "dropped '☃a' (aa, PRON)",
+    ]
 
 
 def test_min_size_below_one_skips_fully_dropped_list():
