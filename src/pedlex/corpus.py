@@ -292,7 +292,9 @@ def read_wordlist(path: str | Path) -> WordList:
     """Read a word-list file written by :func:`write_wordlist`.
 
     The list counts as converted when any row has an IPA field, even an
-    empty one; rows with an empty IPA field are lemmas g2p dropped.
+    empty one; rows with an empty IPA field are lemmas g2p dropped. A header
+    value that ``check_header_value`` rejects, so that ``write_wordlist``
+    could not write it back, raises WordListError naming its line.
     """
     path = Path(path)
     language = pos = None
@@ -308,11 +310,7 @@ def read_wordlist(path: str | Path) -> WordList:
                     key, sep, value = part.partition("=")
                     if not sep or key not in ("lang", "pos"):
                         continue
-                    if not value or "," in value:
-                        raise WordListError(
-                            f"{path} line {lineno}: header {key}= must be non-empty "
-                            f"and hold no comma, got {value!r}"
-                        )
+                    check_header_value(f"{path} line {lineno}: header {key}=", value)
                     if key == "lang":
                         language = value
                     else:

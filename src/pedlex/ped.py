@@ -10,23 +10,26 @@ shared with the previous candidate.
 
 The kernel cuts its search off at the normalized best-so-far. Only the
 diagonal band that a path within it can reach is filled (Ukkonen's cutoff),
-and a candidate is abandoned as soon as the minimum of the current row,
-divided by the longer length, exceeds it. Both tests are lower
-bounds on the final distance, so they never discard a candidate that could
-still win or tie; results with pruning are bit-identical to results
-without.
+and a candidate is abandoned as soon as every cell of the current row is
+beyond it once the unit steps still owed to its remaining length gap are
+counted (Ukkonen 1985; Spouge 1989): cell (i, j) of an m x n DP owes
+|(m-i) - (n-j)| insertions or deletions. Both tests are lower bounds on the
+final distance, so they never discard a candidate that could still win or
+tie; results with pruning are bit-identical to results without.
 
 The band's shape, a plan (m, n, lo, hi), fixes the columns of every row,
 and the kernel runs each plan in one of two tiers that compute the same
-cells in the same order and write the same rows. The interpreted scan runs
-any plan. Pruned rows are 2-3 cells wide, and per row it unpacks the plan,
-builds a range, tests a sentinel and sums the row minimum, which costs
-about as much as the cells. So a plan whose rows are all narrow, once it
-has proved hot, is generated as straight-line code with the rows and
-columns unrolled at constant indices and compiled. Compiling costs time
-and memory in proportion to the plan's cells, so only the narrow, hot
-plans that carry most of the work are worth it: wide plans (long words,
-loose bounds) and rarely used ones stay interpreted.
+cells in the same order, run the same row test and leave the same rows. The
+interpreted scan runs any plan. Pruned rows are 2-3 cells wide, and per row
+it unpacks the plan, builds a range and tests a sentinel, which costs about
+as much as the cells. So a plan whose rows are all narrow, once it has
+proved hot, is generated as straight-line code with the rows and columns
+unrolled and compiled: the DP rows live in local variables for the whole
+scan, row 0 and column 0 are constants, and each cell's gap is a constant
+that picks its threshold. Compiling costs time and memory in proportion to
+the plan's cells, so only the narrow, hot plans that carry most of the work
+are worth it: wide plans (long words, loose bounds) and rarely used ones
+stay interpreted.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import floor, inf as INF, nextafter
+from math import floor, inf as INF, nextafter, ulp
 
 from .distance import SubstitutionCosts
 from .features import Phone
@@ -114,6 +117,40 @@ def threshold(bound: float, maxlen: int) -> float:
     return r
 
 
+def gap_limits(limit: float, size: int) -> list[float]:
+    """Row-test thresholds T[0..size-1]: T[g] for a cell that owes g unit steps.
+
+    A DP value r that owes g more steps of cost 1.0 ends at least at the
+    float chain F^g(r), F(x) = x + 1.0: the other steps add costs >= 0, and
+    float addition is monotone. T[g] is a float with F^g(r) > limit for every
+    r > T[g], so ``r > T[g]`` proves that a path through the cell ends above
+    the limit. T[0] is the limit itself.
+
+    Proof that T[g] = (limit - g) + (g + 2) * u, u = ulp(limit), is such a
+    bound for g >= 1, in float arithmetic. Let r >= 0 with F^g(r) <= limit.
+    Every step y = F^k(r) + 1.0 rounds to a float <= limit, so y <= limit +
+    u/2, where floats lie at most u apart: each step loses at most u/2 and
+    r <= limit - g + g*u/2. Now T[g]:
+    - limit < g: F^g(r) >= F^g(0) = g > limit for every r >= 0, and DP values
+      are never negative, so no cell owing g steps is within the limit.
+    - limit >= g: 0 <= limit - g <= limit rounds by at most u/2, and
+      (g + 2) * u is exact (or inf), so the sum s before the last rounding
+      is at least limit - g + (g + 1.5) * u. If u < 1, s <= limit + 2.5 * u,
+      where floats lie at most 2u apart, and T[g] >= s - u >= limit - g +
+      g*u/2 >= r. If u >= 1, s > limit, so T[g] >= limit >= F^g(r) >= r.
+    An infinite limit gives inf for every g.
+    """
+    u = ulp(limit)
+    return [limit] + [limit - g + (g + 2) * u for g in range(1, size)]
+
+
+def max_gap(rows: int, cols: int, lo: int, hi: int) -> int:
+    """The most unit steps g = |(rows-i) - (cols-j)| that a cell on diagonals
+    lo..hi still owes: g = |(i-j) - (rows-cols)|, and lo <= rows-cols <= hi."""
+    delta = rows - cols
+    return max(delta - lo, hi - delta)
+
+
 @lru_cache(maxsize=4096)
 def row_spans(rows: int, cols: int, lo: int, hi: int) -> tuple:
     """Per-row plan of the DP cells on diagonals lo..hi (see ``band``).
@@ -121,9 +158,13 @@ def row_spans(rows: int, cols: int, lo: int, hi: int) -> tuple:
     Entry i (1..rows; entry 0 is unused) is (first column, range of the
     columns 1..cols computed, sentinel column set to inf right of them or 0
     for none, the row's column-0 value or inf when column 0 is outside the
-    band, the number of columns).
+    band, the number of columns, the gap offset). Cell (i, j) owes
+    |offset + j - G| unit steps, G = ``max_gap(rows, cols, lo, hi)``. The
+    plan keeps a constant number of fields per row: long words have
+    thousands of plans.
     """
     spans = [None]
+    top = max_gap(rows, cols, lo, hi) + rows - cols
     for i in range(1, rows + 1):
         jlo, jhi = i - hi, i - lo
         sentinel = 0
@@ -134,7 +175,7 @@ def row_spans(rows: int, cols: int, lo: int, hi: int) -> tuple:
         left = INF
         if jlo <= 0:
             jlo, left = 1, float(i)
-        spans.append((jlo, range(jlo, jhi + 1), sentinel, left, jhi - jlo + 1))
+        spans.append((jlo, range(jlo, jhi + 1), sentinel, left, jhi - jlo + 1, top - i))
     return tuple(spans)
 
 
@@ -185,10 +226,13 @@ def dp_labels(bucket, prof, stack, best, best_ipa, prune, stats):
     the only cells of a row that the next row reads, so a row computed under
     a wider band stays valid under a narrower one. A bucket whose length gap
     alone exceeds the limit is booked in ``stats.prefiltered`` and not
-    scanned. Row minima never decrease down the rows and bound the distance
-    from below: once row_min > limit, no path through the row scores within
-    best, and a candidate resumed from such a row fails at its next row (or,
-    with none left, ends above it).
+    scanned. Every path to the last cell crosses each row, and from cell
+    (i, j) it still owes g = |(m-i) - (n-j)| unit steps; ``gap_limits(limit,
+    ...)`` gives per g a threshold above which such a cell cannot end within
+    the limit. Once every cell of a row's band (column 0 too, when it is in
+    the band) exceeds the threshold of its gap, no path through the row
+    scores within best: the candidate is abandoned, and a candidate resumed
+    from such a row cannot win either.
 
     A completed candidate with normalized distance nd wins when nd < best,
     or nd == best and its IPA sorts before ``best_ipa``; with ``prune`` the
@@ -197,7 +241,10 @@ def dp_labels(bucket, prof, stack, best, best_ipa, prune, stats):
 
     The bucket is run by scans, one plan (m, n, lo, hi) at a time: each
     scan stops at the first winner, and the scan of the tightened plan takes
-    over from the next candidate.
+    over from the next candidate. A plan runs interpreted, or as a generated
+    scan once it is hot and narrow; a generated scan keeps the DP rows in
+    local variables and writes them back to the stack before it returns, so
+    either tier resumes from the rows the other left.
     """
     m = bucket.length
     n = len(stack[0]) - 1
@@ -212,8 +259,10 @@ def dp_labels(bucket, prof, stack, best, best_ipa, prune, stats):
     hit = None
     k = depth = cells = abandoned = 0
     while True:
-        plan = (m, n, *diagonals)
-        args = (labels, lcp, ipas, prof, stack, k, depth, limit, best, best_ipa)
+        lo, hi = diagonals
+        plan = (m, n, lo, hi)
+        limits = gap_limits(limit, max_gap(m, n, lo, hi) + 1)
+        args = (labels, lcp, ipas, prof, stack, k, depth, limits, best, best_ipa)
         scan = _compiled.get(plan)
         if scan is not None:
             k, depth, c, a, nd = scan(*args)
@@ -235,18 +284,20 @@ def dp_labels(bucket, prof, stack, best, best_ipa, prune, stats):
     return hit
 
 
-def _interpret(spans, labels, lcp, ipas, prof, stack, k, depth, limit, best, best_ipa):
+def _interpret(spans, labels, lcp, ipas, prof, stack, k, depth, limits, best, best_ipa):
     """Scan candidates k, k + 1, ... on the plan ``spans`` until one wins.
 
-    ``depth`` rows of the stack are valid for candidate k - 1, and
-    ``limit``, ``best`` and ``best_ipa`` are those of ``dp_labels``. Returns
-    (index, depth, cells, abandoned, nd) at the first winner, or
-    (len(labels), depth, cells, abandoned, None) when none wins. Every plan
-    can run here; generated scans (``_generate``) must agree with it.
+    ``depth`` rows of the stack are valid for candidate k - 1, ``limits`` is
+    ``gap_limits`` of the limit over the gaps of the plan's cells, and
+    ``best`` and ``best_ipa`` are those of ``dp_labels``. Returns (index,
+    depth, cells, abandoned, nd) at the first winner, or (len(labels), depth,
+    cells, abandoned, None) when none wins. Every plan can run here;
+    generated scans (``_generate``) must agree with it.
     """
     m = len(spans) - 1
     n = len(stack[0]) - 1
     maxlen = m if m > n else n
+    vee = limits[:0:-1] + limits  # vee[offset + j] is the threshold of cell (i, j)
     cells = abandoned = 0
     for k in range(k, len(labels)):
         x = labels[k]
@@ -254,12 +305,15 @@ def _interpret(spans, labels, lcp, ipas, prof, stack, k, depth, limit, best, bes
             depth = lcp[k]
         prev = stack[depth]
         for i in range(depth + 1, m + 1):
-            jlo, cols, sentinel, left, width = spans[i]
+            jlo, cols, sentinel, left, width, offset = spans[i]
             cur = stack[i]
             cost = prof[x[i - 1]]
             if sentinel:
                 cur[sentinel] = INF
-            row_min = left
+            # column 0 in the band passes the row test: its value i plus its
+            # gap counts the unit steps of a path, which ``band`` kept within
+            # the limit
+            within = left < INF
             diag = prev[jlo - 1]
             for j in cols:
                 up = prev[j]
@@ -269,11 +323,11 @@ def _interpret(spans, labels, lcp, ipas, prof, stack, k, depth, limit, best, bes
                 if alt < d:
                     d = alt
                 cur[j] = left = d
-                if d < row_min:
-                    row_min = d
+                if not d > vee[offset + j]:  # as generated scans test: NaN passes
+                    within = True
                 diag = up
             cells += width
-            if row_min > limit:
+            if not within:  # every cell of the row ends beyond the limit
                 depth = i
                 abandoned += 1
                 break
@@ -289,17 +343,19 @@ def _interpret(spans, labels, lcp, ipas, prof, stack, k, depth, limit, best, bes
 # Scans are generated for plans whose rows are at most _NARROW cells wide,
 # once the interpreted scan has computed _HOT cells on the plan in this
 # process; at most _MAX_COMPILED of them are kept. Measured on a 2-core
-# Xeon under CPython 3.11: compiling a plan takes about 80 us per cell of
-# its rows (0.7 ms for 10 cells, 1.3 ms for 16, 6.5 ms for 118) and keeps
-# 4-30 KB, and a generated scan computes a cell 75-215 ns faster than the
+# Xeon under CPython 3.11: compiling a plan takes 50-190 us per cell of
+# its rows (about 1 ms for 10-16 cells, 1.4-2 ms for 30) and keeps 3-8 KB,
+# and a generated scan computes a cell about 110 ns faster than the
 # interpreted one. _HOT is that compile cost of a typical plan divided by
 # the saving, so a plan is compiled once the interpreted scan has spent
-# about as long on it as compiling will take. The width cap keeps long
-# words interpreted: on two 300-word lists of 8-30 phones, 0.6% of the cells
-# fall in narrow plans, and without the cap 519 plans compiled, which cost
-# 2.7 s and 34 MB of peak RSS.
+# about as long on it as compiling will take. Plans up to 5 wide hold 98%
+# of the cells of two unrelated 1000-word lists and 95% of a six-language
+# corpus (91% and 76% up to 4 wide). The width cap keeps long words
+# interpreted: on two 300-word lists of 8-30 phones no plan gets hot
+# enough, and without the cap 128 plans compiled, rows up to 28 wide, which
+# took the first pass from 0.6 to 2.6 s and its peak RSS from 22 to 41 MB.
 # Both caches change only the speed of a scan, never its result.
-_NARROW = 4
+_NARROW = 5
 _HOT = 8192
 _MAX_COMPILED = 128
 _compiled: dict[tuple, object] = {}  # plan -> generated scan
@@ -324,17 +380,25 @@ def _generate(m, n, lo, hi):
     """The scan of plan (m, n, lo, hi) as straight-line code.
 
     It does what ``_interpret`` does on ``row_spans(m, n, lo, hi)``, with
-    the row and column loops unrolled: row i runs when depth < i, reads the
-    row above from the stack at constant indices and writes its own row
-    there, the row test is an ``and`` of ``> limit`` compares (row_min >
-    limit exactly when every term exceeds it), and cells are booked per
-    candidate as a difference of cumulative row widths.
+    the row and column loops unrolled. Cell (i, j) of rows 1..m is the local
+    v<i>_<j>: the scan loads each row's band and sentinel columns from the
+    stack on entry and stores them back on return, so a scan that resumes
+    rows another plan left reads what the interpreted scan would. Row 0 and
+    column 0 are constants, and so is every cell's gap: its threshold is the
+    local t<g>, loaded from ``limits`` on entry. Row i runs when depth < i,
+    the row test is an ``and`` of ``> t<g>`` compares, and cells are booked
+    per candidate as a difference of cumulative row widths.
     """
     spans = row_spans(m, n, lo, hi)
-    rows = ", ".join(f"s{i}" for i in range(m + 1))
+
+    def at(i, j):  # cell (i, j): a constant in row 0 and column 0, else a local
+        return repr(float(j)) if i == 0 else repr(float(i)) if j == 0 else f"v{i}_{j}"
+
+    gaps = ", ".join(f"t{g}" for g in range(max_gap(m, n, lo, hi) + 1))
+    entry = ["def scan(labels, lcp, ipas, prof, stack, k, depth, limits, best, best_ipa):",
+             f"    {gaps}, = limits"]
+    store = []
     code = [
-        "def scan(labels, lcp, ipas, prof, stack, k, depth, limit, best, best_ipa):",
-        f"    {rows}, = stack[:{m + 1}]",
         "    cells = abandoned = 0",
         "    for k in range(k, len(labels)):",
         "        x = labels[k]",
@@ -344,29 +408,35 @@ def _generate(m, n, lo, hi):
     ]
     cum = [0]
     for i in range(1, m + 1):
-        jlo, cols, sentinel, left, width = spans[i]
+        jlo, cols, sentinel, left, width, _ = spans[i]
         cum.append(cum[-1] + width)
-        prev, cur = f"s{i - 1}", f"s{i}"
+        if not cols:
+            continue  # n = 0: the row is column 0 alone, which passes the test
+        last = sentinel or cols[-1]
+        names = ", ".join(at(i, j) for j in range(jlo, last + 1))
+        entry.append(f"    {names}, = stack[{i}][{jlo}:{last + 1}]")
+        store.append(f"    stack[{i}][{jlo}:{last + 1}] = {names},")
         code += [f"        if depth < {i}:", f"            c = prof[x[{i - 1}]]"]
         if sentinel:
-            code.append(f"            {cur}[{sentinel}] = INF")
-        diag = f"{prev}[{jlo - 1}]"
-        west = None if left == INF else repr(left)  # column 0, when in the band
-        test = [] if west is None else [f"{west} > limit"]
-        for t, j in enumerate(cols):
-            up, d = f"u{t}", f"d{t}"
+            code.append(f"            {at(i, sentinel)} = INF")
+        west = None if left == INF else at(i, 0)  # column 0, when in the band
+        for j in cols:
+            cell, diag, up = at(i, j), at(i - 1, j - 1), at(i - 1, j)
             alt = f"{up} + 1.0" if west is None else f"({up} if {up} < {west} else {west}) + 1.0"
             code += [
-                f"            {up} = {prev}[{j}]",
-                f"            {d} = {diag} + c[{j}]",
+                f"            {cell} = {diag} + c[{j}]",
                 f"            a = {alt}",
-                f"            if a < {d}: {d} = a",
-                f"            {cur}[{j}] = {d}",
+                f"            if a < {cell}: {cell} = a",
             ]
-            diag, west = up, d
-            test.append(f"{d} > limit")
+            west = cell
+        if left < INF:
+            continue  # column 0 is in the band and passes the row test
+        # smallest gap, so largest threshold, first: a row that passes
+        # usually passes at its first compare
+        order = sorted((abs(m - i - n + j), j) for j in cols)
+        test = " and ".join(f"{at(i, j)} > t{g}" for g, j in order)
         code += [
-            f"            if {' and '.join(test)}:",
+            f"            if {test}:",
             f"                depth = {i}",
             "                abandoned += 1",
             f"                cells += {cum[i]}",
@@ -376,13 +446,16 @@ def _generate(m, n, lo, hi):
     code += [
         f"        depth = {m}",
         f"        cells += {cum[m]}",
-        f"        nd = s{m}[{n}] / {maxlen}" if maxlen else "        nd = 0.0",
+        f"        nd = {at(m, n)} / {maxlen}" if maxlen else "        nd = 0.0",
         "        if nd < best or (nd == best and ipas[k] < best_ipa):",
-        "            return k, depth, cells, abandoned, nd",
-        "    return len(labels), depth, cells, abandoned, None",
+        "            break",
+        "    else:",
+        "        k, nd = len(labels), None",
+        *store,
+        "    return k, depth, cells, abandoned, nd",
     ]
     namespace = {"INF": INF, "CUM": tuple(cum)}
-    exec(compile("\n".join(code), f"<scan {m}x{n} {lo}..{hi}>", "exec"), namespace)
+    exec(compile("\n".join(entry + code), f"<scan {m}x{n} {lo}..{hi}>", "exec"), namespace)
     return namespace["scan"]
 
 

@@ -474,6 +474,27 @@ def test_word_list_not_utf8_exits_one(capsys, tmp_path, fixtures_dir):
     assert_bad_file(code, err, lists_dir, "cannot read word list")
 
 
+def test_path_separator_in_a_list_header_exits_one_naming_its_line(capsys, tmp_path,
+                                                                   fixtures_dir):
+    # g2p refuses the list when it reads it, not after converting it
+    bad = tmp_path / "in.tsv"
+    bad.write_text("# lang=a/b pos=NOUN\nتم\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    code, _, err = run(capsys, "g2p", "--script", "perso-arabic", "--in", str(bad),
+                       "--out", str(out))
+    assert_bad_file(code, err, bad, "line 1: header lang=")
+    assert not out.exists()
+    lists_dir = tmp_path / "lists"
+    lists_dir.mkdir()
+    shutil.copy(fixtures_dir / "pronouns" / "hi.tsv", lists_dir)
+    ur = (fixtures_dir / "pronouns" / "ur.tsv").read_text(encoding="utf-8")
+    listed = lists_dir / "ur.tsv"
+    listed.write_text(ur.replace("pos=PRON", "pos=PR\\ON"), encoding="utf-8")
+    code, _, err = run(capsys, "matrix", "--lists", str(lists_dir),
+                       "--out", str(tmp_path / "r.csv"), "--jobs", "1")
+    assert_bad_file(code, err, listed, "line 1: header pos=")
+
+
 def test_crlf_word_list_reads_like_lf(capsys, tmp_path, fixtures_dir):
     hi = fixtures_dir / "pronouns" / "hi.tsv"
     crlf = tmp_path / "hi.tsv"

@@ -476,10 +476,12 @@ def test_wordlist_requires_header(tmp_path):
 
 @pytest.mark.parametrize(
     "header",
-    ["# lang=hi,xx pos=PRON", "# lang= pos=", "# lang=xx pos=", "# lang=xx pos=PRON,NOUN"],
+    ["# lang=hi,xx pos=PRON", "# lang= pos=", "# lang=xx pos=", "# lang=xx pos=PRON,NOUN",
+     "# lang=a/b pos=NOUN", "# lang=xx pos=..\\esc"],
 )
 def test_wordlist_header_values_must_be_nonempty_without_comma(tmp_path, header):
-    # a comma would add a field to the report's CSV rows
+    # a comma would add a field to the report's CSV rows, and the reader
+    # takes no path separator, which write_wordlist could not write back
     path = tmp_path / "w.tsv"
     path.write_text(f"# comment\n{header}\na\tx\n", encoding="utf-8")
     with pytest.raises(WordListError, match=rf"^{re.escape(str(path))} line 2: header"):

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import struct
 from contextlib import contextmanager
 
 import pytest
@@ -20,7 +21,9 @@ from pedlex import (
     phonetic_difference,
     tokenize,
 )
-from pedlex.ped import Bucket, band, dp_labels, dp_stack, row_spans, threshold
+from pedlex.ped import (
+    Bucket, band, dp_labels, dp_stack, gap_limits, max_gap, row_spans, threshold,
+)
 
 # the package re-exports a function named ``ped``, so import the module by path
 kernel = importlib.import_module("pedlex.ped")
@@ -323,6 +326,63 @@ def test_floor_of_threshold_is_the_band_limit(bound, maxlen):
     assert math.floor(threshold(bound, maxlen)) == largest
 
 
+def unit_chain(r, g):
+    """r + 1.0 + ... + 1.0, g times, rounded after each step as the DP does."""
+    for _ in range(g):
+        r += 1.0
+    return r
+
+
+def float_at(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def largest_within(limit, g):
+    """The largest float r >= 0 with unit_chain(r, g) <= limit, or None.
+
+    Non-negative floats order like their bit patterns, and the chain is
+    monotone in r, so a binary search over the patterns finds it."""
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", math.inf))[0]
+    if unit_chain(0.0, g) > limit:
+        return None
+    if unit_chain(math.inf, g) <= limit:
+        return math.inf
+    while hi - lo > 1:  # unit_chain(float_at(lo)) <= limit < unit_chain(float_at(hi))
+        mid = (lo + hi) // 2
+        if unit_chain(float_at(mid), g) <= limit:
+            lo = mid
+        else:
+            hi = mid
+    return float_at(lo)
+
+
+integral = st.integers(0, 2**60).map(float)
+limits = st.one_of(
+    integral,
+    integral.map(lambda x: math.nextafter(x, math.inf)),  # an integer + 1 ulp
+    integral.map(lambda x: math.nextafter(x, -math.inf)),
+    st.floats(0, 10),
+    st.floats(0, 1e-300),
+    st.floats(1e15, 1e308),
+    st.just(math.inf),
+)
+
+
+@given(limits)
+@example(2.0**52)
+@example(2.0**53)
+@example(math.nextafter(8.0, -math.inf))
+@settings(max_examples=300)
+def test_gap_limits_bound_every_value_the_limit_admits(limit):
+    # r > T[g] must prove that r plus g unit steps ends above the limit
+    thresholds = gap_limits(limit, 9)
+    assert thresholds[0] == limit
+    for g, threshold_g in enumerate(thresholds):
+        largest = largest_within(limit, g)
+        if largest is not None:
+            assert threshold_g >= largest, (limit, g)
+
+
 def test_infinite_limit_bands_every_cell():
     for m in range(8):
         for n in range(8):
@@ -343,12 +403,18 @@ def test_row_spans_cover_the_band(bound, m, n):
     spans = row_spans(m, n, lo, hi)
     assert len(spans) == m + 1
     for i in range(1, m + 1):
-        jlo, cols, sentinel, left, width = spans[i]
+        jlo, cols, sentinel, left, width, offset = spans[i]
         expected = [j for j in range(1, n + 1) if lo <= i - j <= hi]
         assert list(cols) == expected and width == len(expected)
         assert jlo == (expected[0] if expected else 1)
         assert left == (float(i) if i <= hi else math.inf)
         assert sentinel == (i - lo + 1 if i - lo < n else 0)
+        # every cell of the band, column 0 too, finds the threshold of its gap
+        top = max_gap(m, n, lo, hi)
+        for j in range(n + 1):
+            if lo <= i - j <= hi:
+                assert 0 <= offset + j <= 2 * top
+                assert abs(offset + j - top) == abs((m - i) - (n - j))
 
 
 # ---------------------------------------------------------------- kernel tiers
@@ -403,6 +469,14 @@ def scan_cases(draw):
 @given(scan_cases(), st.sampled_from([None, math.inf]))
 @example(([((), "")], 0, 3, [[0.0, 0.5, 1.0, 0.5]], math.inf, None, True), math.inf)
 @example(([((0, 0), "00"), ((0, 1), "01")], 2, 0, [[0.0], [0.0]], 0.9, "", True), None)
+# rows that only the gap term abandons: row 5 of 7 against 6 query labels
+# (row 6 without the gap), and the second candidate of a 3 x 4 bucket at
+# its last row (completed without the gap); a tier that dropped the gap
+# would compute other cells or leave other rows
+@example(([((0,) * 7, "0000000")], 7, 6, [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]], 0.25, "",
+          True), None)
+@example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, 4,
+          [[0.0] * 5, [0.0, 0.0, 0.0, 0.25, 0.25]], math.inf, None, True), None)
 @settings(max_examples=300, deadline=None)
 def test_generated_scans_match_the_interpreted_scan(case, narrow):
     entries, m, n, prof, best, best_ipa, prune = case
