@@ -6,7 +6,9 @@ the labels are equal). One kernel, ``dp_labels``, computes it for ``ped``,
 its edit-script trace and the greedy list alignment: one call scans a
 bucket of equal-length candidate words against one query word, rows over
 the candidate and columns over the query, and reuses the rows of a prefix
-shared with the previous candidate.
+shared with the previous candidate. It reads substitution costs from one
+table by candidate and query label id, so a query needs no cost profile of
+its own.
 
 The kernel cuts its search off at the normalized best-so-far. Only the
 diagonal band that a path within it can reach is filled (Ukkonen's cutoff),
@@ -15,7 +17,10 @@ beyond it once the unit steps still owed to its remaining length gap are
 counted (Ukkonen 1985; Spouge 1989): cell (i, j) of an m x n DP owes
 |(m-i) - (n-j)| insertions or deletions. Both tests are lower bounds on the
 final distance, so they never discard a candidate that could still win or
-tie; results with pruning are bit-identical to results without.
+tie; results with pruning are bit-identical to results without. A greedy
+search need not start from an infinite bound: ``start_bound`` prices one
+likely near word along its diagonal, a sound upper bound on that word's own
+distance, so the first candidate already runs on a narrow band.
 
 The band's shape, a plan (m, n, lo, hi), fixes the columns of every row,
 and the kernel runs each plan in one of two tiers that compute the same
@@ -26,14 +31,17 @@ as much as the cells. So a plan whose rows are all narrow, once it has
 proved hot, is generated as straight-line code with the rows and columns
 unrolled and compiled: the DP rows live in local variables for the whole
 scan, row 0 and column 0 are constants, and each cell's gap is a constant
-that picks its threshold. Compiling costs time and memory in proportion to
-the plan's cells, so only the narrow, hot plans that carry most of the work
-are worth it: wide plans (long words, loose bounds) and rarely used ones
-stay interpreted.
+that picks its threshold, which the scan computes from the limit on entry.
+A scan moves only the live rows, the ones the next candidate may resume
+from, between the stack and its locals. Compiling costs time and memory in
+proportion to the plan's cells, so only the narrow, hot plans that carry
+most of the work are worth it: wide plans (long words, loose bounds) and
+rarely used ones stay interpreted.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -144,6 +152,45 @@ def gap_limits(limit: float, size: int) -> list[float]:
     return [limit] + [limit - g + (g + 2) * u for g in range(1, size)]
 
 
+def start_bound(order, rows, query):
+    """A first guess at a query's nearest word: (bound, bucket, index).
+
+    The word is where ``query`` bisects into the first non-empty bucket of
+    ``order``, or that bucket's last word when the query sorts after them
+    all; its bound is the word's diagonal alignment in the DP's own float
+    order: d = d + rows[x[i]][query[i]] for i < min(m, n) from d = 0.0, then
+    |m - n| additions of 1.0, then d / maxlen (0.0 for two empty words).
+    Some bucket of ``order`` must hold a word.
+
+    Proof that the word's normalized distance nd is at most the bound. The
+    recurrence takes a min over its diagonal, up and left branches, and
+    float addition is monotone, so D[i][i] <= fl(D[i-1][i-1] + c) by
+    induction from D[0][0] = 0.0: each D[i][i] is at most the chain after i
+    steps. The tail of |m - n| unit steps follows the up branch (m > n) or
+    the left one (n > m) the same way, so D[m][n] <= d, and division by
+    maxlen is monotone.
+
+    So a search may start from (bound, the word's IPA) in place of (inf,
+    None), keeping the word when nothing wins. ``dp_labels`` keeps the
+    lexicographic (nd, IPA) minimum, and the word's own (nd, IPA) is at or
+    below the start, so the start never displaces the true minimum: the
+    final pick and its float are those an infinite start gives, and when
+    nothing wins, the word is that minimum with nd equal to the bound.
+    """
+    bucket = next(bucket for bucket in order if bucket.labels)
+    labels = bucket.labels
+    k = min(bisect_left(labels, query), len(labels) - 1)
+    x = labels[k]
+    m, n = len(x), len(query)
+    d = 0.0
+    for i in range(min(m, n)):
+        d = d + rows[x[i]][query[i]]
+    for _ in range(abs(m - n)):
+        d = d + 1.0
+    maxlen = m if m > n else n
+    return (d / maxlen if maxlen else 0.0), bucket, k
+
+
 def max_gap(rows: int, cols: int, lo: int, hi: int) -> int:
     """The most unit steps g = |(rows-i) - (cols-j)| that a cell on diagonals
     lo..hi still owes: g = |(i-j) - (rows-cols)|, and lo <= rows-cols <= hi."""
@@ -210,15 +257,15 @@ class Bucket:
         del self.labels[k], self.ipas[k], lcp[k]
 
 
-def dp_labels(bucket, prof, stack, best, best_ipa, prune, stats):
+def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     """Scan one bucket for a candidate nearer than ``best``; the DP kernel.
 
-    Rows run over a candidate, columns over a query word of n labels:
-    stack[0] is [0, 1, ..., n], stack[i][0] is i, and prof[label][j] is the
-    cost of substituting candidate label id ``label`` for query label j
-    (prof[label][0] is unused). Candidate k resumes from the rows of the
-    lcp[k] labels it shares with the one before, even rows that proved that
-    one hopeless; rows 1..m of the stack are overwritten.
+    Rows run over a candidate, columns over the query word, a tuple of n
+    label ids: stack[0] is [0, 1, ..., n], stack[i][0] is i, and
+    rows[a][b] is the cost of substituting candidate label id a for query
+    label id b, so cell (i, j) of candidate x costs rows[x[i-1]][query[j-1]].
+    Candidate k resumes from the rows of the lcp[k] labels it shares with
+    the one before, even rows that proved that one hopeless.
 
     With ``prune`` the search is cut off at ``best``: limit is
     ``threshold(best, maxlen)``, and row i computes only the columns on
@@ -241,13 +288,22 @@ def dp_labels(bucket, prof, stack, best, best_ipa, prune, stats):
 
     The bucket is run by scans, one plan (m, n, lo, hi) at a time: each
     scan stops at the first winner, and the scan of the tightened plan takes
-    over from the next candidate. A plan runs interpreted, or as a generated
-    scan once it is hot and narrow; a generated scan keeps the DP rows in
-    local variables and writes them back to the stack before it returns, so
-    either tier resumes from the rows the other left.
+    over from the next candidate. A plan runs interpreted, with the
+    thresholds of ``gap_limits``, or as a generated scan once it is hot and
+    narrow, which takes the limit and computes the same thresholds itself;
+    either is called with positional arguments only.
+
+    The live rows are 1..depth, where depth is what the last scan returned.
+    Every call starts at depth 0, so no scan reads a row that was not
+    written (or, by a generated scan, loaded) in the same call, and rows
+    above the depth are dead. A generated scan keeps the DP rows in local
+    variables: it loads rows 1..depth from the stack when it resumes after
+    a win, and stores rows 1..depth back before it returns, so either tier
+    resumes from the live rows the other left. After a win the depth is m,
+    so the winner's rows, which ``ped`` reads, are all live.
     """
     m = bucket.length
-    n = len(stack[0]) - 1
+    n = len(query)
     maxlen = m if m > n else n
     limit = threshold(best, maxlen) if prune else INF
     diagonals = band(limit, m, n)
@@ -261,13 +317,15 @@ def dp_labels(bucket, prof, stack, best, best_ipa, prune, stats):
     while True:
         lo, hi = diagonals
         plan = (m, n, lo, hi)
-        limits = gap_limits(limit, max_gap(m, n, lo, hi) + 1)
-        args = (labels, lcp, ipas, prof, stack, k, depth, limits, best, best_ipa)
         scan = _compiled.get(plan)
         if scan is not None:
-            k, depth, c, a, nd = scan(*args)
+            k, depth, c, a, nd = scan(
+                labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa)
         else:
-            k, depth, c, a, nd = _interpret(row_spans(*plan), *args)
+            limits = gap_limits(limit, max_gap(m, n, lo, hi) + 1)
+            k, depth, c, a, nd = _interpret(
+                row_spans(*plan), labels, lcp, ipas, rows, query, stack, k, depth, limits,
+                best, best_ipa)
             _warm(plan, c)
         cells += c
         abandoned += a
@@ -284,18 +342,18 @@ def dp_labels(bucket, prof, stack, best, best_ipa, prune, stats):
     return hit
 
 
-def _interpret(spans, labels, lcp, ipas, prof, stack, k, depth, limits, best, best_ipa):
+def _interpret(spans, labels, lcp, ipas, rows, query, stack, k, depth, limits, best, best_ipa):
     """Scan candidates k, k + 1, ... on the plan ``spans`` until one wins.
 
-    ``depth`` rows of the stack are valid for candidate k - 1, ``limits`` is
-    ``gap_limits`` of the limit over the gaps of the plan's cells, and
-    ``best`` and ``best_ipa`` are those of ``dp_labels``. Returns (index,
-    depth, cells, abandoned, nd) at the first winner, or (len(labels), depth,
+    ``depth`` rows of the stack are live for candidate k - 1, ``limits`` is
+    ``gap_limits`` of the limit over the gaps of the plan's cells, and the
+    other arguments are those of ``dp_labels``. Returns (index, depth,
+    cells, abandoned, nd) at the first winner, or (len(labels), depth,
     cells, abandoned, None) when none wins. Every plan can run here;
     generated scans (``_generate``) must agree with it.
     """
     m = len(spans) - 1
-    n = len(stack[0]) - 1
+    n = len(query)
     maxlen = m if m > n else n
     vee = limits[:0:-1] + limits  # vee[offset + j] is the threshold of cell (i, j)
     cells = abandoned = 0
@@ -307,7 +365,7 @@ def _interpret(spans, labels, lcp, ipas, prof, stack, k, depth, limits, best, be
         for i in range(depth + 1, m + 1):
             jlo, cols, sentinel, left, width, offset = spans[i]
             cur = stack[i]
-            cost = prof[x[i - 1]]
+            cost = rows[x[i - 1]]
             if sentinel:
                 cur[sentinel] = INF
             # column 0 in the band passes the row test: its value i plus its
@@ -317,7 +375,7 @@ def _interpret(spans, labels, lcp, ipas, prof, stack, k, depth, limits, best, be
             diag = prev[jlo - 1]
             for j in cols:
                 up = prev[j]
-                d = diag + cost[j]
+                d = diag + cost[query[j - 1]]
                 # min(up, left) + 1.0 == min(up + 1.0, left + 1.0) exactly
                 alt = (up if up < left else left) + 1.0
                 if alt < d:
@@ -340,52 +398,77 @@ def _interpret(spans, labels, lcp, ipas, prof, stack, k, depth, limits, best, be
     return len(labels), depth, cells, abandoned, None
 
 
-# Scans are generated for plans whose rows are at most _NARROW cells wide,
-# once the interpreted scan has computed _HOT cells on the plan in this
-# process; at most _MAX_COMPILED of them are kept. Measured on a 2-core
-# Xeon under CPython 3.11: compiling a plan takes 50-190 us per cell of
-# its rows (about 1 ms for 10-16 cells, 1.4-2 ms for 30) and keeps 3-8 KB,
-# and a generated scan computes a cell about 110 ns faster than the
-# interpreted one. _HOT is that compile cost of a typical plan divided by
-# the saving, so a plan is compiled once the interpreted scan has spent
-# about as long on it as compiling will take. Plans up to 5 wide hold 98%
-# of the cells of two unrelated 1000-word lists and 95% of a six-language
-# corpus (91% and 76% up to 4 wide). The width cap keeps long words
-# interpreted: on two 300-word lists of 8-30 phones no plan gets hot
-# enough, and without the cap 128 plans compiled, rows up to 28 wide, which
-# took the first pass from 0.6 to 2.6 s and its peak RSS from 22 to 41 MB.
-# Both caches change only the speed of a scan, never its result.
+# A scan is generated for a plan whose rows are at most _NARROW cells wide,
+# once the interpreted scan has computed _HOT times the plan's own cells on
+# it in this process, and at least _HOT_FLOOR; at most _MAX_COMPILED are
+# kept. Measured on a 2-core Xeon under CPython 3.11: compiling a plan takes
+# 50-80 us per cell of its rows (0.6 ms for 7 cells, 3.2 ms for 53) and
+# keeps 3-8 KB, and a generated scan computes a cell about 110 ns faster
+# than the interpreted one. So the compile cost grows with the plan's cells,
+# and the trigger does too: at 200 times its cells, a plan compiles once the
+# interpreted scan has spent about a third of the compile cost on it. That
+# is early, because a plan that gets hot early stays hot, and a fresh pool
+# worker gains most from compiling its hot plans soon; a flat trigger low
+# enough for that compiles long words' plans too. On a six-language corpus
+# under two workers, 100-300 times and floors of 512-1,024 ran within noise
+# of each other; on two 300-word lists of 8-30 phones, 100 times compiled 9
+# plans of 38-53 cells by the second pass, 200 times none. Plans up to 5
+# wide hold 98% of the cells of two unrelated 1000-word lists and 95% of a
+# six-language corpus (91% and 76% up to 4 wide). The width cap keeps long
+# words interpreted: without it, those 300-word lists compiled 128 plans,
+# rows up to 28 wide, which took the first pass from 0.6 to 2.6 s and its
+# peak RSS from 22 to 41 MB. Both caches change only the speed of a scan,
+# never its result.
 _NARROW = 5
-_HOT = 8192
+_HOT = 200
+_HOT_FLOOR = 1024
 _MAX_COMPILED = 128
 _compiled: dict[tuple, object] = {}  # plan -> generated scan
-_heat: dict[tuple, float] = {}  # plan -> cells the interpreted scan computed
+_heat: dict[tuple, float] = {}  # plan -> interpreted cells still to go before it compiles
 
 
 def _warm(plan, cells):
     """Book ``cells`` of interpreted work on ``plan`` and compile it once hot."""
     if len(_compiled) >= _MAX_COMPILED:
         return
-    if len(_heat) >= 4096 and plan not in _heat:
-        _heat.clear()  # as many plans as row_spans caches; start counting again
-    heat = _heat[plan] = _heat.get(plan, 0) + cells
-    if heat >= _HOT:
-        if max((span[4] for span in row_spans(*plan)[1:]), default=0) <= _NARROW:
-            _compiled[plan] = _generate(*plan)
-        else:
-            _heat[plan] = -INF  # wide: never compiles
+    left = _heat.get(plan)
+    if left is None:
+        if len(_heat) >= 4096:
+            _heat.clear()  # as many plans as row_spans caches; start counting again
+        widths = [span[4] for span in row_spans(*plan)[1:]]
+        # a wide plan never compiles
+        left = INF if max(widths, default=0) > _NARROW else max(_HOT_FLOOR, _HOT * sum(widths))
+    left -= cells
+    if left > 0:
+        _heat[plan] = left
+    else:
+        _heat.pop(plan, None)
+        _compiled[plan] = _generate(*plan)
+
+
+def _ladder(lines):
+    """Function-level code running lines[i - 1] when depth >= i, nested so
+    that a scan at depth 0 tests once; the nesting restarts every 32 rows,
+    well inside the parser's indentation limit."""
+    code = []
+    for i, line in enumerate(lines, 1):
+        pad = "    " * (1 + (i - 1) % 32)
+        code += [f"{pad}if depth >= {i}:", f"{pad}    {line}"]
+    return code
 
 
 def _generate(m, n, lo, hi):
     """The scan of plan (m, n, lo, hi) as straight-line code.
 
     It does what ``_interpret`` does on ``row_spans(m, n, lo, hi)``, with
-    the row and column loops unrolled. Cell (i, j) of rows 1..m is the local
-    v<i>_<j>: the scan loads each row's band and sentinel columns from the
-    stack on entry and stores them back on return, so a scan that resumes
-    rows another plan left reads what the interpreted scan would. Row 0 and
-    column 0 are constants, and so is every cell's gap: its threshold is the
-    local t<g>, loaded from ``limits`` on entry. Row i runs when depth < i,
+    the row and column loops unrolled, and takes the arguments of
+    ``_interpret`` with ``limit`` in place of its thresholds. Cell (i, j) of
+    rows 1..m is the local v<i>_<j>, and query label j is the local q<j>.
+    Row 0 and column 0 are constants, and so is every cell's gap g: its
+    threshold is the local t<g>, computed on entry with the expression of
+    ``gap_limits``, so it is the same float. The scan loads the band and
+    sentinel columns of rows 1..depth from the stack on entry and stores
+    them back on return: only live rows move. Row i runs when depth < i,
     the row test is an ``and`` of ``> t<g>`` compares, and cells are booked
     per candidate as a difference of cumulative row widths.
     """
@@ -394,10 +477,7 @@ def _generate(m, n, lo, hi):
     def at(i, j):  # cell (i, j): a constant in row 0 and column 0, else a local
         return repr(float(j)) if i == 0 else repr(float(i)) if j == 0 else f"v{i}_{j}"
 
-    gaps = ", ".join(f"t{g}" for g in range(max_gap(m, n, lo, hi) + 1))
-    entry = ["def scan(labels, lcp, ipas, prof, stack, k, depth, limits, best, best_ipa):",
-             f"    {gaps}, = limits"]
-    store = []
+    loads, stores, gaps = [], [], set()
     code = [
         "    cells = abandoned = 0",
         "    for k in range(k, len(labels)):",
@@ -411,12 +491,14 @@ def _generate(m, n, lo, hi):
         jlo, cols, sentinel, left, width, _ = spans[i]
         cum.append(cum[-1] + width)
         if not cols:
-            continue  # n = 0: the row is column 0 alone, which passes the test
+            # n = 0: the row is column 0 alone, which passes the test (for
+            # n > 0 every row has band columns, so loads[i - 1] is row i)
+            continue
         last = sentinel or cols[-1]
         names = ", ".join(at(i, j) for j in range(jlo, last + 1))
-        entry.append(f"    {names}, = stack[{i}][{jlo}:{last + 1}]")
-        store.append(f"    stack[{i}][{jlo}:{last + 1}] = {names},")
-        code += [f"        if depth < {i}:", f"            c = prof[x[{i - 1}]]"]
+        loads.append(f"{names}, = stack[{i}][{jlo}:{last + 1}]")
+        stores.append(f"stack[{i}][{jlo}:{last + 1}] = {names},")
+        code += [f"        if depth < {i}:", f"            c = rows[x[{i - 1}]]"]
         if sentinel:
             code.append(f"            {at(i, sentinel)} = INF")
         west = None if left == INF else at(i, 0)  # column 0, when in the band
@@ -424,7 +506,7 @@ def _generate(m, n, lo, hi):
             cell, diag, up = at(i, j), at(i - 1, j - 1), at(i - 1, j)
             alt = f"{up} + 1.0" if west is None else f"({up} if {up} < {west} else {west}) + 1.0"
             code += [
-                f"            {cell} = {diag} + c[{j}]",
+                f"            {cell} = {diag} + c[q{j}]",
                 f"            a = {alt}",
                 f"            if a < {cell}: {cell} = a",
             ]
@@ -434,6 +516,7 @@ def _generate(m, n, lo, hi):
         # smallest gap, so largest threshold, first: a row that passes
         # usually passes at its first compare
         order = sorted((abs(m - i - n + j), j) for j in cols)
+        gaps.update(g for g, _ in order)
         test = " and ".join(f"{at(i, j)} > t{g}" for g, j in order)
         code += [
             f"            if {test}:",
@@ -451,11 +534,19 @@ def _generate(m, n, lo, hi):
         "            break",
         "    else:",
         "        k, nd = len(labels), None",
-        *store,
+        *_ladder(stores),
         "    return k, depth, cells, abandoned, nd",
     ]
-    namespace = {"INF": INF, "CUM": tuple(cum)}
-    exec(compile("\n".join(entry + code), f"<scan {m}x{n} {lo}..{hi}>", "exec"), namespace)
+    entry = ["def scan(labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa):"]
+    if n:
+        entry.append(f"    {', '.join(f'q{j}' for j in range(1, n + 1))}, = query")
+    if gaps - {0}:
+        entry.append("    u = ulp(limit)")
+    entry += [f"    t{g} = limit - {g} + {g + 2} * u" if g else "    t0 = limit"
+              for g in sorted(gaps)]
+    namespace = {"INF": INF, "CUM": tuple(cum), "ulp": ulp}
+    source = "\n".join(entry + _ladder(loads) + code)
+    exec(compile(source, f"<scan {m}x{n} {lo}..{hi}>", "exec"), namespace)
     return namespace["scan"]
 
 
@@ -470,14 +561,14 @@ def dp_stack(rows: int, cols: int) -> list[list[float]]:
 
 def _edit_script(source, target, sub, stack):
     """Backtrack a full DP matrix into edit operations, source to target;
-    sub[i - 1][j] prices source[i - 1] against target[j - 1]."""
+    sub[i - 1][j - 1] prices source[i - 1] against target[j - 1]."""
     x = [p.label for p in source]
     w = [p.label for p in target]
     ops: list[EditOp] = []
     i, j = len(x), len(w)
     while i > 0 or j > 0:
         if i > 0 and j > 0:
-            cost = sub[i - 1][j]
+            cost = sub[i - 1][j - 1]
             if stack[i][j] == stack[i - 1][j - 1] + cost:
                 op = "match" if x[i - 1] == w[j - 1] else "substitute"
                 ops.append(EditOp(op, x[i - 1], w[j - 1], cost))
@@ -525,13 +616,14 @@ def ped(
     if band(threshold(best, max(m, n)), m, n) is None:
         stats.prefiltered += 1
         return None
-    # candidate label ids are source positions
-    prof = [[0.0] + [costs.pair(a, b) for b in target] for a in source]
+    # label ids are positions: rows[i][j] prices source[i] against target[j]
+    rows = [[costs.pair(a, b) for b in target] for a in source]
     stack = dp_stack(m, n)
-    hit = dp_labels(Bucket(m, [(tuple(range(m)), "")]), prof, stack, best, "", True, stats)
+    bucket = Bucket(m, [(tuple(range(m)), "")])
+    hit = dp_labels(bucket, rows, tuple(range(n)), stack, best, "", True, stats)
     if hit is None:
         return None
     ops = None
     if trace:
-        ops = _edit_script(source, target, prof, stack)
+        ops = _edit_script(source, target, rows, stack)
     return PedResult(distance=stack[m][n], normalized=hit[1], ops_trace=ops)

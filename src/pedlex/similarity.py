@@ -8,6 +8,13 @@ disjoint). Greedy results depend on iteration order, so the order is pinned
 go to the lexicographically smallest candidate, and sums accumulate in
 iteration order. The same scores come out with or without DP pruning and for
 any worker count.
+
+Each list is numbered by its own phones, and one cost table prices every
+long-list label id against every short-list one; the DP kernel reads it by
+the query's label ids, so a query builds nothing before its search. The
+search starts from a sound bound, not from infinity: the diagonal alignment
+of one word of the nearest-length bucket (``ped.start_bound``), which keeps
+that word unless another is strictly nearer or ties it with a smaller IPA.
 """
 
 from __future__ import annotations
@@ -17,14 +24,12 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from math import inf
-from operator import itemgetter
 
 from .corpus import WordList
 from .distance import SubstitutionCosts
 from .errors import PedlexError, TokenizeError, WordListError
 from .features import FeatureInventory
-from .ped import Bucket, DpStats, dp_labels, dp_stack
+from .ped import Bucket, DpStats, dp_labels, dp_stack, start_bound
 from .tokenizer import tokenize
 
 log = logging.getLogger("pedlex.similarity")
@@ -146,8 +151,10 @@ def _greedy_total(queries, long_, rows, prune, stats):
 
     The long list is scanned in buckets of equal token length, nearest
     length first; each bucket is one ``dp_labels`` call, which skips it
-    whole when its length gap alone exceeds the best-so-far.
-    rows[a][b] prices long-list label id a against short-list label id b.
+    whole when its length gap alone exceeds the best-so-far. A query starts
+    from ``start_bound``'s word rather than from an infinite bound, which
+    picks the same word. rows[a][b] prices long-list label id a against
+    short-list label id b.
     """
     by_length: dict[int, list] = {}
     for ipa, labels in long_.items():
@@ -155,23 +162,17 @@ def _greedy_total(queries, long_, rows, prune, stats):
     buckets = [Bucket(length, by_length[length]) for length in sorted(by_length)]
     visits: dict[int, list] = {}  # bucket visit order per query length
     stack = dp_stack(buckets[-1].length, max(map(len, queries)))  # reused across queries
-    head = (0.0,)  # prof[label][0] is unused
     total = 0.0
     for w in queries:
         n = len(w)
-        if n > 1:
-            get = itemgetter(*w)
-            prof = [head + get(row) for row in rows]
-        else:  # itemgetter of one index returns the item, not a tuple
-            prof = [head + tuple([row[j] for j in w]) for row in rows]
         stack[0] = [float(j) for j in range(n + 1)]
         order = visits.get(n)
         if order is None:
             order = visits[n] = sorted(buckets, key=lambda b: (abs(b.length - n), b.length))
-        best = inf
-        best_ipa = best_at = None
+        best, bucket, k = start_bound(order, rows, w)
+        best_ipa, best_at = bucket.ipas[k], (bucket, k)
         for bucket in order:
-            hit = dp_labels(bucket, prof, stack, best, best_ipa, prune, stats)
+            hit = dp_labels(bucket, rows, w, stack, best, best_ipa, prune, stats)
             if hit is not None:
                 k, best = hit
                 best_ipa, best_at = bucket.ipas[k], (bucket, k)

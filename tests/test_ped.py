@@ -22,7 +22,7 @@ from pedlex import (
     tokenize,
 )
 from pedlex.ped import (
-    Bucket, band, dp_labels, dp_stack, gap_limits, max_gap, row_spans, threshold,
+    Bucket, band, dp_labels, dp_stack, gap_limits, max_gap, row_spans, start_bound, threshold,
 )
 
 # the package re-exports a function named ``ped``, so import the module by path
@@ -383,6 +383,26 @@ def test_gap_limits_bound_every_value_the_limit_admits(limit):
             assert threshold_g >= largest, (limit, g)
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_start_bound_is_at_least_the_unpruned_distance(data):
+    # the diagonal chain against the DP value, in plain float order: costs
+    # of 0 between distinct labels and of 1.5, and words of unequal or zero
+    # length included
+    m, n = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    alphabet, ids = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    cost = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 1.0, 1.5]), st.floats(0.0, 1.5))
+    rows = [data.draw(st.lists(cost, min_size=ids, max_size=ids)) for _ in range(alphabet)]
+    word = tuple(data.draw(st.lists(st.integers(0, alphabet - 1), min_size=m, max_size=m)))
+    query = tuple(data.draw(st.lists(st.integers(0, ids - 1), min_size=n, max_size=n)))
+    bucket = Bucket(m, [(word, "w")])
+    # an emptied bucket first in the visit order is passed over
+    bound, start, k = start_bound([Bucket(n, []), bucket], rows, query)
+    assert (start, k) == (bucket, 0)
+    hit = dp_labels(bucket, rows, query, dp_stack(m, n), math.inf, None, False, DpStats())
+    assert bound >= hit[1]
+
+
 def test_infinite_limit_bands_every_cell():
     for m in range(8):
         for n in range(8):
@@ -422,11 +442,13 @@ def test_row_spans_cover_the_band(bound, m, n):
 
 @contextmanager
 def tiers(hot, narrow=None, bound=None):
-    """Run with compile threshold ``hot`` (and, if given, width cap and cache
-    bound) and empty caches; yields the cache of compiled scans."""
-    names = ("_HOT", "_NARROW", "_MAX_COMPILED", "_compiled", "_heat")
+    """Run with compile trigger ``hot`` (the multiple of a plan's cells and
+    its floor alike: 0 compiles every narrow plan a scan runs, inf none)
+    and, if given, width cap and cache bound, and empty caches; yields the
+    cache of compiled scans."""
+    names = ("_HOT", "_HOT_FLOOR", "_NARROW", "_MAX_COMPILED", "_compiled", "_heat")
     saved = [getattr(kernel, name) for name in names]
-    kernel._HOT, kernel._compiled, kernel._heat = hot, {}, {}
+    kernel._HOT, kernel._HOT_FLOOR, kernel._compiled, kernel._heat = hot, hot, {}, {}
     if narrow is not None:
         kernel._NARROW = narrow
     if bound is not None:
@@ -438,16 +460,54 @@ def tiers(hot, narrow=None, bound=None):
             setattr(kernel, name, value)
 
 
-def scan_twice(bucket, prof, n, best, best_ipa, prune):
-    """Two identical dp_labels calls on one stack; per call, the hit, the
-    stack rows and the four DpStats counters."""
-    stack = dp_stack(bucket.length, n)
+def live_rows(spans, stack, depth):
+    """Rows 1..depth of the stack, each on the band and sentinel columns of
+    the plan ``spans``: what the next scan may read."""
+    rows = []
+    for i in range(1, depth + 1):
+        jlo, cols, sentinel = spans[i][:3]
+        rows.append(stack[i][jlo:(sentinel or jlo + len(cols) - 1) + 1])
+    return rows
+
+
+@contextmanager
+def scan_log():
+    """Record every scan either tier runs, with caches that start empty: its
+    result and the live rows it leaves."""
+    log = []
+    interpret, generate = kernel._interpret, kernel._generate
+
+    def record(spans, stack, result):
+        log.append((result, live_rows(spans, stack, result[1])))
+        return result
+
+    def interpreted(spans, *args):
+        return record(spans, args[5], interpret(spans, *args))
+
+    def generated(*plan):
+        scan, spans = generate(*plan), row_spans(*plan)
+        return lambda *args: record(spans, args[5], scan(*args))
+
+    kernel._interpret, kernel._generate = interpreted, generated
+    try:
+        yield log
+    finally:
+        kernel._interpret, kernel._generate = interpret, generate
+
+
+def scan_twice(bucket, rows, query, best, best_ipa, prune, dead=None):
+    """Two identical dp_labels calls on one stack; per call, the hit and the
+    four DpStats counters. With ``dead`` set, every row the call starts
+    without (columns 1..n of rows 1..m) holds ``dead`` first."""
+    stack = dp_stack(bucket.length, len(query))
     runs = []
     for _ in range(2):
+        if dead is not None:
+            for row in stack[1:]:
+                row[1:] = [dead] * (len(row) - 1)
         stats = DpStats()
-        hit = dp_labels(bucket, prof, stack, best, best_ipa, prune, stats)
-        counters = (stats.cells, stats.dps, stats.abandoned, stats.prefiltered)
-        runs.append((hit, [row[:] for row in stack], counters))
+        hit = dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats)
+        runs.append((hit, (stats.cells, stats.dps, stats.abandoned, stats.prefiltered)))
     return runs
 
 
@@ -460,33 +520,58 @@ def scan_cases(draw):
     entries = [(word, "".join(map(str, word)) + draw(st.sampled_from(["", "x"])))
                for word in words]
     cost = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
-    prof = [[0.0] + draw(st.lists(cost, min_size=n, max_size=n)) for _ in range(alphabet)]
+    ids = draw(st.integers(1, 3))  # query label ids, repeats included
+    rows = [draw(st.lists(cost, min_size=ids, max_size=ids)) for _ in range(alphabet)]
+    query = tuple(draw(st.lists(st.integers(0, ids - 1), min_size=n, max_size=n)))
     best = draw(st.one_of(st.just(math.inf), st.floats(0.0, 1.2)))
     best_ipa = None if best == math.inf else draw(st.sampled_from(["", "1", "2x"]))
-    return entries, m, n, prof, best, best_ipa, draw(st.booleans())
+    return entries, m, rows, query, best, best_ipa, draw(st.booleans())
 
 
 @given(scan_cases(), st.sampled_from([None, math.inf]))
-@example(([((), "")], 0, 3, [[0.0, 0.5, 1.0, 0.5]], math.inf, None, True), math.inf)
-@example(([((0, 0), "00"), ((0, 1), "01")], 2, 0, [[0.0], [0.0]], 0.9, "", True), None)
+@example(([((), "")], 0, [[0.5, 1.0, 0.5]], (0, 1, 2), math.inf, None, True), math.inf)
+@example(([((0, 0), "00"), ((0, 1), "01")], 2, [[0.0], [0.0]], (), 0.9, "", True), None)
 # rows that only the gap term abandons: row 5 of 7 against 6 query labels
 # (row 6 without the gap), and the second candidate of a 3 x 4 bucket at
 # its last row (completed without the gap); a tier that dropped the gap
 # would compute other cells or leave other rows
-@example(([((0,) * 7, "0000000")], 7, 6, [[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]], 0.25, "",
-          True), None)
-@example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, 4,
-          [[0.0] * 5, [0.0, 0.0, 0.0, 0.25, 0.25]], math.inf, None, True), None)
+@example(([((0,) * 7, "0000000")], 7, [[0.0, 1.0]], (0, 0, 0, 0, 1, 0), 0.25, "", True),
+         None)
+@example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, [[0.0, 0.0], [0.0, 0.25]],
+          (0, 0, 1, 1), math.inf, None, True), None)
 @settings(max_examples=300, deadline=None)
 def test_generated_scans_match_the_interpreted_scan(case, narrow):
-    entries, m, n, prof, best, best_ipa, prune = case
+    # per call the hit and the counters, and per scan its result and the
+    # live rows it leaves: rows above the depth are dead, and the tiers may
+    # leave them differently
+    entries, m, rows, query, best, best_ipa, prune = case
     results = []
     for hot in (math.inf, 0):
-        with tiers(hot, narrow) as compiled:
-            results.append(scan_twice(Bucket(m, list(entries)), prof, n, best, best_ipa, prune))
-            scanned = results[-1][0][2][1]  # dps of the first call
-            if hot == 0 and narrow == math.inf and scanned:
+        with tiers(hot, narrow) as compiled, scan_log() as log:
+            calls = scan_twice(Bucket(m, list(entries)), rows, query, best, best_ipa, prune)
+            results.append((calls, log))
+            if hot == 0 and narrow == math.inf and calls[0][1][1]:
                 assert compiled  # the first call compiled every plan it ran
+    assert results[0] == results[1]
+
+
+@given(scan_cases(), st.sampled_from([math.inf, 0]))
+# the first candidate is abandoned at row 1, and the second shares two
+# labels with it: row 2 is dead, and the second resumes from row 1
+@example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, [[1.0], [1.0]], (0, 0, 0), 0.1, "",
+          True), math.inf)
+@example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, [[1.0], [1.0]], (0, 0, 0), 0.1, "",
+          True), 0)
+@settings(max_examples=200, deadline=None)
+def test_no_scan_reads_a_dead_row(case, hot):
+    # -1.0 lowers any DP value that reads it, so a scan that read a row not
+    # written or loaded in its own call would change a hit or a counter
+    entries, m, rows, query, best, best_ipa, prune = case
+    results = []
+    for dead in (None, -1.0):
+        with tiers(hot):
+            results.append(scan_twice(Bucket(m, list(entries)), rows, query, best, best_ipa,
+                                      prune, dead))
     assert results[0] == results[1]
 
 
@@ -495,13 +580,13 @@ def test_a_win_switches_plan_and_tier_mid_bucket():
     # first wins on the full band and the second on band -3..3, both wider
     # than the cap and interpreted; the last two win on -1..1 and 0..0,
     # which the first call compiled
-    prof = [[0.0] + [1.0] * 6, [0.0] + [0.5] * 6, [0.0] + [0.0] * 6]
+    rows = [[1.0], [0.5], [0.0]]
     entries = [((0,) * 6, "a"), ((1,) * 6, "b"), ((2,) * 5 + (1,), "c"), ((2,) * 6, "d")]
 
     def scan():
         stats = DpStats()
-        hit = dp_labels(Bucket(6, list(entries)), prof, dp_stack(6, 6), math.inf, None, True,
-                        stats)
+        hit = dp_labels(Bucket(6, list(entries)), rows, (0,) * 6, dp_stack(6, 6), math.inf,
+                        None, True, stats)
         return hit, (stats.cells, stats.dps, stats.abandoned)
 
     with tiers(math.inf):

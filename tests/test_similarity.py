@@ -170,11 +170,19 @@ def list_pairs(draw):
 # from rows that already failed it: a shared "u"/"uu" prefix, or all of "paa:"
 @example((["pat"], ["pad", "uui", "uum", "uut"]), None)
 @example((["pat"], ["bat", "paa:", "paaː", "pas"]), None)
-# one-phone queries only: each cost profile row holds a single cost
+# one-phone queries only: every query is a single column
 @example((["a", "p"], ["a:", "b", "pa"]), None)
 # "di" is 1/2 from "ui" (scanned first) and from "d" (scanned next): the
 # exact tie goes to "d", the smaller IPA
 @example((["di"], ["d", "ui"]), None)
+# the start word ties the optimum exactly: "ia:t" starts at 2/3 and keeps
+# the pick over "stm", a larger IPA at 2/3; "p" starts at 1.0 and loses it
+# to "aːa", a smaller IPA at 1.0
+@example((["taː"], ["ia:t", "iiaːs", "iid", "stm"]), None)
+@example((["u"], ["aːa", "ba:a", "p"]), None)
+# claims empty the nearest bucket: the last two queries start from a word
+# of another length
+@example((["a:aːb", "mb", "u"], ["aːt", "ma:si", "pmaːa:", "tbi"]), None)
 def test_align_lists_pruned_unpruned_and_oracle_agree(pair, shuffle_seed):
     short, long_ = pair
     l1, l2 = wordlist("aa", "NOUN", short), wordlist("bb", "NOUN", long_)
@@ -212,7 +220,7 @@ def test_seeded_200_word_cell_work_and_score_pinned():
     stats = DpStats()
     cell = align_lists(a, b, INV, costs=COSTS, stats=stats)
     assert (stats.cells, stats.dps, stats.abandoned, stats.prefiltered) == (
-        101509, 9511, 8670, 10589)
+        96964, 9511, 8823, 10589)
     assert cell.mu_psi.hex() == "0x1.72c24e72ba1d2p-2"
 
 
