@@ -157,7 +157,9 @@ def start_bound(order, rows, query):
 
     The word is where ``query`` bisects into the first non-empty bucket of
     ``order``, or that bucket's last word when the query sorts after them
-    all; its bound is the word's diagonal alignment in the DP's own float
+    all: the query and the words are numbered alike, by the run's phones in
+    label order, so that is the word next to the query in label order. Its
+    bound is the word's diagonal alignment in the DP's own float
     order: d = d + rows[x[i]][query[i]] for i < min(m, n) from d = 0.0, then
     |m - n| additions of 1.0, then d / maxlen (0.0 for two empty words).
     Some bucket of ``order`` must hold a word.
@@ -273,18 +275,18 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     the only cells of a row that the next row reads, so a row computed under
     a wider band stays valid under a narrower one. A bucket whose length gap
     alone exceeds the limit is booked in ``stats.prefiltered`` and not
-    scanned. Every path to the last cell crosses each row, and from cell
-    (i, j) it still owes g = |(m-i) - (n-j)| unit steps; ``gap_limits(limit,
-    ...)`` gives per g a threshold above which such a cell cannot end within
-    the limit. Once every cell of a row's band (column 0 too, when it is in
-    the band) exceeds the threshold of its gap, no path through the row
-    scores within best: the candidate is abandoned, and a candidate resumed
-    from such a row cannot win either.
+    scanned, and the call returns False. Every path to the last cell
+    crosses each row, and from cell (i, j) it still owes g = |(m-i) - (n-j)|
+    unit steps; ``gap_limits(limit, ...)`` gives per g a threshold above
+    which such a cell cannot end within the limit. Once every cell of a
+    row's band (column 0 too, when it is in the band) exceeds the threshold
+    of its gap, no path through the row scores within best: the candidate is
+    abandoned, and a candidate resumed from such a row cannot win either.
 
     A completed candidate with normalized distance nd wins when nd < best,
     or nd == best and its IPA sorts before ``best_ipa``; with ``prune`` the
     cut-offs then tighten to nd. Returns (index, nd) of the last winner, or
-    None. Books every scanned candidate in ``stats.dps``.
+    None when none wins. Books every scanned candidate in ``stats.dps``.
 
     The bucket is run by scans, one plan (m, n, lo, hi) at a time: each
     scan stops at the first winner, and the scan of the tightened plan takes
@@ -310,7 +312,7 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     labels = bucket.labels
     if diagonals is None:
         stats.prefiltered += len(labels)
-        return None
+        return False
     lcp, ipas = bucket.lcp, bucket.ipas
     hit = None
     k = depth = cells = abandoned = 0
@@ -621,7 +623,7 @@ def ped(
     stack = dp_stack(m, n)
     bucket = Bucket(m, [(tuple(range(m)), "")])
     hit = dp_labels(bucket, rows, tuple(range(n)), stack, best, "", True, stats)
-    if hit is None:
+    if not hit:
         return None
     ops = None
     if trace:

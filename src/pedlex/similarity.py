@@ -7,14 +7,17 @@ disjoint). Greedy results depend on iteration order, so the order is pinned
 (sorted by IPA string, with an opt-in seeded-shuffle diagnostic), argmin ties
 go to the lexicographically smallest candidate, and sums accumulate in
 iteration order. The same scores come out with or without DP pruning and for
-any worker count.
+any number of processes.
 
-Each list is numbered by its own phones, and one cost table prices every
-long-list label id against every short-list one; the DP kernel reads it by
-the query's label ids, so a query builds nothing before its search. The
-search starts from a sound bound, not from infinity: the diagonal alignment
-of one word of the nearest-length bucket (``ped.start_bound``), which keeps
-that word unless another is strictly nearer or ties it with a smaller IPA.
+A run prepares each list once: it tokenizes the list, numbers the run's
+phones in label order, so id tuples sort like label tuples, and prices one
+dense table over those phones. ``build_matrix`` prepares every list that
+some cell uses before any cell runs, and ``align_lists`` its own two. The
+DP kernel reads the table by the query's label ids, so a query builds
+nothing before its search. The search starts from a sound bound, not from
+infinity: the diagonal alignment of the word next to the query in label
+order in the nearest-length bucket (``ped.start_bound``), which keeps that
+word unless another is strictly nearer or ties it with a smaller IPA.
 """
 
 from __future__ import annotations
@@ -58,11 +61,10 @@ class SimilarityReport:
 
 
 def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: bool):
-    """Distinct IPA strings of a list mapped to label-id tuples, and the
-    list's distinct phones by id. Ids are numbered in label order, so id
-    tuples sort like label tuples. With ``skip_unknown``, strings that do not
-    tokenize are dropped: one warning per list gives their count, and each
-    is logged at DEBUG."""
+    """Distinct IPA strings of a list mapped to their phone tuples, and the
+    list's distinct phones in label order. With ``skip_unknown``, strings
+    that do not tokenize are dropped: one warning per list gives their count,
+    and each is logged at DEBUG."""
     tokens = {}
     strings = words.ipa_strings()
     for ipa in strings:
@@ -85,11 +87,31 @@ def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: 
             words.pos,
         )
     unique = {p.label: p for word in tokens.values() for p in word}
+    return tokens, [unique[label] for label in sorted(unique)]
+
+
+def _prepare_lists(lists, inventory: FeatureInventory, costs: SubstitutionCosts,
+                   skip_unknown: bool):
+    """Each list's distinct IPA strings mapped to label-id tuples, and one
+    cost table: (per list, rows).
+
+    The lists are tokenized in order, so the first one that fails is the one
+    raised. Ids number the phones of all the lists in label order, so id
+    tuples sort like label tuples, and rows[a][b] prices phone id a against
+    phone id b.
+    """
+    tokens, unique = [], {}
+    for words in lists:
+        words_tokens, phones = _prepare_tokens(words, inventory, skip_unknown)
+        tokens.append(words_tokens)
+        unique.update((p.label, p) for p in phones)
     order = sorted(unique)
     ids = {label: k for k, label in enumerate(order)}
-    for ipa, word in tokens.items():
-        tokens[ipa] = tuple([ids[p.label] for p in word])
-    return tokens, [unique[label] for label in order]
+    for words_tokens in tokens:
+        for ipa, word in words_tokens.items():
+            words_tokens[ipa] = tuple([ids[p.label] for p in word])
+    table = [unique[label] for label in order]
+    return tokens, costs.rows_for(table, table)
 
 
 def align_lists(
@@ -103,6 +125,7 @@ def align_lists(
     shuffle_seed: int | None = None,
     skip_unknown: bool = False,
     stats: DpStats | None = None,
+    prepared: tuple | None = None,
 ) -> SimilarityCell:
     """Greedy-align two word lists and return their similarity cell.
 
@@ -113,12 +136,19 @@ def align_lists(
     iteration order with a seeded shuffle, as a diagnostic for the
     order-sensitivity of the greedy procedure. ``costs`` prices
     substitutions (default ``SubstitutionCosts()``).
+
+    ``prepared`` is (the id tuples of l1, those of l2, rows) of a run that
+    prepared both lists already, as ``build_matrix`` does; the lists are
+    then neither tokenized nor priced again, and ``inventory``, ``costs``
+    and ``skip_unknown`` are not read.
     """
-    if costs is None:
-        costs = SubstitutionCosts()
+    if prepared is None:
+        if costs is None:
+            costs = SubstitutionCosts()
+        (tokens_1, tokens_2), rows = _prepare_lists((l1, l2), inventory, costs, skip_unknown)
+    else:
+        tokens_1, tokens_2, rows = prepared
     min_size = max(min_size, 1)
-    tokens_1, phones_1 = _prepare_tokens(l1, inventory, skip_unknown)
-    tokens_2, phones_2 = _prepare_tokens(l2, inventory, skip_unknown)
 
     lang_a, lang_b = sorted((l1.language, l2.language))
     size_a, size_b = len(tokens_1), len(tokens_2)
@@ -131,10 +161,8 @@ def align_lists(
     # the shorter list iterates; equal sizes resolved by language id
     if (len(tokens_1), l1.language) <= (len(tokens_2), l2.language):
         short, long_ = tokens_1, tokens_2
-        rows = costs.rows_for(phones_2, phones_1)
     else:
         short, long_ = tokens_2, tokens_1
-        rows = costs.rows_for(phones_1, phones_2)
     order = sorted(short)
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(order)
@@ -150,40 +178,72 @@ def _greedy_total(queries, long_, rows, prune, stats):
     unclaimed word of ``long_`` (ties to the smaller IPA), which it claims.
 
     The long list is scanned in buckets of equal token length, nearest
-    length first; each bucket is one ``dp_labels`` call, which skips it
-    whole when its length gap alone exceeds the best-so-far. A query starts
-    from ``start_bound``'s word rather than from an infinite bound, which
-    picks the same word. rows[a][b] prices long-list label id a against
-    short-list label id b.
+    length first (``_nearest``). rows[a][b] prices long-list label id a
+    against query label id b.
     """
     by_length: dict[int, list] = {}
     for ipa, labels in long_.items():
         by_length.setdefault(len(labels), []).append((labels, ipa))
     buckets = [Bucket(length, by_length[length]) for length in sorted(by_length)]
-    visits: dict[int, list] = {}  # bucket visit order per query length
+    visits: dict[int, tuple] = {}  # bucket visit order and sides per query length
     stack = dp_stack(buckets[-1].length, max(map(len, queries)))  # reused across queries
     total = 0.0
     for w in queries:
         n = len(w)
-        stack[0] = [float(j) for j in range(n + 1)]
-        order = visits.get(n)
-        if order is None:
-            order = visits[n] = sorted(buckets, key=lambda b: (abs(b.length - n), b.length))
-        best, bucket, k = start_bound(order, rows, w)
-        best_ipa, best_at = bucket.ipas[k], (bucket, k)
-        for bucket in order:
-            hit = dp_labels(bucket, rows, w, stack, best, best_ipa, prune, stats)
-            if hit is not None:
-                k, best = hit
-                best_ipa, best_at = bucket.ipas[k], (bucket, k)
+        visit = visits.get(n)
+        if visit is None:
+            order = sorted(buckets, key=lambda b: (abs(b.length - n), b.length))
+            visit = visits[n] = (order, [(b.length > n) - (b.length < n) for b in order])
+        best, (bucket, k) = _nearest(visit, rows, w, stack, prune, stats)
         total += best
-        bucket, k = best_at
         bucket.remove(k)
     return total
 
 
-# (lists, inventory, costs, min_size, skip_unknown) of the matrix a pool
-# worker serves; set once per worker by its initializer, never in the caller
+def _nearest(visit, rows, query, stack, prune, stats):
+    """(nd, (bucket, index)) of the query's nearest unclaimed word.
+
+    ``visit`` is (buckets, sides): the buckets nearest length first, ties to
+    the shorter, and the sign of each one's length minus the query's, so a
+    side is the longer (+1) or the shorter (-1) buckets, visited in order of
+    growing length gap. Each bucket is one ``dp_labels`` call, which skips
+    it whole when its length gap alone exceeds the best-so-far. The search
+    starts from ``start_bound``'s word rather than from an infinite bound,
+    which picks the same word.
+
+    Once a bucket is skipped on its gap, every later bucket of its side is
+    booked in ``stats.prefiltered`` without a kernel call; the kernel would
+    skip each of them too. Proof: with limit = ``threshold(best, maxlen)``,
+    ``band`` gives None exactly when the integer gap |m - n| exceeds limit
+    (its floor, or m + n when limit is larger, is below the gap), which is
+    when fl(|m - n| / maxlen) > best, by ``threshold``'s defining property.
+    On the longer side maxlen = m and the quotient's real value 1 - n/m
+    grows with m; on the shorter side maxlen = n and (n - m)/n grows as m
+    falls. Rounding is monotone, so the rounded quotient never falls along
+    a side, and best never grows during a search. The equal-length bucket
+    has gap 0 and is never skipped, and without ``prune`` no bucket is.
+    """
+    order, sides = visit
+    stack[0] = [float(j) for j in range(len(query) + 1)]
+    best, bucket, k = start_bound(order, rows, query)
+    best_ipa, best_at = bucket.ipas[k], (bucket, k)
+    ruled_out = [False, False, False]  # by side: equal, longer, shorter (index -1)
+    for bucket, side in zip(order, sides):
+        if ruled_out[side]:
+            stats.prefiltered += len(bucket.labels)
+            continue
+        hit = dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats)
+        if hit:
+            k, best = hit
+            best_ipa, best_at = bucket.ipas[k], (bucket, k)
+        elif hit is False:
+            ruled_out[side] = True
+    return best, best_at
+
+
+# (lists, inventory, min_size, tokens, rows) of the matrix a pool worker
+# serves, tokens[k] being list k's id tuples (None for a list in no cell);
+# set once per worker by its initializer, never in the caller
 _worker_state = None
 
 
@@ -197,11 +257,12 @@ def _pooled_cell(pair):
 
 
 def _cell_task(state, pair):
-    lists, inventory, costs, min_size, skip_unknown = state
-    l1, l2 = lists[pair[0]], lists[pair[1]]
+    lists, inventory, min_size, tokens, rows = state
+    i, j = pair
+    l1, l2 = lists[i], lists[j]
     try:
         return align_lists(
-            l1, l2, inventory, costs=costs, min_size=min_size, skip_unknown=skip_unknown
+            l1, l2, inventory, min_size=min_size, prepared=(tokens[i], tokens[j], rows)
         )
     except PedlexError:
         raise
@@ -209,6 +270,47 @@ def _cell_task(state, pair):
         # a pool worker's traceback does not say which cell it was on
         cell = (*sorted((l1.language, l2.language)), l1.pos)
         raise RuntimeError(f"cell ({', '.join(cell)}) failed: {exc!r}") from exc
+
+
+def _deal(pairs, sizes, count):
+    """Positions in ``pairs`` dealt to ``count`` shares, by the
+    longest-processing-time rule: each cell in turn goes to the share with
+    the least work so far (the product of its lists' sizes; ties: fewer
+    cells, then the lower share). The deal depends on the data alone, and
+    with at least ``count`` cells no share is empty."""
+    work = [0] * count
+    shares = [[] for _ in range(count)]
+    for k, (i, j) in enumerate(pairs):
+        s = min(range(count), key=lambda s: (work[s], len(shares[s])))
+        shares[s].append(k)
+        work[s] += sizes[i] * sizes[j]
+    return shares
+
+
+def _fan_out(state, pairs, shares):
+    """Run the cells of share 0 in this process and the rest on a pool of
+    len(shares) - 1 workers, each set in largest-first order; returns the
+    cells, or raises the first failure in largest-first order."""
+    pooled = sorted(k for share in shares[1:] for k in share)
+    with ProcessPoolExecutor(
+        max_workers=len(shares) - 1, initializer=_init_worker, initargs=state
+    ) as pool:
+        results = pool.map(_pooled_cell, [pairs[k] for k in pooled])
+        cells, error, failed_at = [], None, len(pairs)
+        for k in shares[0]:
+            try:
+                cells.append(_cell_task(state, pairs[k]))
+            except Exception as exc:
+                error, failed_at = exc, k
+                break
+        for k in pooled:
+            if k > failed_at:
+                pool.shutdown(cancel_futures=True)
+                break
+            cells.append(next(results))  # raises the pooled cell's error
+        if error is not None:
+            raise error
+    return cells
 
 
 def build_matrix(
@@ -222,17 +324,25 @@ def build_matrix(
 ) -> SimilarityReport:
     """One similarity cell per unordered language pair per shared tag.
 
-    Every cell prices substitutions with the one ``costs`` (default
-    ``SubstitutionCosts()``). Cells are independent and can run on ``jobs``
-    worker processes, at most one per cell: each worker receives the lists,
-    ``inventory``, ``costs``, ``min_size`` and ``skip_unknown`` once, when it
-    starts, and each cell is sent to it as a pair of list indices. Cells run
-    largest first (by the product of the lists' distinct IPA strings; ties in
-    canonical order), in the pool and in-process alike, so when several
-    cells fail the first of them in that order is the one raised. The report
-    is assembled in canonical (pos, lang_a, lang_b) order either way. A cell
-    that fails with anything but a ``PedlexError`` raises a ``RuntimeError``
-    naming it.
+    Cells run largest first (by the product of the lists' distinct IPA
+    strings; ties in canonical order). Before any cell runs, every list that
+    some cell uses is prepared once, here, in the order those cells first use
+    it: tokenized against ``inventory``, with its phones numbered across the
+    run, and one table prices them all with ``costs`` (default
+    ``SubstitutionCosts()``). So an untokenizable word or a list without IPA
+    raises before any worker starts, naming the list the first failing cell
+    would name, and ``skip_unknown`` logs one drop warning per list.
+
+    ``jobs`` counts processes, this one included, at most one per cell.
+    Cells are dealt largest first to the share with the least work so far
+    (``_deal``), so the deal depends on the data alone. This process runs
+    share 0; a pool of the other ``jobs - 1`` workers receives the lists,
+    ``inventory``, ``min_size``, the id tuples and the table once, when each
+    worker starts, and the other cells as pairs of list indices. When several
+    cells fail, the first of them in largest-first order is the one raised,
+    whichever process ran it. A cell that fails with anything but a
+    ``PedlexError`` raises a ``RuntimeError`` naming it. The report is
+    assembled in canonical (pos, lang_a, lang_b) order.
     """
     if costs is None:
         costs = SubstitutionCosts()
@@ -246,17 +356,18 @@ def build_matrix(
         pairs.extend(combinations(group, 2))
     if not pairs:
         log.warning("no language pair shares a tag; empty report")
-    # a list without IPA sizes 0; its cells raise when their turn comes
+    # a list without IPA sizes 0; its preparation raises
     sizes = [len(set((wl.ipa_by_lemma or {}).values())) for wl in lists]
     pairs.sort(key=lambda pair: -sizes[pair[0]] * sizes[pair[1]])
-    state = (lists, inventory, costs, min_size, skip_unknown)
-    # the pool starts all its workers up front; never more than there are cells
-    workers = min(jobs, len(pairs))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=state
-        ) as pool:
-            cells = list(pool.map(_pooled_cell, pairs))
+    used = list(dict.fromkeys(k for pair in pairs for k in pair))
+    prepared, rows = _prepare_lists([lists[k] for k in used], inventory, costs, skip_unknown)
+    tokens = [None] * len(lists)
+    for k, words_tokens in zip(used, prepared):
+        tokens[k] = words_tokens
+    state = (lists, inventory, min_size, tokens, rows)
+    shares = _deal(pairs, sizes, min(jobs, len(pairs)))
+    if len(shares) > 1:
+        cells = _fan_out(state, pairs, shares)
     else:
         cells = [_cell_task(state, pair) for pair in pairs]
     cells.sort(key=lambda c: (c.pos, c.lang_a, c.lang_b))

@@ -1,3 +1,4 @@
+import logging
 import shutil
 import subprocess
 import sys
@@ -394,6 +395,22 @@ def test_untokenizable_word_names_its_file_and_line(capsys, tmp_path, fixtures_d
     code, _, err = run(capsys, "matrix", "--lists", str(lists_dir),
                        "--out", str(tmp_path / "r.csv"), "--jobs", jobs)
     assert code == 1 and err.startswith(where), err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_matrix_skip_unknown_warns_once_per_list(caplog, capsys, tmp_path, fixtures_dir, jobs):
+    lists_dir = tmp_path / "lists"
+    shutil.copytree(fixtures_dir / "pronouns", lists_dir)
+    hi = lists_dir / "hi.tsv"
+    hi.write_text(hi.read_text(encoding="utf-8") + "बक\tbQa\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="pedlex.similarity"):
+        code, _, err = run(capsys, "matrix", "--lists", str(lists_dir), "--out",
+                           str(tmp_path / "r.csv"), "--jobs", jobs, "--skip-unknown")
+    assert code == 0, err
+    # hi is in two cells, and its list is prepared once per run
+    assert [rec.getMessage() for rec in caplog.records if rec.name == "pedlex.similarity"] == [
+        "dropped 1 of 21 words of (hi, PRON): not tokenizable against the inventory"
+    ]
 
 
 def test_pool_worker_error_names_its_cell(capsys, tmp_path, monkeypatch, fixtures_dir):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import logging
 import multiprocessing
 import pickle
@@ -23,7 +24,8 @@ from pedlex import (
     tokenize,
 )
 from pedlex import similarity
-from pedlex.errors import TokenizeError
+from pedlex.errors import TokenizeError, WordListError
+from pedlex.ped import Bucket, dp_labels, dp_stack, start_bound
 
 INV = default_inventory()
 XI = default_manner_table()
@@ -224,6 +226,70 @@ def test_seeded_200_word_cell_work_and_score_pinned():
     assert cell.mu_psi.hex() == "0x1.72c24e72ba1d2p-2"
 
 
+def full_visit(order, rows, query, stack, prune, stats):
+    """A query's search that calls the kernel on every bucket of ``order``."""
+    stack[0] = [float(j) for j in range(len(query) + 1)]
+    best, bucket, k = start_bound(order, rows, query)
+    best_ipa, best_at = bucket.ipas[k], (bucket, k)
+    for bucket in order:
+        hit = dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats)
+        if hit:
+            k, best = hit
+            best_ipa, best_at = bucket.ipas[k], (bucket, k)
+    return best, best_at
+
+
+@st.composite
+def visit_cases(draw):
+    """(long words, queries, rows, prune) over 1-3 label ids, words of 0-9."""
+    labels = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, labels - 1), max_size=9).map(tuple)
+    long_ = draw(st.lists(word, min_size=1, max_size=16, unique=True))
+    queries = draw(st.lists(word, min_size=1, max_size=len(long_)))
+    cost = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    rows = [draw(st.lists(cost, min_size=labels, max_size=labels)) for _ in range(labels)]
+    return long_, queries, rows, draw(st.booleans())
+
+
+@given(visit_cases())
+@settings(max_examples=300, deadline=None)
+# the query matches a word exactly: every other length is ruled out on its gap
+@example(([(0,), (0, 0, 0, 0), (0,) * 6, (0,) * 8, ()], [(0,)], [[0.0]], True))
+# a bound that rules out the far end of each side only
+@example(([(0,) * k for k in range(10)], [(1, 1, 1, 1), (1,)], [[1.0, 0.5], [0.5, 0.0]], True))
+def test_nearest_stops_a_side_at_its_first_ruled_out_bucket(case):
+    long_, queries, rows, prune = case
+
+    def buckets():
+        by_length = {}
+        for k, word in enumerate(long_):
+            by_length.setdefault(len(word), []).append((word, f"{k:02}"))
+        return [Bucket(m, entries) for m, entries in sorted(by_length.items())]
+
+    ours, theirs = buckets(), buckets()
+    top = max(map(len, long_))
+    stack, reference_stack = dp_stack(top, 9), dp_stack(top, 9)
+    for query in queries:
+        if not any(b.labels for b in ours):
+            break
+        n = len(query)
+
+        def order(bs):
+            return sorted(bs, key=lambda b: (abs(b.length - n), b.length))
+
+        sides = [(b.length > n) - (b.length < n) for b in order(ours)]
+        mine, full = DpStats(), DpStats()
+        best, (bucket, k) = similarity._nearest(
+            (order(ours), sides), rows, query, stack, prune, mine)
+        ref_best, (ref_bucket, ref_k) = full_visit(
+            order(theirs), rows, query, reference_stack, prune, full)
+        assert (best, bucket.ipas[k]) == (ref_best, ref_bucket.ipas[ref_k])
+        assert [getattr(mine, c) for c in DpStats.__slots__] == [
+            getattr(full, c) for c in DpStats.__slots__]
+        bucket.remove(k)
+        ref_bucket.remove(ref_k)
+
+
 def test_equal_nd_tie_goes_to_smaller_ipa():
     # "m" is 1/2 from both "am" and "ma" and must claim "am", the smaller IPA,
     # which leaves "pam" (iterated second) with "ma" instead of its nearest
@@ -378,7 +444,9 @@ def test_matrix_pool_never_outnumbers_its_cells(monkeypatch):
     assert build_matrix(lists, INV, costs=COSTS, jobs=64) == serial
     assert build_matrix(lists, INV, costs=COSTS, jobs=3).cells == serial.cells
     assert len(build_matrix(lists[:2], INV, costs=COSTS, jobs=8).cells) == 1
-    assert started == [4, 3]  # the one-cell matrix ran in-process
+    # jobs counts this process, which runs a share itself: four processes for
+    # four cells, three for jobs=3, and the one-cell matrix ran in-process
+    assert started == [3, 2]
 
 
 def sized_lists():
@@ -430,8 +498,21 @@ def test_matrix_pool_gets_state_once_and_index_pairs_largest_first(monkeypatch):
     assert build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=2) == serial
     [pool] = pools
     assert set(pool.kwargs) == {"initializer", "initargs"}
-    assert pool.kwargs["initargs"] == (tuple(lists), INV, COSTS, 3, False)
-    assert len(pool.tasks) == len(serial.cells) == 4
+    # the state: the lists, the inventory, min_size, each list's prepared ids
+    # (None for the VERB list, which is in no cell) and one table priced over
+    # the run's phones in label order
+    lists_, inventory, min_size, tokens, rows = pool.kwargs["initargs"]
+    assert (lists_, inventory, min_size) == (tuple(lists), INV, 3)
+    words = [{ipa: tokenize(ipa, INV) for ipa in wl.ipa_strings()} for wl in lists[:5]]
+    phones = {p.label: p for ws in words for w in ws.values() for p in w}
+    labels = sorted(phones)
+    table = [phones[label] for label in labels]
+    assert rows == COSTS.rows_for(table, table)
+    assert tokens[:5] == [{ipa: tuple(labels.index(p.label) for p in w) for ipa, w in ws.items()}
+                          for ws in words]
+    assert tokens[5] is None
+    # this process runs the largest cell; the pool gets the other three
+    assert len(serial.cells) == 4 and len(pool.tasks) == 3
     for task in pool.tasks:
         assert type(task) is tuple and [type(k) for k in task] == [int, int]
         assert len(pickle.dumps(task)) < 100
@@ -446,6 +527,152 @@ def test_in_process_matrix_keeps_no_list_alive():
     build_matrix(lists, INV, costs=COSTS, jobs=1)
     del lists
     assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_pooled_matrix_keeps_no_list_alive():
+    lists = sized_lists()
+    refs = [weakref.ref(wl) for wl in lists]
+    build_matrix(lists, INV, costs=COSTS, jobs=2)
+    del lists
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def seven_cells():
+    """sized_lists plus a fourth PRON list of 30 words: six PRON cells and one
+    NOUN cell, dealt to three shares so that this process runs the first and
+    the sixth largest."""
+    syllables = ["pa", "ti", "ku", "ma", "ne", "so"]
+    words = ["".join(pair) for pair in itertools.product(syllables, repeat=2)][:30]
+    return sized_lists() + [wordlist("dd", "PRON", words)]
+
+
+class ShareRecorder:
+    """A pool that runs its cells in-process, when the caller takes their
+    results; ``ran`` records every cell align_lists ran, with the share
+    (``caller`` or ``pool``) it ran in."""
+
+    def __init__(self, monkeypatch):
+        self.ran, self.pools, self.cancelled = [], [], False
+        where = ["caller"]
+        align, recorder = similarity.align_lists, self
+
+        def spy(l1, l2, *args, **kwargs):
+            self.ran.append(((l1.pos, l1.language, l2.language), where[0]))
+            return align(l1, l2, *args, **kwargs)
+
+        class Pool:
+            def __init__(self, max_workers, initializer, initargs):
+                recorder.pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                def pooled(task):
+                    where[0] = "pool"
+                    try:
+                        return fn(task)
+                    finally:
+                        where[0] = "caller"
+
+                return map(pooled, list(tasks))
+
+            def shutdown(self, cancel_futures=False):
+                recorder.cancelled = cancel_futures
+
+        monkeypatch.setattr(similarity, "align_lists", spy)
+        monkeypatch.setattr(similarity, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(similarity, "_worker_state", None)  # restored after the test
+
+
+def largest_first(lists):
+    """(pos, lang_a, lang_b) of every cell, largest first, and each one's product."""
+    cells = [(a.pos, a.language, b.language, len(a.ipa_strings()) * len(b.ipa_strings()))
+             for a in lists for b in lists if a.pos == b.pos and a.language < b.language]
+    cells.sort(key=lambda c: (-c[3], c[:3]))
+    return [c[:3] for c in cells], [c[3] for c in cells]
+
+
+def test_matrix_deals_every_cell_once_to_fixed_shares(monkeypatch):
+    lists = seven_cells()
+    serial = build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=1)
+    recorder = ShareRecorder(monkeypatch)
+    runs = []
+    for _ in range(2):
+        recorder.ran.clear()
+        assert build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=3) == serial
+        runs.append(list(recorder.ran))
+    assert runs[0] == runs[1] and recorder.pools == [2, 2]
+    cells, products = largest_first(lists)
+    assert sorted(cell for cell, _ in runs[0]) == sorted(cells)  # each cell once
+    for share in ("caller", "pool"):  # each share runs largest first
+        ran = [products[cells.index(cell)] for cell, where in runs[0] if where == share]
+        assert ran == sorted(ran, reverse=True)
+    # the deal itself: every position once, no share empty, the same every time
+    sizes = [len(wl.ipa_strings()) for wl in lists]
+    pairs = [(i, j) for i, a in enumerate(lists) for j, b in enumerate(lists)
+             if a.pos == b.pos and a.language < b.language]
+    pairs.sort(key=lambda pair: -sizes[pair[0]] * sizes[pair[1]])
+    shares = similarity._deal(pairs, sizes, 3)
+    assert shares == similarity._deal(pairs, sizes, 3)
+    assert sorted(k for share in shares for k in share) == list(range(len(pairs)))
+    assert all(share and share == sorted(share) for share in shares)
+    caller = [cell for cell, where in runs[0] if where == "caller"]
+    assert caller == [cells[k] for k in shares[0]]
+
+
+@pytest.mark.parametrize("first", ["caller", "pool"])
+def test_matrix_raises_the_first_failing_cell_of_either_share(monkeypatch, first):
+    lists = seven_cells()
+    recorder = ShareRecorder(monkeypatch)
+    build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=3)
+    share = dict(recorder.ran)
+    cells, _ = largest_first(lists)
+    # two failing cells: the first of one share and a later cell of the other
+    head = next(cell for cell in cells if share[cell] == first)
+    later = next(cell for cell in cells[cells.index(head) + 1:] if share[cell] != first)
+    spy = similarity.align_lists
+
+    def broken(l1, l2, *args, **kwargs):
+        if (l1.pos, l1.language, l2.language) in (head, later):
+            raise ZeroDivisionError("kernel bug")
+        return spy(l1, l2, *args, **kwargs)
+
+    monkeypatch.setattr(similarity, "align_lists", broken)
+    with pytest.raises(RuntimeError) as raised:
+        build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=3)
+    pos, a, b = head
+    assert str(raised.value) == f"cell ({a}, {b}, {pos}) failed: ZeroDivisionError('kernel bug')"
+    # a failure of this process cancels the pooled cells it no longer needs
+    assert recorder.cancelled == (first == "caller")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bad_lists_raise_before_any_pool_starts(monkeypatch, jobs):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(similarity, "ProcessPoolExecutor", NoPool)
+    lists = sized_lists()
+    # the largest cell, (aa, cc, PRON), fails first, on cc; the NOUN list and
+    # the VERB list come first in list order, and the VERB list is in no cell
+    lists[1] = wordlist("bb", "NOUN", ["p☃a", "ta", "ka"])
+    lists[4] = wordlist("cc", "PRON", ["pa", "ta", "x☃"])
+    lists[5] = wordlist("cc", "VERB", ["☃"])
+    with pytest.raises(TokenizeError, match=r"^list \(cc, PRON\): .* in 'x☃'"):
+        build_matrix(lists, INV, costs=COSTS, jobs=jobs)
+    # a list without IPA sizes 0, so its cells come last
+    lists[1] = sized_lists()[1]
+    lists[4] = WordList(language="cc", pos="PRON", lemmas=("pa",), ipa_by_lemma=None)
+    with pytest.raises(WordListError, match=r"\(cc, PRON\) has no IPA"):
+        build_matrix(lists, INV, costs=COSTS, jobs=jobs)
+    assert len(build_matrix([lists[0], lists[1], lists[5]], INV, costs=COSTS,
+                            jobs=jobs).cells) == 1
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
