@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--out-format", default="csv", choices=("csv", "long-tsv"))
     p.add_argument("--jobs", type=int, default=None,
-                   help="processes, this one included (default: all cores)")
+                   help="worker processes (default: all cores)")
     p.add_argument("--min-size", type=int, default=DEFAULT_MIN_SIZE)
     p.add_argument("--skip-unknown", action="store_true")
     _add_distance_flags(p)

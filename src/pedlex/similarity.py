@@ -117,7 +117,7 @@ def _prepare_lists(lists, inventory: FeatureInventory, costs: SubstitutionCosts,
 def align_lists(
     l1: WordList,
     l2: WordList,
-    inventory: FeatureInventory,
+    inventory: FeatureInventory | None,
     *,
     costs: SubstitutionCosts | None = None,
     min_size: int = DEFAULT_MIN_SIZE,
@@ -139,8 +139,8 @@ def align_lists(
 
     ``prepared`` is (the id tuples of l1, those of l2, rows) of a run that
     prepared both lists already, as ``build_matrix`` does; the lists are
-    then neither tokenized nor priced again, and ``inventory``, ``costs``
-    and ``skip_unknown`` are not read.
+    then neither tokenized nor priced again, and ``inventory`` (which may
+    then be None), ``costs`` and ``skip_unknown`` are not read.
     """
     if prepared is None:
         if costs is None:
@@ -241,9 +241,9 @@ def _nearest(visit, rows, query, stack, prune, stats):
     return best, best_at
 
 
-# (lists, inventory, min_size, tokens, rows) of the matrix a pool worker
-# serves, tokens[k] being list k's id tuples (None for a list in no cell);
-# set once per worker by its initializer, never in the caller
+# (lists, min_size, tokens, rows) of the matrix a pool worker serves,
+# tokens[k] being list k's id tuples (None for a list in no cell); set once
+# per worker by its initializer, never in the caller
 _worker_state = None
 
 
@@ -257,60 +257,17 @@ def _pooled_cell(pair):
 
 
 def _cell_task(state, pair):
-    lists, inventory, min_size, tokens, rows = state
+    lists, min_size, tokens, rows = state
     i, j = pair
     l1, l2 = lists[i], lists[j]
     try:
-        return align_lists(
-            l1, l2, inventory, min_size=min_size, prepared=(tokens[i], tokens[j], rows)
-        )
+        return align_lists(l1, l2, None, min_size=min_size, prepared=(tokens[i], tokens[j], rows))
     except PedlexError:
         raise
     except Exception as exc:
         # a pool worker's traceback does not say which cell it was on
         cell = (*sorted((l1.language, l2.language)), l1.pos)
         raise RuntimeError(f"cell ({', '.join(cell)}) failed: {exc!r}") from exc
-
-
-def _deal(pairs, sizes, count):
-    """Positions in ``pairs`` dealt to ``count`` shares, by the
-    longest-processing-time rule: each cell in turn goes to the share with
-    the least work so far (the product of its lists' sizes; ties: fewer
-    cells, then the lower share). The deal depends on the data alone, and
-    with at least ``count`` cells no share is empty."""
-    work = [0] * count
-    shares = [[] for _ in range(count)]
-    for k, (i, j) in enumerate(pairs):
-        s = min(range(count), key=lambda s: (work[s], len(shares[s])))
-        shares[s].append(k)
-        work[s] += sizes[i] * sizes[j]
-    return shares
-
-
-def _fan_out(state, pairs, shares):
-    """Run the cells of share 0 in this process and the rest on a pool of
-    len(shares) - 1 workers, each set in largest-first order; returns the
-    cells, or raises the first failure in largest-first order."""
-    pooled = sorted(k for share in shares[1:] for k in share)
-    with ProcessPoolExecutor(
-        max_workers=len(shares) - 1, initializer=_init_worker, initargs=state
-    ) as pool:
-        results = pool.map(_pooled_cell, [pairs[k] for k in pooled])
-        cells, error, failed_at = [], None, len(pairs)
-        for k in shares[0]:
-            try:
-                cells.append(_cell_task(state, pairs[k]))
-            except Exception as exc:
-                error, failed_at = exc, k
-                break
-        for k in pooled:
-            if k > failed_at:
-                pool.shutdown(cancel_futures=True)
-                break
-            cells.append(next(results))  # raises the pooled cell's error
-        if error is not None:
-            raise error
-    return cells
 
 
 def build_matrix(
@@ -333,16 +290,14 @@ def build_matrix(
     raises before any worker starts, naming the list the first failing cell
     would name, and ``skip_unknown`` logs one drop warning per list.
 
-    ``jobs`` counts processes, this one included, at most one per cell.
-    Cells are dealt largest first to the share with the least work so far
-    (``_deal``), so the deal depends on the data alone. This process runs
-    share 0; a pool of the other ``jobs - 1`` workers receives the lists,
-    ``inventory``, ``min_size``, the id tuples and the table once, when each
-    worker starts, and the other cells as pairs of list indices. When several
-    cells fail, the first of them in largest-first order is the one raised,
-    whichever process ran it. A cell that fails with anything but a
-    ``PedlexError`` raises a ``RuntimeError`` naming it. The report is
-    assembled in canonical (pos, lang_a, lang_b) order.
+    Cells are independent and can run on ``jobs`` worker processes, at most
+    one per cell, started after the preparation: each worker receives the
+    lists, ``min_size``, the id tuples and the table once, when it starts,
+    and each cell is sent to it as a pair of list indices. Cells run largest
+    first, in the pool and in-process alike, so when several cells fail the
+    first of them in that order is the one raised. A cell that fails with
+    anything but a ``PedlexError`` raises a ``RuntimeError`` naming it. The
+    report is assembled in canonical (pos, lang_a, lang_b) order.
     """
     if costs is None:
         costs = SubstitutionCosts()
@@ -364,10 +319,14 @@ def build_matrix(
     tokens = [None] * len(lists)
     for k, words_tokens in zip(used, prepared):
         tokens[k] = words_tokens
-    state = (lists, inventory, min_size, tokens, rows)
-    shares = _deal(pairs, sizes, min(jobs, len(pairs)))
-    if len(shares) > 1:
-        cells = _fan_out(state, pairs, shares)
+    state = (lists, min_size, tokens, rows)
+    # the pool starts all its workers up front; never more than there are cells
+    workers = min(jobs, len(pairs))
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=state
+        ) as pool:
+            cells = list(pool.map(_pooled_cell, pairs))
     else:
         cells = [_cell_task(state, pair) for pair in pairs]
     cells.sort(key=lambda c: (c.pos, c.lang_a, c.lang_b))

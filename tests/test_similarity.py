@@ -1,5 +1,4 @@
 import functools
-import itertools
 import logging
 import multiprocessing
 import pickle
@@ -444,9 +443,19 @@ def test_matrix_pool_never_outnumbers_its_cells(monkeypatch):
     assert build_matrix(lists, INV, costs=COSTS, jobs=64) == serial
     assert build_matrix(lists, INV, costs=COSTS, jobs=3).cells == serial.cells
     assert len(build_matrix(lists[:2], INV, costs=COSTS, jobs=8).cells) == 1
-    # jobs counts this process, which runs a share itself: four processes for
-    # four cells, three for jobs=3, and the one-cell matrix ran in-process
-    assert started == [3, 2]
+    assert started == [4, 3]  # the one-cell matrix ran in-process
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_matrix_with_jobs_below_one_runs_in_process(monkeypatch, jobs):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was built")
+
+    lists = lists_for_matrix()
+    serial = build_matrix(lists, INV, costs=COSTS, jobs=1)
+    monkeypatch.setattr(similarity, "ProcessPoolExecutor", NoPool)
+    assert build_matrix(lists, INV, costs=COSTS, jobs=jobs) == serial
 
 
 def sized_lists():
@@ -498,11 +507,11 @@ def test_matrix_pool_gets_state_once_and_index_pairs_largest_first(monkeypatch):
     assert build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=2) == serial
     [pool] = pools
     assert set(pool.kwargs) == {"initializer", "initargs"}
-    # the state: the lists, the inventory, min_size, each list's prepared ids
-    # (None for the VERB list, which is in no cell) and one table priced over
-    # the run's phones in label order
-    lists_, inventory, min_size, tokens, rows = pool.kwargs["initargs"]
-    assert (lists_, inventory, min_size) == (tuple(lists), INV, 3)
+    # the state: the lists, min_size, each list's prepared ids (None for the
+    # VERB list, which is in no cell) and one table priced over the run's
+    # phones in label order
+    lists_, min_size, tokens, rows = pool.kwargs["initargs"]
+    assert (lists_, min_size) == (tuple(lists), 3)
     words = [{ipa: tokenize(ipa, INV) for ipa in wl.ipa_strings()} for wl in lists[:5]]
     phones = {p.label: p for ws in words for w in ws.values() for p in w}
     labels = sorted(phones)
@@ -511,8 +520,7 @@ def test_matrix_pool_gets_state_once_and_index_pairs_largest_first(monkeypatch):
     assert tokens[:5] == [{ipa: tuple(labels.index(p.label) for p in w) for ipa, w in ws.items()}
                           for ws in words]
     assert tokens[5] is None
-    # this process runs the largest cell; the pool gets the other three
-    assert len(serial.cells) == 4 and len(pool.tasks) == 3
+    assert len(pool.tasks) == len(serial.cells) == 4
     for task in pool.tasks:
         assert type(task) is tuple and [type(k) for k in task] == [int, int]
         assert len(pickle.dumps(task)) < 100
@@ -535,120 +543,6 @@ def test_pooled_matrix_keeps_no_list_alive():
     build_matrix(lists, INV, costs=COSTS, jobs=2)
     del lists
     assert [ref() for ref in refs] == [None] * len(refs)
-
-
-def seven_cells():
-    """sized_lists plus a fourth PRON list of 30 words: six PRON cells and one
-    NOUN cell, dealt to three shares so that this process runs the first and
-    the sixth largest."""
-    syllables = ["pa", "ti", "ku", "ma", "ne", "so"]
-    words = ["".join(pair) for pair in itertools.product(syllables, repeat=2)][:30]
-    return sized_lists() + [wordlist("dd", "PRON", words)]
-
-
-class ShareRecorder:
-    """A pool that runs its cells in-process, when the caller takes their
-    results; ``ran`` records every cell align_lists ran, with the share
-    (``caller`` or ``pool``) it ran in."""
-
-    def __init__(self, monkeypatch):
-        self.ran, self.pools, self.cancelled = [], [], False
-        where = ["caller"]
-        align, recorder = similarity.align_lists, self
-
-        def spy(l1, l2, *args, **kwargs):
-            self.ran.append(((l1.pos, l1.language, l2.language), where[0]))
-            return align(l1, l2, *args, **kwargs)
-
-        class Pool:
-            def __init__(self, max_workers, initializer, initargs):
-                recorder.pools.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                def pooled(task):
-                    where[0] = "pool"
-                    try:
-                        return fn(task)
-                    finally:
-                        where[0] = "caller"
-
-                return map(pooled, list(tasks))
-
-            def shutdown(self, cancel_futures=False):
-                recorder.cancelled = cancel_futures
-
-        monkeypatch.setattr(similarity, "align_lists", spy)
-        monkeypatch.setattr(similarity, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(similarity, "_worker_state", None)  # restored after the test
-
-
-def largest_first(lists):
-    """(pos, lang_a, lang_b) of every cell, largest first, and each one's product."""
-    cells = [(a.pos, a.language, b.language, len(a.ipa_strings()) * len(b.ipa_strings()))
-             for a in lists for b in lists if a.pos == b.pos and a.language < b.language]
-    cells.sort(key=lambda c: (-c[3], c[:3]))
-    return [c[:3] for c in cells], [c[3] for c in cells]
-
-
-def test_matrix_deals_every_cell_once_to_fixed_shares(monkeypatch):
-    lists = seven_cells()
-    serial = build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=1)
-    recorder = ShareRecorder(monkeypatch)
-    runs = []
-    for _ in range(2):
-        recorder.ran.clear()
-        assert build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=3) == serial
-        runs.append(list(recorder.ran))
-    assert runs[0] == runs[1] and recorder.pools == [2, 2]
-    cells, products = largest_first(lists)
-    assert sorted(cell for cell, _ in runs[0]) == sorted(cells)  # each cell once
-    for share in ("caller", "pool"):  # each share runs largest first
-        ran = [products[cells.index(cell)] for cell, where in runs[0] if where == share]
-        assert ran == sorted(ran, reverse=True)
-    # the deal itself: every position once, no share empty, the same every time
-    sizes = [len(wl.ipa_strings()) for wl in lists]
-    pairs = [(i, j) for i, a in enumerate(lists) for j, b in enumerate(lists)
-             if a.pos == b.pos and a.language < b.language]
-    pairs.sort(key=lambda pair: -sizes[pair[0]] * sizes[pair[1]])
-    shares = similarity._deal(pairs, sizes, 3)
-    assert shares == similarity._deal(pairs, sizes, 3)
-    assert sorted(k for share in shares for k in share) == list(range(len(pairs)))
-    assert all(share and share == sorted(share) for share in shares)
-    caller = [cell for cell, where in runs[0] if where == "caller"]
-    assert caller == [cells[k] for k in shares[0]]
-
-
-@pytest.mark.parametrize("first", ["caller", "pool"])
-def test_matrix_raises_the_first_failing_cell_of_either_share(monkeypatch, first):
-    lists = seven_cells()
-    recorder = ShareRecorder(monkeypatch)
-    build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=3)
-    share = dict(recorder.ran)
-    cells, _ = largest_first(lists)
-    # two failing cells: the first of one share and a later cell of the other
-    head = next(cell for cell in cells if share[cell] == first)
-    later = next(cell for cell in cells[cells.index(head) + 1:] if share[cell] != first)
-    spy = similarity.align_lists
-
-    def broken(l1, l2, *args, **kwargs):
-        if (l1.pos, l1.language, l2.language) in (head, later):
-            raise ZeroDivisionError("kernel bug")
-        return spy(l1, l2, *args, **kwargs)
-
-    monkeypatch.setattr(similarity, "align_lists", broken)
-    with pytest.raises(RuntimeError) as raised:
-        build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=3)
-    pos, a, b = head
-    assert str(raised.value) == f"cell ({a}, {b}, {pos}) failed: ZeroDivisionError('kernel bug')"
-    # a failure of this process cancels the pooled cells it no longer needs
-    assert recorder.cancelled == (first == "caller")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
