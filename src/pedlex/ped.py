@@ -23,20 +23,24 @@ likely near word along its diagonal, a sound upper bound on that word's own
 distance, so the first candidate already runs on a narrow band.
 
 The band's shape, a plan (m, n, lo, hi), fixes the columns of every row,
-and the kernel runs each plan in one of two tiers that compute the same
-cells in the same order, run the same row test and leave the same rows. The
-interpreted scan runs any plan. Pruned rows are 2-3 cells wide, and per row
-it unpacks the plan, builds a range and tests a sentinel, which costs about
-as much as the cells. So a plan whose rows are all narrow, once it has
-proved hot, is generated as straight-line code with the rows and columns
-unrolled and compiled: the DP rows live in local variables for the whole
-scan, row 0 and column 0 are constants, and each cell's gap is a constant
-that picks its threshold, which the scan computes from the limit on entry.
-A scan moves only the live rows, the ones the next candidate may resume
-from, between the stack and its locals. Compiling costs time and memory in
-proportion to the plan's cells, so only the narrow, hot plans that carry
-most of the work are worth it: wide plans (long words, loose bounds) and
-rarely used ones stay interpreted.
+and depends only on floor(limit): the kernel looks plans up by it. A scan
+runs one plan over a bucket's candidates. At a win it tightens its
+thresholds in place as long as the tighter limit keeps its plan, which
+most wins do, and hands over to the narrower plan's scan otherwise. Each
+plan runs in one of two tiers that compute the same cells in the same
+order, run the same row test and leave the same live rows. The interpreted
+scan runs any plan. Pruned rows are 2-3 cells wide, and per row it unpacks
+the plan, builds a range and tests a sentinel, which costs about as much as
+the cells. So a plan whose rows are all narrow, once it has proved hot, is
+generated as straight-line code with the rows and columns unrolled and
+compiled: the DP rows live in local variables for the whole scan, row 0,
+column 0 and the cells outside the band are constants folded into the
+code, and each cell's gap is a constant that picks its threshold. Rows
+move between the stack and a scan's locals only when the next scan or the
+caller reads them, after a win. Compiling costs time
+and memory in proportion to the plan's cells, so only the narrow, hot plans
+that carry most of the work are worth it: wide plans (long words, loose
+bounds) and rarely used ones stay interpreted.
 """
 
 from __future__ import annotations
@@ -259,106 +263,152 @@ class Bucket:
         del self.labels[k], self.ipas[k], lcp[k]
 
 
+def least_limit(rows: int, cols: int, lo: int, hi: int) -> int:
+    """The smallest integer t whose ``band(t, rows, cols)`` is lo..hi: every
+    t from it up to the next plan's least limit, or past rows + cols, gives
+    the same diagonals, so a limit keeps a plan exactly when its floor is at
+    least this."""
+    delta = rows - cols
+    return abs(delta) + 2 * (hi - max(0, delta))
+
+
+@lru_cache(maxsize=4096)
+def plans(rows: int, cols: int) -> tuple:
+    """Entry t (0..rows + cols) is the plan (rows, cols, lo, hi) of
+    ``band(t, rows, cols)``, or None when no path is within t. Entries of
+    one plan are one tuple. Bounded like ``row_spans``: every (rows, cols)
+    of a run fits."""
+    table = []
+    for t in range(rows + cols + 1):
+        diagonals = band(t, rows, cols)
+        plan = None if diagonals is None else (rows, cols, *diagonals)
+        table.append(table[-1] if table and table[-1] == plan else plan)
+    return tuple(table)
+
+
 def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     """Scan one bucket for a candidate nearer than ``best``; the DP kernel.
 
     Rows run over a candidate, columns over the query word, a tuple of n
-    label ids: stack[0] is [0, 1, ..., n], stack[i][0] is i, and
-    rows[a][b] is the cost of substituting candidate label id a for query
-    label id b, so cell (i, j) of candidate x costs rows[x[i-1]][query[j-1]].
+    label ids: stack[0] is [0, 1, ..., n'] for some n' >= n, stack[i][0] is
+    i, and rows[a][b] is the cost of substituting candidate label id a for
+    query label id b, so cell (i, j) of candidate x costs
+    rows[x[i-1]][query[j-1]]. Neither row 0 nor column 0 is ever written.
     Candidate k resumes from the rows of the lcp[k] labels it shares with
     the one before, even rows that proved that one hopeless.
 
     With ``prune`` the search is cut off at ``best``: limit is
     ``threshold(best, maxlen)``, and row i computes only the columns on
-    ``band(limit, ...)`` and sets the column right of them to inf; those are
-    the only cells of a row that the next row reads, so a row computed under
-    a wider band stays valid under a narrower one. A bucket whose length gap
-    alone exceeds the limit is booked in ``stats.prefiltered`` and not
-    scanned, and the call returns False. Every path to the last cell
-    crosses each row, and from cell (i, j) it still owes g = |(m-i) - (n-j)|
-    unit steps; ``gap_limits(limit, ...)`` gives per g a threshold above
-    which such a cell cannot end within the limit. Once every cell of a
-    row's band (column 0 too, when it is in the band) exceeds the threshold
-    of its gap, no path through the row scores within best: the candidate is
-    abandoned, and a candidate resumed from such a row cannot win either.
+    ``band(limit, ...)``; every cell outside the band counts as inf. A
+    bucket whose length gap alone exceeds the limit is booked in
+    ``stats.prefiltered`` and not scanned, and the call returns False. Every
+    path to the last cell crosses each row, and from cell (i, j) it still
+    owes g = |(m-i) - (n-j)| unit steps; ``gap_limits(limit, ...)`` gives per
+    g a threshold above which such a cell cannot end within the limit. Once
+    every cell of a row's band (column 0 too, when it is in the band)
+    exceeds the threshold of its gap, no path through the row scores within
+    best: the candidate is abandoned, and a candidate resumed from such a
+    row cannot win either.
 
     A completed candidate with normalized distance nd wins when nd < best,
     or nd == best and its IPA sorts before ``best_ipa``; with ``prune`` the
     cut-offs then tighten to nd. Returns (index, nd) of the last winner, or
-    None when none wins. Books every scanned candidate in ``stats.dps``.
+    None when none wins. Books every candidate in ``stats.dps``, and those
+    that did not complete in ``stats.abandoned``.
 
-    The bucket is run by scans, one plan (m, n, lo, hi) at a time: each
-    scan stops at the first winner, and the scan of the tightened plan takes
-    over from the next candidate. A plan runs interpreted, with the
-    thresholds of ``gap_limits``, or as a generated scan once it is hot and
-    narrow, which takes the limit and computes the same thresholds itself;
-    either is called with positional arguments only.
+    The band's shape, a plan (m, n, lo, hi), depends only on floor(limit),
+    capped at m + n: ``plans(m, n)`` holds them. A scan runs one plan over
+    the bucket's candidates. At a win it works out the tightened limit, and
+    while that limit keeps its plan (it is at least the plan's
+    ``least_limit``) it retunes its thresholds and goes on; it returns at
+    the bucket's end, at a win that narrows the band, and, without
+    ``prune``, at every win. The scan of the narrower plan takes over from
+    the next candidate. A plan runs interpreted, or as a generated scan
+    once it is hot and narrow; both take the same positional arguments
+    after the interpreted scan's plan and return (last index scanned,
+    depth, cells, completed candidates, index of the last winner or None,
+    best, limit).
 
     The live rows are 1..depth, where depth is what the last scan returned.
     Every call starts at depth 0, so no scan reads a row that was not
     written (or, by a generated scan, loaded) in the same call, and rows
     above the depth are dead. A generated scan keeps the DP rows in local
-    variables: it loads rows 1..depth from the stack when it resumes after
-    a win, and stores rows 1..depth back before it returns, so either tier
-    resumes from the live rows the other left. After a win the depth is m,
-    so the winner's rows, which ``ped`` reads, are all live.
+    variables. It stores its rows' band columns when the last candidate it
+    scanned won, which is when it returns for a plan switch and when the
+    bucket's last candidate won, so the winner's rows, which ``ped`` reads,
+    are all live; it loads them when it starts after a win. Rows
+    written under a wider band than the next scan's hold a finite value in
+    the column right of the new band, which row i + 1 reads as its up
+    neighbour; on a plan switch the kernel writes inf there in rows
+    1..depth, so both tiers resume from rows whose cells outside the band
+    are inf.
     """
     m = bucket.length
     n = len(query)
     maxlen = m if m > n else n
+    top = m + n
+    table = plans(m, n)
     limit = threshold(best, maxlen) if prune else INF
-    diagonals = band(limit, m, n)
+    plan = None if limit < 0 else table[floor(limit) if limit < top else top]
     labels = bucket.labels
-    if diagonals is None:
-        stats.prefiltered += len(labels)
+    end = len(labels)
+    if plan is None:
+        stats.prefiltered += end
         return False
     lcp, ipas = bucket.lcp, bucket.ipas
     hit = None
-    k = depth = cells = abandoned = 0
-    while True:
-        lo, hi = diagonals
-        plan = (m, n, lo, hi)
+    k = depth = cells = completed = 0
+    while k < end:
         scan = _compiled.get(plan)
         if scan is not None:
-            k, depth, c, a, nd = scan(
-                labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa)
+            k, depth, c, done, win, best, limit = scan(
+                labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa, prune)
         else:
-            limits = gap_limits(limit, max_gap(m, n, lo, hi) + 1)
-            k, depth, c, a, nd = _interpret(
-                row_spans(*plan), labels, lcp, ipas, rows, query, stack, k, depth, limits,
-                best, best_ipa)
+            k, depth, c, done, win, best, limit = _interpret(
+                plan, labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa,
+                prune)
             _warm(plan, c)
         cells += c
-        abandoned += a
-        if nd is None:
-            break
-        best, best_ipa, hit = nd, ipas[k], (k, nd)
+        completed += done
+        if win is not None:
+            best_ipa, hit = ipas[win], (win, best)
         k += 1
-        if prune:
-            limit = threshold(nd, maxlen)
-            diagonals = band(limit, m, n)
-    stats.dps += len(labels)
+        if k == end:
+            break
+        # the scan stopped at a win that narrowed the band, or at any win
+        # without prune
+        narrower = table[floor(limit) if limit < top else top]
+        if narrower is not plan:
+            plan = narrower
+            spans = row_spans(*plan)
+            for i in range(1, depth + 1):
+                if spans[i][2]:
+                    stack[i][spans[i][2]] = INF
+    stats.dps += end
     stats.cells += cells
-    stats.abandoned += abandoned
+    stats.abandoned += end - completed
     return hit
 
 
-def _interpret(spans, labels, lcp, ipas, rows, query, stack, k, depth, limits, best, best_ipa):
-    """Scan candidates k, k + 1, ... on the plan ``spans`` until one wins.
+def _interpret(plan, labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa,
+               prune):
+    """Scan candidates k, k + 1, ... on ``plan`` from ``depth`` live rows.
 
-    ``depth`` rows of the stack are live for candidate k - 1, ``limits`` is
-    ``gap_limits`` of the limit over the gaps of the plan's cells, and the
-    other arguments are those of ``dp_labels``. Returns (index, depth,
-    cells, abandoned, nd) at the first winner, or (len(labels), depth,
-    cells, abandoned, None) when none wins. Every plan can run here;
-    generated scans (``_generate``) must agree with it.
+    The arguments after ``plan`` are those ``dp_labels`` passes a scan, and
+    so is the result (see there). Every plan can run here; generated scans
+    (``_generate``) must agree with it: the same cells in the same order,
+    the same row tests and results, and the same live rows whenever they
+    store theirs.
     """
-    m = len(spans) - 1
-    n = len(query)
+    spans = row_spans(*plan)
+    m, n = plan[0], plan[1]
     maxlen = m if m > n else n
+    least = least_limit(*plan)
+    size = max_gap(*plan) + 1
+    limits = gap_limits(limit, size)
     vee = limits[:0:-1] + limits  # vee[offset + j] is the threshold of cell (i, j)
-    cells = abandoned = 0
+    cells = completed = 0
+    win = None
     for k in range(k, len(labels)):
         x = labels[k]
         if depth > lcp[k]:
@@ -389,26 +439,34 @@ def _interpret(spans, labels, lcp, ipas, rows, query, stack, k, depth, limits, b
             cells += width
             if not within:  # every cell of the row ends beyond the limit
                 depth = i
-                abandoned += 1
                 break
             prev = cur
         else:
             depth = m
+            completed += 1
             nd = prev[n] / maxlen if maxlen else 0.0
             if nd < best or (nd == best and ipas[k] < best_ipa):
-                return k, depth, cells, abandoned, nd
-    return len(labels), depth, cells, abandoned, None
+                win, best, best_ipa = k, nd, ipas[k]
+                if prune:
+                    limit = threshold(nd, maxlen)
+                    if limit >= least:  # the band holds: retune and go on
+                        limits = gap_limits(limit, size)
+                        vee = limits[:0:-1] + limits
+                        continue
+                break
+    return k, depth, cells, completed, win, best, limit
 
 
 # A scan is generated for a plan whose rows are at most _NARROW cells wide,
 # once the interpreted scan has computed _HOT times the plan's own cells on
 # it in this process, and at least _HOT_FLOOR; at most _MAX_COMPILED are
 # kept. Measured on a 2-core Xeon under CPython 3.11: compiling a plan takes
-# 50-80 us per cell of its rows (0.6 ms for 7 cells, 3.2 ms for 53) and
-# keeps 3-8 KB, and a generated scan computes a cell about 110 ns faster
-# than the interpreted one. So the compile cost grows with the plan's cells,
-# and the trigger does too: at 200 times its cells, a plan compiles once the
-# interpreted scan has spent about a third of the compile cost on it. That
+# about 0.4 ms plus 45 us per cell of its rows (0.5 ms for 1 cell, 1.7 ms
+# for 28) and keeps 6-15 KB, and a generated scan computes a cell about 200
+# ns faster than the interpreted one, which takes about 300 ns. So the
+# compile cost grows with the plan's cells, and the trigger does too: at 200
+# times its cells, a plan compiles once the interpreted scan has spent half
+# (small plans) to all (20 cells and more) of the compile cost on it. That
 # is early, because a plan that gets hot early stays hot, and a fresh pool
 # worker gains most from compiling its hot plans soon; a flat trigger low
 # enough for that compiles long words' plans too. On a six-language corpus
@@ -448,40 +506,40 @@ def _warm(plan, cells):
         _compiled[plan] = _generate(*plan)
 
 
-def _ladder(lines):
-    """Function-level code running lines[i - 1] when depth >= i, nested so
-    that a scan at depth 0 tests once; the nesting restarts every 32 rows,
-    well inside the parser's indentation limit."""
-    code = []
-    for i, line in enumerate(lines, 1):
-        pad = "    " * (1 + (i - 1) % 32)
-        code += [f"{pad}if depth >= {i}:", f"{pad}    {line}"]
-    return code
-
-
 def _generate(m, n, lo, hi):
     """The scan of plan (m, n, lo, hi) as straight-line code.
 
-    It does what ``_interpret`` does on ``row_spans(m, n, lo, hi)``, with
-    the row and column loops unrolled, and takes the arguments of
-    ``_interpret`` with ``limit`` in place of its thresholds. Cell (i, j) of
-    rows 1..m is the local v<i>_<j>, and query label j is the local q<j>.
-    Row 0 and column 0 are constants, and so is every cell's gap g: its
-    threshold is the local t<g>, computed on entry with the expression of
-    ``gap_limits``, so it is the same float. The scan loads the band and
-    sentinel columns of rows 1..depth from the stack on entry and stores
-    them back on return: only live rows move. Row i runs when depth < i,
-    the row test is an ``and`` of ``> t<g>`` compares, and cells are booked
-    per candidate as a difference of cumulative row widths.
+    It does what ``_interpret`` does on the plan, with the row and column
+    loops unrolled, and takes the arguments that follow ``_interpret``'s
+    plan. Cell (i, j) of rows 1..m is the local v<i>_<j>, and query label j
+    is the local q<j>. Row 0 and column 0 are constants and cells outside
+    the band are inf, so both fold into each cell's expressions when the
+    scan is generated: a row's last cell reads only its west neighbour, and
+    no row holds a sentinel. Every cell's gap g is a constant that picks its
+    threshold, the local t<g>, computed with the expression of
+    ``gap_limits`` on entry and again at each win that keeps the plan, so
+    it is the same float. A scan starts at depth 0 or, after a win, at m:
+    it loads the band columns of all its rows when it starts after a win,
+    and stores them when the last candidate it scanned won. Row i runs when depth < i, the row
+    test is an ``and`` of ``> t<g>`` compares, and cells are booked per
+    candidate as a difference of cumulative row widths.
     """
     spans = row_spans(m, n, lo, hi)
 
-    def at(i, j):  # cell (i, j): a constant in row 0 and column 0, else a local
-        return repr(float(j)) if i == 0 else repr(float(i)) if j == 0 else f"v{i}_{j}"
+    def at(i, j):  # cell (i, j) as code: a float in row 0 and column 0, None outside the band
+        if i == 0:
+            return repr(float(j))
+        if j == 0:
+            return repr(float(i)) if i <= hi else None
+        return f"v{i}_{j}" if lo <= i - j <= hi else None
+
+    def plus_one(cell):  # cell + 1.0 as code, added up front for a float
+        return f"{cell} + 1.0" if cell.startswith("v") else repr(float(cell) + 1.0)
 
     loads, stores, gaps = [], [], set()
     code = [
-        "    cells = abandoned = 0",
+        "    cells = completed = 0",
+        "    win = None",
         "    for k in range(k, len(labels)):",
         "        x = labels[k]",
         "        if depth > lcp[k]:",
@@ -490,29 +548,36 @@ def _generate(m, n, lo, hi):
     ]
     cum = [0]
     for i in range(1, m + 1):
-        jlo, cols, sentinel, left, width, _ = spans[i]
+        jlo, cols, _, left, width, _ = spans[i]
         cum.append(cum[-1] + width)
         if not cols:
-            # n = 0: the row is column 0 alone, which passes the test (for
-            # n > 0 every row has band columns, so loads[i - 1] is row i)
-            continue
-        last = sentinel or cols[-1]
-        names = ", ".join(at(i, j) for j in range(jlo, last + 1))
-        loads.append(f"{names}, = stack[{i}][{jlo}:{last + 1}]")
-        stores.append(f"stack[{i}][{jlo}:{last + 1}] = {names},")
+            continue  # n = 0: the row is column 0 alone, which passes the test
+        names = ", ".join(at(i, j) for j in cols)
+        loads.append(f"        {names}, = stack[{i}][{jlo}:{cols[-1] + 1}]")
+        stores.append(f"    stack[{i}][{jlo}:{cols[-1] + 1}] = {names},")
         code += [f"        if depth < {i}:", f"            c = rows[x[{i - 1}]]"]
-        if sentinel:
-            code.append(f"            {at(i, sentinel)} = INF")
-        west = None if left == INF else at(i, 0)  # column 0, when in the band
         for j in cols:
-            cell, diag, up = at(i, j), at(i - 1, j - 1), at(i - 1, j)
-            alt = f"{up} + 1.0" if west is None else f"({up} if {up} < {west} else {west}) + 1.0"
-            code += [
-                f"            {cell} = {diag} + c[q{j}]",
-                f"            a = {alt}",
-                f"            if a < {cell}: {cell} = a",
-            ]
-            west = cell
+            cell, diag = at(i, j), at(i - 1, j - 1)
+            code.append(f"            {cell} = {diag} + c[q{j}]")
+            # alt = (up if up < west else west) + 1.0, with a neighbour
+            # outside the band dropped and a float's + 1.0 done up front
+            up, west = at(i - 1, j), at(i, j - 1)
+            if up is None and west is None:
+                continue
+            if up is None or west is None:
+                alt = plus_one(west if up is None else up)
+            elif not (up + west).count("v"):  # cell (1, 1) with column 0 in the band
+                alt = repr(min(float(up), float(west)) + 1.0)
+            elif not west.startswith("v"):
+                alt = f"{up} + 1.0 if {up} < {west} else {plus_one(west)}"
+            elif not up.startswith("v"):
+                alt = f"{plus_one(up)} if {up} < {west} else {west} + 1.0"
+            else:
+                alt = f"({up} if {up} < {west} else {west}) + 1.0"
+            if " " in alt:
+                code += [f"            a = {alt}", f"            if a < {cell}: {cell} = a"]
+            else:
+                code.append(f"            if {alt} < {cell}: {cell} = {alt}")
         if left < INF:
             continue  # column 0 is in the band and passes the row test
         # smallest gap, so largest threshold, first: a row that passes
@@ -523,31 +588,43 @@ def _generate(m, n, lo, hi):
         code += [
             f"            if {test}:",
             f"                depth = {i}",
-            "                abandoned += 1",
             f"                cells += {cum[i]}",
             "                continue",
         ]
+
+    def tune(pad):  # the thresholds of ``limit``, as gap_limits computes them
+        lines = [f"{pad}u = ulp(limit)"] if gaps - {0} else []
+        return lines + [f"{pad}t{g} = limit - {g} + {g + 2} * u" if g else f"{pad}t0 = limit"
+                        for g in sorted(gaps)]
+
     maxlen = max(m, n)
     code += [
         f"        depth = {m}",
         f"        cells += {cum[m]}",
+        "        completed += 1",
         f"        nd = {at(m, n)} / {maxlen}" if maxlen else "        nd = 0.0",
         "        if nd < best or (nd == best and ipas[k] < best_ipa):",
+        "            win, best, best_ipa = k, nd, ipas[k]",
+        "            if prune:",
+        f"                limit = threshold(nd, {maxlen})",
+        f"                if limit >= {least_limit(m, n, lo, hi)}:",
+        *tune(" " * 20),
+        "                    continue",
         "            break",
         "    else:",
-        "        k, nd = len(labels), None",
-        *_ladder(stores),
-        "    return k, depth, cells, abandoned, nd",
+        "        if win != k:",
+        "            return k, depth, cells, completed, win, best, limit",
+        *stores,
+        "    return k, depth, cells, completed, win, best, limit",
     ]
-    entry = ["def scan(labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa):"]
+    entry = ["def scan(labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa,"
+             " prune):"]
     if n:
         entry.append(f"    {', '.join(f'q{j}' for j in range(1, n + 1))}, = query")
-    if gaps - {0}:
-        entry.append("    u = ulp(limit)")
-    entry += [f"    t{g} = limit - {g} + {g + 2} * u" if g else "    t0 = limit"
-              for g in sorted(gaps)]
-    namespace = {"INF": INF, "CUM": tuple(cum), "ulp": ulp}
-    source = "\n".join(entry + _ladder(loads) + code)
+    namespace = {"CUM": tuple(cum), "ulp": ulp, "threshold": threshold}
+    if loads:
+        loads.insert(0, "    if depth:")
+    source = "\n".join(entry + tune("    ") + loads + code)
     exec(compile(source, f"<scan {m}x{n} {lo}..{hi}>", "exec"), namespace)
     return namespace["scan"]
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -224,7 +223,6 @@ def _nearest(visit, rows, query, stack, prune, stats):
     has gap 0 and is never skipped, and without ``prune`` no bucket is.
     """
     order, sides = visit
-    stack[0] = [float(j) for j in range(len(query) + 1)]
     best, bucket, k = start_bound(order, rows, query)
     best_ipa, best_at = bucket.ipas[k], (bucket, k)
     ruled_out = [False, False, False]  # by side: equal, longer, shorter (index -1)
@@ -323,6 +321,10 @@ def build_matrix(
     # the pool starts all its workers up front; never more than there are cells
     workers = min(jobs, len(pairs))
     if workers > 1:
+        # imported here: only a forking run pays for concurrent.futures and
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=state
         ) as pool:

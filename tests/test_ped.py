@@ -460,33 +460,33 @@ def tiers(hot, narrow=None, bound=None):
             setattr(kernel, name, value)
 
 
-def live_rows(spans, stack, depth):
-    """Rows 1..depth of the stack, each on the band and sentinel columns of
-    the plan ``spans``: what the next scan may read."""
-    rows = []
-    for i in range(1, depth + 1):
-        jlo, cols, sentinel = spans[i][:3]
-        rows.append(stack[i][jlo:(sentinel or jlo + len(cols) - 1) + 1])
-    return rows
+def live_rows(plan, stack, depth):
+    """Band columns of rows 1..depth of the stack under ``plan``: what the
+    next scan may read (its cells outside the band count as inf)."""
+    spans = row_spans(*plan)
+    return [stack[i][spans[i][0]:spans[i][0] + spans[i][4]] for i in range(1, depth + 1)]
 
 
 @contextmanager
 def scan_log():
     """Record every scan either tier runs, with caches that start empty: its
-    result and the live rows it leaves."""
+    result, and the live rows it leaves when the last candidate it scanned
+    won. A generated scan stores its rows only then, and only then are they
+    read: by the scan of the next plan, or by ``ped`` from the winner."""
     log = []
     interpret, generate = kernel._interpret, kernel._generate
 
-    def record(spans, stack, result):
-        log.append((result, live_rows(spans, stack, result[1])))
+    def record(plan, stack, result):
+        k, depth, _, _, win = result[:5]
+        log.append((result, live_rows(plan, stack, depth) if win == k else None))
         return result
 
-    def interpreted(spans, *args):
-        return record(spans, args[5], interpret(spans, *args))
+    def interpreted(plan, *args):
+        return record(plan, args[5], interpret(plan, *args))
 
     def generated(*plan):
-        scan, spans = generate(*plan), row_spans(*plan)
-        return lambda *args: record(spans, args[5], scan(*args))
+        scan = generate(*plan)
+        return lambda *args: record(plan, args[5], scan(*args))
 
     kernel._interpret, kernel._generate = interpreted, generated
     try:
@@ -498,8 +498,10 @@ def scan_log():
 def scan_twice(bucket, rows, query, best, best_ipa, prune, dead=None):
     """Two identical dp_labels calls on one stack; per call, the hit and the
     four DpStats counters. With ``dead`` set, every row the call starts
-    without (columns 1..n of rows 1..m) holds ``dead`` first."""
+    without (columns 1..n of rows 1..m) holds ``dead`` first. No call may
+    write row 0."""
     stack = dp_stack(bucket.length, len(query))
+    row0 = list(stack[0])
     runs = []
     for _ in range(2):
         if dead is not None:
@@ -507,6 +509,7 @@ def scan_twice(bucket, rows, query, best, best_ipa, prune, dead=None):
                 row[1:] = [dead] * (len(row) - 1)
         stats = DpStats()
         hit = dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats)
+        assert stack[0] == row0
         runs.append((hit, (stats.cells, stats.dps, stats.abandoned, stats.prefiltered)))
     return runs
 
@@ -539,11 +542,27 @@ def scan_cases(draw):
          None)
 @example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, [[0.0, 0.0], [0.0, 0.25]],
           (0, 0, 1, 1), math.inf, None, True), None)
+# two wins that keep the band -1..0, then a loser that the retuned t1
+# abandons at row 1 (with t1 of the start bound it would complete)
+@example(([((0,), "0x"), ((1,), "1"), ((2,), "2")], 1, [[0.5, 1.0, 0.5], [0.0, 1.0, 0.0],
+          [1.0, 0.5, 0.25]], (2, 0), 1.15, "2x", True), None)
+# the first word wins on the full band and narrows it; the second resumes
+# from row 1, whose new sentinel column holds a full-band value, and wins
+@example(([((0, 0, 0, 1, 1), "00011"), ((0, 1, 1, 0, 0), "01100")], 5, [[0.0, 1.5], [1.5, 1.0]],
+          (1, 1, 1, 0), math.inf, None, True), None)
+# the bucket's last word wins on the band the first win left: the scan
+# reaches the bucket's end and must still store the winner's rows
+@example(([((0,), "0"), ((1,), "1x")], 1, [[0.5, 0.0, 0.5], [1.5, 0.25, 0.25]], (0, 0, 0, 2),
+          math.inf, None, True), math.inf)
+# without prune every word wins and each win returns; nothing is abandoned
+@example(([((0,), "0x"), ((1,), "1"), ((2,), "2")], 1, [[1.0, 1.0], [0.25, 0.25], [0.0, 0.0]],
+          (1,), math.inf, None, False), math.inf)
 @settings(max_examples=300, deadline=None)
 def test_generated_scans_match_the_interpreted_scan(case, narrow):
-    # per call the hit and the counters, and per scan its result and the
-    # live rows it leaves: rows above the depth are dead, and the tiers may
-    # leave them differently
+    # per call the hit and the counters, and per scan its result and, when
+    # the last word it scanned won, the live rows it leaves: only then does
+    # a generated scan store its rows, and only then are they read (rows
+    # above the depth are dead, and the tiers may leave them differently)
     entries, m, rows, query, best, best_ipa, prune = case
     results = []
     for hot in (math.inf, 0):
@@ -553,6 +572,22 @@ def test_generated_scans_match_the_interpreted_scan(case, narrow):
             if hot == 0 and narrow == math.inf and calls[0][1][1]:
                 assert compiled  # the first call compiled every plan it ran
     assert results[0] == results[1]
+    if not prune:  # no bound: every word completes, none is prefiltered
+        assert all(counts[2:] == (0, 0) for _, counts in results[0][0])
+
+
+def test_generated_winners_leave_their_rows_for_ped():
+    # ped reads the winner's rows: its distance, and with trace=True its
+    # edit script. The trace's win narrows the full band, and a bound at the
+    # pair's own distance keeps its band, so the scan stores at a plan
+    # switch and at the bucket's end
+    a, b = ps("fa:tər"), ps("pedær")
+    exact = ped(a, b, costs=COSTS, trace=True)
+    for hot in (math.inf, 0):
+        with tiers(hot):
+            for _ in range(2):  # the first call compiles each plan it runs
+                assert ped(a, b, costs=COSTS, trace=True) == exact
+                assert ped(a, b, costs=COSTS, bound=exact.normalized).distance == exact.distance
 
 
 @given(scan_cases(), st.sampled_from([math.inf, 0]))
@@ -596,9 +631,9 @@ def test_a_win_switches_plan_and_tier_mid_bucket():
     with tiers(0) as compiled:
         interpret = kernel._interpret
 
-        def spy(spans, *args):
-            interpreted.append(max(span[4] for span in spans[1:]))
-            return interpret(spans, *args)
+        def spy(plan, *args):
+            interpreted.append(max(span[4] for span in row_spans(*plan)[1:]))
+            return interpret(plan, *args)
 
         kernel._interpret = spy
         try:

@@ -1,13 +1,19 @@
+import concurrent.futures as futures
 import functools
 import logging
 import multiprocessing
+import os
 import pickle
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pedlex
 from pedlex import (
     DistanceConfig,
     DpStats,
@@ -436,7 +442,8 @@ def test_matrix_pool_never_outnumbers_its_cells(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(similarity, "ProcessPoolExecutor", RecordingPool)
+    # build_matrix imports the pool class from concurrent.futures when it forks
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(similarity, "_worker_state", None)  # restored after the test
     lists = lists_for_matrix()  # four cells
     serial = build_matrix(lists, INV, costs=COSTS, jobs=1)
@@ -454,7 +461,7 @@ def test_matrix_with_jobs_below_one_runs_in_process(monkeypatch, jobs):
 
     lists = lists_for_matrix()
     serial = build_matrix(lists, INV, costs=COSTS, jobs=1)
-    monkeypatch.setattr(similarity, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", NoPool)
     assert build_matrix(lists, INV, costs=COSTS, jobs=jobs) == serial
 
 
@@ -500,7 +507,7 @@ def test_matrix_pool_gets_state_once_and_index_pairs_largest_first(monkeypatch):
             self.tasks.extend(tasks)
             return map(fn, self.tasks)
 
-    monkeypatch.setattr(similarity, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(similarity, "_worker_state", None)  # restored after the test
     lists = sized_lists()
     serial = build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=1)
@@ -551,7 +558,7 @@ def test_bad_lists_raise_before_any_pool_starts(monkeypatch, jobs):
         def __init__(self, *args, **kwargs):
             raise AssertionError("a pool was built")
 
-    monkeypatch.setattr(similarity, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", NoPool)
     lists = sized_lists()
     # the largest cell, (aa, cc, PRON), fails first, on cc; the NOUN list and
     # the VERB list come first in list order, and the VERB list is in no cell
@@ -575,9 +582,20 @@ def test_matrix_pool_workers_start_from_a_fresh_import(monkeypatch, method):
     lists = lists_for_matrix()
     serial = build_matrix(lists, INV, costs=COSTS, jobs=1)
     context = multiprocessing.get_context(method)
-    pool = functools.partial(similarity.ProcessPoolExecutor, mp_context=context)
-    monkeypatch.setattr(similarity, "ProcessPoolExecutor", pool)
+    pool = functools.partial(futures.ProcessPoolExecutor, mp_context=context)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
     assert build_matrix(lists, INV, costs=COSTS, jobs=2) == serial
+
+
+def test_importing_pedlex_loads_no_process_pool():
+    # only a matrix run that forks imports concurrent.futures (and with it
+    # multiprocessing); extract, g2p, dist, compare and library users do not
+    src = str(Path(pedlex.__file__).resolve().parent.parent)
+    code = "import sys, pedlex; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_matrix_shares_one_cost_table(monkeypatch):
