@@ -25,22 +25,22 @@ distance, so the first candidate already runs on a narrow band.
 The band's shape, a plan (m, n, lo, hi), fixes the columns of every row,
 and depends only on floor(limit): the kernel looks plans up by it. A scan
 runs one plan over a bucket's candidates. At a win it tightens its
-thresholds in place as long as the tighter limit keeps its plan, which
-most wins do, and hands over to the narrower plan's scan otherwise. Each
-plan runs in one of two tiers that compute the same cells in the same
-order, run the same row test and leave the same live rows. The interpreted
-scan runs any plan. Pruned rows are 2-3 cells wide, and per row it unpacks
-the plan, builds a range and tests a sentinel, which costs about as much as
-the cells. So a plan whose rows are all narrow, once it has proved hot, is
+thresholds in place as long as the tighter limit keeps its plan, which most
+wins do, and hands over to the narrower plan's scan otherwise. Each plan
+runs in one of two tiers that compute the same cells in the same order, run
+the same row test and leave the same live rows. The interpreted scan runs
+any plan. Pruned rows are 2-3 cells wide, and per row it unpacks the plan,
+builds a range and tests a sentinel, which costs about as much as the
+cells. So a plan whose rows are all narrow, once it has proved hot, is
 generated as straight-line code with the rows and columns unrolled and
 compiled: the DP rows live in local variables for the whole scan, row 0,
-column 0 and the cells outside the band are constants folded into the
-code, and each cell's gap is a constant that picks its threshold. Rows
-move between the stack and a scan's locals only when the next scan or the
-caller reads them, after a win. Compiling costs time
-and memory in proportion to the plan's cells, so only the narrow, hot plans
-that carry most of the work are worth it: wide plans (long words, loose
-bounds) and rarely used ones stay interpreted.
+column 0 and the cells outside the band are constants folded into the code,
+and each cell's gap is a constant that picks its threshold. Rows move
+between the stack and a scan's locals only when the next scan or the caller
+reads them, after a win. Compiling costs time and memory in proportion to
+the plan's cells, so only the narrow, hot plans that carry most of the work
+are worth it: wide plans (long words, loose bounds) and rarely used ones
+stay interpreted.
 """
 
 from __future__ import annotations
