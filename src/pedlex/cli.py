@@ -189,6 +189,14 @@ def _parse_order(order: str | None):
     raise PedlexError(f"bad --order value {order!r}; use sorted or shuffle:<seed>")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, where the
+    platform has one), not every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_matrix(args) -> int:
     inventory, costs = _load_tables(args)
     lists_dir = Path(args.lists)
@@ -199,7 +207,7 @@ def _cmd_matrix(args) -> int:
         raise PedlexError(f"no .tsv word lists in {lists_dir}")
     if args.jobs is not None and args.jobs < 1:
         raise PedlexError(f"--jobs must be at least 1, got {args.jobs}")
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = args.jobs or _usable_cpus()
     report = build_matrix(
         lists,
         inventory,
@@ -275,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--out-format", default="csv", choices=("csv", "long-tsv"))
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: all cores)")
+                   help="worker processes (default: one per CPU this process may use)")
     p.add_argument("--min-size", type=int, default=DEFAULT_MIN_SIZE)
     p.add_argument("--skip-unknown", action="store_true")
     _add_distance_flags(p)

@@ -467,12 +467,15 @@ def _interpret(plan, labels, lcp, ipas, rows, query, stack, k, depth, limit, bes
 # compile cost grows with the plan's cells, and the trigger does too: at 200
 # times its cells, a plan compiles once the interpreted scan has spent half
 # (small plans) to all (20 cells and more) of the compile cost on it. That
-# is early, because a plan that gets hot early stays hot, and a fresh pool
-# worker gains most from compiling its hot plans soon; a flat trigger low
-# enough for that compiles long words' plans too. On a six-language corpus
-# under two workers, 100-300 times and floors of 512-1,024 ran within noise
-# of each other; on two 300-word lists of 8-30 phones, 100 times compiled 9
-# plans of 38-53 cells by the second pass, 200 times none. Plans up to 5
+# is early, because a plan that gets hot early stays hot, and a process
+# that starts cold gains most from compiling its hot plans soon; a flat
+# trigger low enough for that compiles long words' plans too. A pooled
+# matrix run whose largest cell is small starts cold only once: the caller
+# computes that cell first, and the workers fork with the scans it compiled
+# and the heat it booked (``similarity.build_matrix``). On a six-language
+# corpus under two workers, 100-300 times and floors of 512-1,024 ran within
+# noise of each other; on two 300-word lists of 8-30 phones, 100 times
+# compiled 9 plans of 38-53 cells by the second pass, 200 times none. Plans up to 5
 # wide hold 98% of the cells of two unrelated 1000-word lists and 95% of a
 # six-language corpus (91% and 76% up to 4 wide). The width cap keeps long
 # words interpreted: without it, those 300-word lists compiled 128 plans,

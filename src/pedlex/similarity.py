@@ -18,6 +18,12 @@ nothing before its search. The search starts from a sound bound, not from
 infinity: the diagonal alignment of the word next to the query in label
 order in the nearest-length bucket (``ped.start_bound``), which keeps that
 word unless another is strictly nearer or ties it with a smaller IPA.
+
+``build_matrix`` runs its cells largest first, on a pool of worker
+processes when asked. The DP kernel compiles its hot plans per process, so
+when the workers fork and the largest cell is small enough for the wait to
+pay, the caller computes that cell before it starts the pool, and the
+workers begin with its compiled plans instead of compiling them again.
 """
 
 from __future__ import annotations
@@ -239,6 +245,18 @@ def _nearest(visit, rows, query, stack, prune, stats):
     return best, best_at
 
 
+# A pooled run computes its largest cell in the caller first, so that the
+# workers fork with the scans it compiled, when that cell has at most this
+# many word pairs. The pool then starts a cell's time later, which pays only
+# while the cell is short against the workers' cold start. Measured with
+# scripts/oneshot_pairs.py (--jobs 2, 2-core Xeon, CPython 3.11) on three
+# NOUN lists of the ingest workload, seed 1, where the largest cell is a
+# third of the work: running it first won on wall at 100,116 pairs (0.395
+# -> 0.384 s median, 7 of 10 pairs) and lost at 123,480 (0.409 -> 0.427 s,
+# 3 of 10), 149,688 (0.425 -> 0.495 s) and 1.38 M (0.98 -> 1.27 s), while
+# it saved CPU from 80 k pairs up.
+_WARM_MAX_PAIRS = 100_000
+
 # (lists, min_size, tokens, rows) of the matrix a pool worker serves,
 # tokens[k] being list k's id tuples (None for a list in no cell); set once
 # per worker by its initializer, never in the caller
@@ -291,9 +309,16 @@ def build_matrix(
     Cells are independent and can run on ``jobs`` worker processes, at most
     one per cell, started after the preparation: each worker receives the
     lists, ``min_size``, the id tuples and the table once, when it starts,
-    and each cell is sent to it as a pair of list indices. Cells run largest
-    first, in the pool and in-process alike, so when several cells fail the
-    first of them in that order is the one raised. A cell that fails with
+    and each cell is sent to it as a pair of list indices. A worker that
+    starts cold compiles the same hot DP plans as every other one
+    (``ped._warm``), so when the workers fork from this process (start
+    method ``fork``), the largest cell has at most ``_WARM_MAX_PAIRS`` word
+    pairs and at least ``jobs`` cells are left after it, this process
+    computes that cell itself before it starts the pool, and the workers
+    fork with the scans it compiled and the heat it booked. Otherwise every
+    cell goes to the pool. Cells run largest first, in the pool and
+    in-process alike, so when several cells fail the first of them in that
+    order is the one raised. A cell that fails with
     anything but a ``PedlexError`` raises a ``RuntimeError`` naming it. The
     report is assembled in canonical (pos, lang_a, lang_b) order.
     """
@@ -323,12 +348,19 @@ def build_matrix(
     if workers > 1:
         # imported here: only a forking run pays for concurrent.futures and
         # multiprocessing
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        cells = []
+        i, j = pairs[0]
+        if (sizes[i] * sizes[j] <= _WARM_MAX_PAIRS and len(pairs) > jobs
+                and multiprocessing.get_start_method() == "fork"):
+            # the workers fork with the scans this cell compiled
+            cells.append(_cell_task(state, pairs.pop(0)))
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=state
         ) as pool:
-            cells = list(pool.map(_pooled_cell, pairs))
+            cells.extend(pool.map(_pooled_cell, pairs))
     else:
         cells = [_cell_task(state, pair) for pair in pairs]
     cells.sort(key=lambda c: (c.pos, c.lang_a, c.lang_b))

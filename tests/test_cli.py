@@ -323,6 +323,32 @@ def test_matrix_rejects_jobs_below_one(capsys, tmp_path, fixtures_dir):
     assert not out.exists()
 
 
+def test_matrix_jobs_default_counts_the_cpus_this_process_may_use(
+    capsys, tmp_path, monkeypatch, fixtures_dir
+):
+    import os
+
+    from pedlex import cli
+
+    received = []
+    build_matrix = cli.build_matrix
+
+    def recording(*args, jobs, **kwargs):
+        received.append(jobs)
+        return build_matrix(*args, jobs=1, **kwargs)
+
+    monkeypatch.setattr(cli, "build_matrix", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+    argv = ("matrix", "--lists", str(fixtures_dir / "pronouns"), "--out", str(tmp_path / "r.csv"))
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--jobs", "7")[0] == 0
+    # a platform without affinity masks counts the host's CPUs
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert run(capsys, *argv)[0] == 0
+    assert received == [2, 7, 64]
+
+
 def test_matrix_skips_a_list_g2p_emptied(capsys, tmp_path, fixtures_dir):
     lists_dir = tmp_path / "lists"
     lists_dir.mkdir()

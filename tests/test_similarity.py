@@ -425,32 +425,67 @@ def test_matrix_parallel_determinism():
     assert format_report(serial) == format_report(parallel)
 
 
-def test_matrix_pool_never_outnumbers_its_cells(monkeypatch):
-    started = []
+class RecordingPool:
+    """Runs the cells in-process, as one worker would, and starts no process;
+    ``events`` logs when it is built."""
 
-    class RecordingPool:  # runs the cells in-process; starts no worker
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
+    built = []
 
-        def __enter__(self):
-            return self
+    def __init__(self, max_workers, **kwargs):
+        self.max_workers = max_workers
+        self.kwargs = kwargs
+        self.tasks = []
+        RecordingPool.built.append(self)
+        log_event("pool")
+        kwargs["initializer"](*kwargs["initargs"])
 
-        def __exit__(self, *exc):
-            return False
+    def __enter__(self):
+        return self
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+    def __exit__(self, *exc):
+        return False
 
-    # build_matrix imports the pool class from concurrent.futures when it forks
+    def map(self, fn, tasks):
+        self.tasks.extend(tasks)
+        return map(fn, self.tasks)
+
+
+events = []
+
+
+def log_event(*event):
+    events.append(event)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """build_matrix's pools are RecordingPools; yields the list of those built."""
     monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "built", [])
     monkeypatch.setattr(similarity, "_worker_state", None)  # restored after the test
+    events.clear()
+    return RecordingPool.built
+
+
+def cells_largest_first(lists):
+    """(i, j) of sized_lists' four cells, largest first, and their products."""
+    sizes = [len(wl.ipa_strings()) for wl in lists]
+    pairs = [(0, 1), (2, 3), (2, 4), (3, 4)]
+    pairs.sort(key=lambda p: -sizes[p[0]] * sizes[p[1]])
+    return pairs, [sizes[i] * sizes[j] for i, j in pairs]
+
+
+def test_matrix_pool_never_outnumbers_its_cells(recording_pool):
     lists = lists_for_matrix()  # four cells
     serial = build_matrix(lists, INV, costs=COSTS, jobs=1)
     assert build_matrix(lists, INV, costs=COSTS, jobs=64) == serial
     assert build_matrix(lists, INV, costs=COSTS, jobs=3).cells == serial.cells
     assert len(build_matrix(lists[:2], INV, costs=COSTS, jobs=8).cells) == 1
-    assert started == [4, 3]  # the one-cell matrix ran in-process
+    # (workers, tasks): at jobs=64 three cells would be left after the
+    # largest, fewer than jobs, so the pool gets all four; at jobs=3 the
+    # caller runs the largest and three workers the rest; the one-cell
+    # matrix ran in-process
+    assert [(pool.max_workers, len(pool.tasks)) for pool in recording_pool] == [(4, 4), (3, 3)]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -487,32 +522,11 @@ def sized_lists():
     ]
 
 
-def test_matrix_pool_gets_state_once_and_index_pairs_largest_first(monkeypatch):
-    pools = []
-
-    class RecordingPool:  # runs the cells in-process, as one worker would; starts no process
-        def __init__(self, max_workers, **kwargs):
-            self.kwargs = kwargs
-            self.tasks = []
-            pools.append(self)
-            kwargs["initializer"](*kwargs["initargs"])
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            self.tasks.extend(tasks)
-            return map(fn, self.tasks)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(similarity, "_worker_state", None)  # restored after the test
+def test_matrix_pool_gets_state_once_and_index_pairs_largest_first(recording_pool):
     lists = sized_lists()
     serial = build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=1)
     assert build_matrix(lists, INV, costs=COSTS, min_size=3, jobs=2) == serial
-    [pool] = pools
+    [pool] = recording_pool
     assert set(pool.kwargs) == {"initializer", "initargs"}
     # the state: the lists, min_size, each list's prepared ids (None for the
     # VERB list, which is in no cell) and one table priced over the run's
@@ -527,13 +541,88 @@ def test_matrix_pool_gets_state_once_and_index_pairs_largest_first(monkeypatch):
     assert tokens[:5] == [{ipa: tuple(labels.index(p.label) for p in w) for ipa, w in ws.items()}
                           for ws in words]
     assert tokens[5] is None
-    assert len(pool.tasks) == len(serial.cells) == 4
+    # the caller ran the largest cell; the pool gets the other three, still
+    # largest first
+    pairs, products = cells_largest_first(lists)
+    assert products[0] > products[1] > products[-1]
+    assert pool.tasks == pairs[1:]
     for task in pool.tasks:
         assert type(task) is tuple and [type(k) for k in task] == [int, int]
         assert len(pickle.dumps(task)) < 100
-    products = [len(lists[i].ipa_strings()) * len(lists[j].ipa_strings()) for i, j in pool.tasks]
-    assert products == sorted(products, reverse=True)
-    assert products[0] > products[-1]
+
+
+def logging_align_lists(monkeypatch, fail_on=None):
+    """Log each cell align_lists computes; raise ``fail_on(l1, l2)`` if it
+    returns an exception."""
+    align_lists = similarity.align_lists
+
+    def logged(l1, l2, *args, **kwargs):
+        log_event("cell", l1.language, l2.language, l1.pos)
+        error = fail_on and fail_on(l1, l2)
+        if error:
+            raise error
+        return align_lists(l1, l2, *args, **kwargs)
+
+    monkeypatch.setattr(similarity, "align_lists", logged)
+
+
+def test_matrix_runs_the_largest_cell_before_it_builds_the_pool(monkeypatch, recording_pool):
+    lists = sized_lists()
+    logging_align_lists(monkeypatch)
+    serial = build_matrix(lists, INV, costs=COSTS, jobs=1)
+    events.clear()
+    assert build_matrix(lists, INV, costs=COSTS, jobs=2) == serial
+    assert events == [("cell", "aa", "cc", "PRON"), ("pool",), ("cell", "aa", "bb", "PRON"),
+                      ("cell", "bb", "cc", "PRON"), ("cell", "aa", "bb", "NOUN")]
+    [pool] = recording_pool
+    assert pool.max_workers == 2
+
+
+@pytest.mark.parametrize("guard", ["largest cell at the limit", "largest cell too large",
+                                   "too few cells left", "spawn", "forkserver"])
+def test_matrix_guards_decide_whether_the_caller_runs_the_largest_cell(
+    monkeypatch, recording_pool, guard
+):
+    lists = sized_lists()
+    pairs, products = cells_largest_first(lists)
+    jobs = 3  # three cells are left after the largest
+    if guard == "largest cell at the limit":
+        monkeypatch.setattr(similarity, "_WARM_MAX_PAIRS", products[0])
+    elif guard == "largest cell too large":
+        monkeypatch.setattr(similarity, "_WARM_MAX_PAIRS", products[0] - 1)
+    elif guard == "too few cells left":
+        jobs = 4
+    else:
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda *args, **kwargs: guard)
+    serial = build_matrix(lists, INV, costs=COSTS, jobs=1)
+    assert build_matrix(lists, INV, costs=COSTS, jobs=jobs) == serial
+    [pool] = recording_pool
+    # past any guard, every cell goes to the pool as before
+    assert pool.tasks == (pairs[1:] if guard == "largest cell at the limit" else pairs)
+    assert pool.max_workers == jobs
+
+
+def test_matrix_failing_largest_cell_raises_before_any_pool(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", NoPool)
+    lists = sized_lists()
+
+    def fail_on(l1, l2):
+        if "bb" not in (l1.language, l2.language):  # the largest cell, (aa, cc, PRON)
+            return ZeroDivisionError("kernel bug")
+
+    logging_align_lists(monkeypatch, fail_on)
+    messages = []
+    for jobs in (1, 2):
+        events.clear()
+        with pytest.raises(RuntimeError, match=r"^cell \(aa, cc, PRON\) failed") as caught:
+            build_matrix(lists, INV, costs=COSTS, jobs=jobs)
+        messages.append(str(caught.value))
+        assert events == [("cell", "aa", "cc", "PRON")]
+    assert messages[0] == messages[1]
 
 
 def test_in_process_matrix_keeps_no_list_alive():
