@@ -318,9 +318,9 @@ def build_matrix(
     fork with the scans it compiled and the heat it booked. Otherwise every
     cell goes to the pool. Cells run largest first, in the pool and
     in-process alike, so when several cells fail the first of them in that
-    order is the one raised. A cell that fails with
-    anything but a ``PedlexError`` raises a ``RuntimeError`` naming it. The
-    report is assembled in canonical (pos, lang_a, lang_b) order.
+    order is the one raised. A cell that fails with anything but a
+    ``PedlexError`` raises a ``RuntimeError`` naming it. The report is
+    assembled in canonical (pos, lang_a, lang_b) order.
     """
     if costs is None:
         costs = SubstitutionCosts()

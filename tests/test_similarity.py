@@ -426,8 +426,7 @@ def test_matrix_parallel_determinism():
 
 
 class RecordingPool:
-    """Runs the cells in-process, as one worker would, and starts no process;
-    ``events`` logs when it is built."""
+    """Runs the cells in-process, as one worker would, and starts no process."""
 
     built = []
 
@@ -436,7 +435,7 @@ class RecordingPool:
         self.kwargs = kwargs
         self.tasks = []
         RecordingPool.built.append(self)
-        log_event("pool")
+        events.append(("pool",))
         kwargs["initializer"](*kwargs["initargs"])
 
     def __enter__(self):
@@ -450,11 +449,7 @@ class RecordingPool:
         return map(fn, self.tasks)
 
 
-events = []
-
-
-def log_event(*event):
-    events.append(event)
+events = []  # ("pool",) when a RecordingPool is built, ("cell", ...) per logged cell
 
 
 @pytest.fixture
@@ -557,7 +552,7 @@ def logging_align_lists(monkeypatch, fail_on=None):
     align_lists = similarity.align_lists
 
     def logged(l1, l2, *args, **kwargs):
-        log_event("cell", l1.language, l2.language, l1.pos)
+        events.append(("cell", l1.language, l2.language, l1.pos))
         error = fail_on and fail_on(l1, l2)
         if error:
             raise error
