@@ -104,12 +104,7 @@ def _cmd_dist(args) -> int:
     print(f"{value:.3f}")
     if args.trace:
         for op in result.ops_trace:
-            if op.op == "insert":
-                print(f"insert\t-→{op.target}\t{op.cost:.3f}")
-            elif op.op == "delete":
-                print(f"delete\t{op.source}→-\t{op.cost:.3f}")
-            else:
-                print(f"{op.op}\t{op.source}→{op.target}\t{op.cost:.3f}")
+            print(f"{op.op}\t{op.source or '-'}→{op.target or '-'}\t{op.cost:.3f}")
     return 0
 
 

@@ -28,9 +28,11 @@ runs one plan over a bucket's candidates. At a win it tightens its
 thresholds in place as long as the tighter limit keeps its plan, which most
 wins do, and hands over to the narrower plan's scan otherwise. Each plan
 runs in one of two tiers that compute the same cells in the same order, run
-the same row test and leave the same live rows. The interpreted scan runs
-any plan. Pruned rows are 2-3 cells wide, and per row it unpacks the plan,
-builds a range and tests a sentinel, which costs about as much as the
+the same row test and leave the same live rows. In both a cell outside the
+band counts as inf. The interpreted scan runs any plan, and each of its
+rows sets the one such cell it reads, its last column's up neighbour, to
+inf first. Pruned rows are 2-3 cells wide, and per row it unpacks the plan,
+builds a range and tests that edge, which costs about as much as the
 cells. So a plan whose rows are all narrow, once it has proved hot, is
 generated as straight-line code with the rows and columns unrolled and
 compiled: the DP rows live in local variables for the whole scan, row 0,
@@ -209,26 +211,23 @@ def row_spans(rows: int, cols: int, lo: int, hi: int) -> tuple:
     """Per-row plan of the DP cells on diagonals lo..hi (see ``band``).
 
     Entry i (1..rows; entry 0 is unused) is (first column, range of the
-    columns 1..cols computed, sentinel column set to inf right of them or 0
-    for none, the row's column-0 value or inf when column 0 is outside the
-    band, the number of columns, the gap offset). Cell (i, j) owes
-    |offset + j - G| unit steps, G = ``max_gap(rows, cols, lo, hi)``. The
-    plan keeps a constant number of fields per row: long words have
-    thousands of plans.
+    columns 1..cols computed, edge, the row's column-0 value or inf when
+    column 0 is outside the band, the number of columns, the gap offset).
+    The edge is the row's last column when that column's up neighbour lies
+    right of row i - 1's band, and 0 otherwise; row 0 is never written, so
+    row 1 has none. Cell (i, j) owes |offset + j - G| unit steps, G =
+    ``max_gap(rows, cols, lo, hi)``. The plan keeps a constant number of
+    fields per row: long words have thousands of plans.
     """
     spans = [None]
     top = max_gap(rows, cols, lo, hi) + rows - cols
     for i in range(1, rows + 1):
-        jlo, jhi = i - hi, i - lo
-        sentinel = 0
-        if jhi < cols:
-            sentinel = jhi + 1
-        else:
-            jhi = cols
+        jlo, jhi = i - hi, min(i - lo, cols)
+        edge = jhi if i >= 2 and i - lo <= cols else 0
         left = INF
         if jlo <= 0:
             jlo, left = 1, float(i)
-        spans.append((jlo, range(jlo, jhi + 1), sentinel, left, jhi - jlo + 1, top - i))
+        spans.append((jlo, range(jlo, jhi + 1), edge, left, jhi - jlo + 1, top - i))
     return tuple(spans)
 
 
@@ -320,14 +319,14 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     capped at m + n: ``plans(m, n)`` holds them. A scan runs one plan over
     the bucket's candidates. At a win it works out the tightened limit, and
     while that limit keeps its plan (it is at least the plan's
-    ``least_limit``) it retunes its thresholds and goes on; it returns at
-    the bucket's end, at a win that narrows the band, and, without
-    ``prune``, at every win. The scan of the narrower plan takes over from
-    the next candidate. A plan runs interpreted, or as a generated scan
-    once it is hot and narrow; both take the same positional arguments
-    after the interpreted scan's plan and return (last index scanned,
-    depth, cells, completed candidates, index of the last winner or None,
-    best, limit).
+    ``least_limit``) it retunes its thresholds and goes on; it returns only
+    at the bucket's end and at a win that narrows the band (without
+    ``prune`` the band never narrows). The scan of the narrower plan takes
+    over from the next candidate. A plan runs interpreted, or as a generated
+    scan once it is hot and narrow; both take the same positional arguments
+    after the interpreted scan's plan and return (last index scanned, depth,
+    cells, completed candidates, index of the last winner or None, best,
+    limit).
 
     The live rows are 1..depth, where depth is what the last scan returned.
     Every call starts at depth 0, so no scan reads a row that was not
@@ -337,11 +336,11 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     scanned won, which is when it returns for a plan switch and when the
     bucket's last candidate won, so the winner's rows, which ``ped`` reads,
     are all live; it loads them when it starts after a win. Rows
-    written under a wider band than the next scan's hold a finite value in
-    the column right of the new band, which row i + 1 reads as its up
-    neighbour; on a plan switch the kernel writes inf there in rows
-    1..depth, so both tiers resume from rows whose cells outside the band
-    are inf.
+    written under a wider band than the next scan's may hold a finite value
+    in the column right of the new band, which row i + 1 reads as its up
+    neighbour. Each row takes that cell as inf itself (a generated scan by
+    construction, the interpreted one by writing inf there first), so a
+    plan switch is only a new plan.
     """
     m = bucket.length
     n = len(query)
@@ -375,15 +374,8 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
         k += 1
         if k == end:
             break
-        # the scan stopped at a win that narrowed the band, or at any win
-        # without prune
-        narrower = table[floor(limit) if limit < top else top]
-        if narrower is not plan:
-            plan = narrower
-            spans = row_spans(*plan)
-            for i in range(1, depth + 1):
-                if spans[i][2]:
-                    stack[i][spans[i][2]] = INF
+        # the scan stopped at a win that narrowed the band
+        plan = table[floor(limit) if limit < top else top]
     stats.dps += end
     stats.cells += cells
     stats.abandoned += end - completed
@@ -415,11 +407,11 @@ def _interpret(plan, labels, lcp, ipas, rows, query, stack, k, depth, limit, bes
             depth = lcp[k]
         prev = stack[depth]
         for i in range(depth + 1, m + 1):
-            jlo, cols, sentinel, left, width, offset = spans[i]
+            jlo, cols, edge, left, width, offset = spans[i]
             cur = stack[i]
             cost = rows[x[i - 1]]
-            if sentinel:
-                cur[sentinel] = INF
+            if edge:  # its up neighbour lies outside the band
+                prev[edge] = INF
             # column 0 in the band passes the row test: its value i plus its
             # gap counts the unit steps of a path, which ``band`` kept within
             # the limit
@@ -447,12 +439,13 @@ def _interpret(plan, labels, lcp, ipas, rows, query, stack, k, depth, limit, bes
             nd = prev[n] / maxlen if maxlen else 0.0
             if nd < best or (nd == best and ipas[k] < best_ipa):
                 win, best, best_ipa = k, nd, ipas[k]
-                if prune:
-                    limit = threshold(nd, maxlen)
-                    if limit >= least:  # the band holds: retune and go on
-                        limits = gap_limits(limit, size)
-                        vee = limits[:0:-1] + limits
-                        continue
+                if not prune:
+                    continue
+                limit = threshold(nd, maxlen)
+                if limit >= least:  # the band holds: retune and go on
+                    limits = gap_limits(limit, size)
+                    vee = limits[:0:-1] + limits
+                    continue
                 break
     return k, depth, cells, completed, win, best, limit
 
@@ -517,15 +510,16 @@ def _generate(m, n, lo, hi):
     plan. Cell (i, j) of rows 1..m is the local v<i>_<j>, and query label j
     is the local q<j>. Row 0 and column 0 are constants and cells outside
     the band are inf, so both fold into each cell's expressions when the
-    scan is generated: a row's last cell reads only its west neighbour, and
-    no row holds a sentinel. Every cell's gap g is a constant that picks its
-    threshold, the local t<g>, computed with the expression of
-    ``gap_limits`` on entry and again at each win that keeps the plan, so
-    it is the same float. A scan starts at depth 0 or, after a win, at m:
-    it loads the band columns of all its rows when it starts after a win,
-    and stores them when the last candidate it scanned won. Row i runs when depth < i, the row
-    test is an ``and`` of ``> t<g>`` compares, and cells are booked per
-    candidate as a difference of cumulative row widths.
+    scan is generated: a cell whose up neighbour lies outside the band reads
+    only its west one, and no row writes inf. Every cell's gap g is a
+    constant that picks its threshold, the local t<g>, computed with the
+    expression of ``gap_limits`` on entry and again at each win that keeps
+    the plan, so it is the same float. A scan starts at depth 0 or, after a
+    win, at m: it loads the band columns of all its rows when it starts
+    after a win, and stores them when the last candidate it scanned won.
+    Row i runs when depth < i, the row test is an ``and`` of ``> t<g>``
+    compares, and cells are booked per candidate as a difference of
+    cumulative row widths.
     """
     spans = row_spans(m, n, lo, hi)
 
@@ -608,11 +602,12 @@ def _generate(m, n, lo, hi):
         f"        nd = {at(m, n)} / {maxlen}" if maxlen else "        nd = 0.0",
         "        if nd < best or (nd == best and ipas[k] < best_ipa):",
         "            win, best, best_ipa = k, nd, ipas[k]",
-        "            if prune:",
-        f"                limit = threshold(nd, {maxlen})",
-        f"                if limit >= {least_limit(m, n, lo, hi)}:",
-        *tune(" " * 20),
-        "                    continue",
+        "            if not prune:",
+        "                continue",
+        f"            limit = threshold(nd, {maxlen})",
+        f"            if limit >= {least_limit(m, n, lo, hi)}:",
+        *tune(" " * 16),
+        "                continue",
         "            break",
         "    else:",
         "        if win != k:",

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .corpus import WordList
+from .corpus import WordList, check_header_value
 from .distance import SubstitutionCosts
 from .errors import PedlexError, TokenizeError, WordListError
 from .features import FeatureInventory
@@ -66,10 +66,9 @@ class SimilarityReport:
 
 
 def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: bool):
-    """Distinct IPA strings of a list mapped to their phone tuples, and the
-    list's distinct phones in label order. With ``skip_unknown``, strings
-    that do not tokenize are dropped: one warning per list gives their count,
-    and each is logged at DEBUG."""
+    """Distinct IPA strings of a list mapped to their phone tuples. With
+    ``skip_unknown``, strings that do not tokenize are dropped: one warning
+    per list gives their count, and each is logged at DEBUG."""
     tokens = {}
     strings = words.ipa_strings()
     for ipa in strings:
@@ -91,8 +90,7 @@ def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: 
             words.language,
             words.pos,
         )
-    unique = {p.label: p for word in tokens.values() for p in word}
-    return tokens, [unique[label] for label in sorted(unique)]
+    return tokens
 
 
 def _prepare_lists(lists, inventory: FeatureInventory, costs: SubstitutionCosts,
@@ -105,11 +103,9 @@ def _prepare_lists(lists, inventory: FeatureInventory, costs: SubstitutionCosts,
     tuples sort like label tuples, and rows[a][b] prices phone id a against
     phone id b.
     """
-    tokens, unique = [], {}
-    for words in lists:
-        words_tokens, phones = _prepare_tokens(words, inventory, skip_unknown)
-        tokens.append(words_tokens)
-        unique.update((p.label, p) for p in phones)
+    tokens = [_prepare_tokens(words, inventory, skip_unknown) for words in lists]
+    unique = {p.label: p for words_tokens in tokens for word in words_tokens.values()
+              for p in word}
     order = sorted(unique)
     ids = {label: k for k, label in enumerate(order)}
     for words_tokens in tokens:
@@ -371,8 +367,14 @@ REPORT_HEADER = ("lang_a", "lang_b", "pos", "mu_psi", "size_a", "size_b", "skipp
 
 
 def _report_rows(report: SimilarityReport):
+    """The header and one row per cell. A cell's languages and tag follow the
+    list header rule (``check_header_value``), so no field splits a row; a
+    list built through the library has not been checked against it yet."""
     yield REPORT_HEADER
     for cell in report.cells:
+        where = f"report cell {(cell.lang_a, cell.lang_b, cell.pos)!r}"
+        for name, value in (("lang_a", cell.lang_a), ("lang_b", cell.lang_b), ("pos", cell.pos)):
+            check_header_value(f"{where}: {name}", value)
         yield (
             cell.lang_a,
             cell.lang_b,
@@ -385,7 +387,9 @@ def _report_rows(report: SimilarityReport):
 
 
 def format_report(report: SimilarityReport, out_format: str = "csv") -> str:
-    """Render a report as 'csv' or 'long-tsv' text (same columns)."""
+    """Render a report as 'csv' or 'long-tsv' text (same columns). A cell
+    whose language or tag could not head a word list raises WordListError
+    naming the cell."""
     if out_format == "csv":
         sep = ","
     elif out_format == "long-tsv":

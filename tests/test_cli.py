@@ -2,11 +2,17 @@ import logging
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from pedlex import DistanceConfig, SubstitutionCosts, default_inventory, paper_voice, ped, tokenize
+from pedlex import (
+    DistanceConfig, SubstitutionCosts, default_inventory, paper_voice, ped, read_wordlist, tokenize,
+)
 from pedlex.cli import build_parser, main
+from pedlex.errors import WordListError
 
 
 def run(capsys, *argv):
@@ -36,11 +42,23 @@ def test_dist_normalized(capsys):
 
 
 def test_dist_trace_lists_operations(capsys):
-    code, out, _ = run(capsys, "dist", "pɛn", "bɛnd", "--trace")
-    lines = out.splitlines()
-    assert lines[0] == "1.200"
-    assert lines[1].startswith("substitute\tp→b")
-    assert lines[-1].startswith("insert\t-→d")
+    # one line per operation, "-" for the side an insertion or deletion lacks
+    _, out, _ = run(capsys, "dist", "pɛn", "bɛnd", "--trace")
+    assert out == (
+        "1.200\n"
+        "substitute\tp→b\t0.200\n"
+        "match\tɛ→ɛ\t0.000\n"
+        "match\tn→n\t0.000\n"
+        "insert\t-→d\t1.000\n"
+    )
+    _, out, _ = run(capsys, "dist", "bɛnd", "pɛn", "--trace")
+    assert out == (
+        "1.200\n"
+        "substitute\tb→p\t0.200\n"
+        "match\tɛ→ɛ\t0.000\n"
+        "match\tn→n\t0.000\n"
+        "delete\td→-\t1.000\n"
+    )
 
 
 def test_dist_unknown_symbol_exits_one(capsys):
@@ -274,6 +292,36 @@ def test_matrix_long_tsv(capsys, tmp_path, fixtures_dir):
     assert code == 0
     assert out.read_text(encoding="utf-8").splitlines()[0] == \
         "lang_a\tlang_b\tpos\tmu_psi\tsize_a\tsize_b\tskipped"
+
+
+# header values: any text but lone surrogates, which no file can hold;
+# read_wordlist decides which of them a list may carry
+header_values = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+
+
+@given(header_values, header_values, header_values, st.sampled_from(["csv", "long-tsv"]))
+@settings(max_examples=20, deadline=None)
+def test_matrix_rows_have_the_header_field_count(lang_a, lang_b, pos, out_format):
+    assume(lang_a != lang_b)
+    with tempfile.TemporaryDirectory() as tmp:
+        lists_dir = Path(tmp) / "lists"
+        lists_dir.mkdir()
+        for name, lang in (("a", lang_a), ("b", lang_b)):
+            path = lists_dir / f"{name}.tsv"
+            rows = "".join(f"{w}\t{w}\n" for w in ("pa", "ta", "ka", "ma", "na"))
+            path.write_text(f"# lang={lang} pos={pos}\n{rows}", encoding="utf-8")
+            try:
+                read_wordlist(path)
+            except WordListError:
+                assume(False)
+        out = Path(tmp) / "report"
+        argv = ["matrix", "--lists", str(lists_dir), "--out", str(out), "--jobs", "1",
+                "--out-format", out_format]
+        assert main(argv) == 0
+        sep = "," if out_format == "csv" else "\t"
+        lines = out.read_text(encoding="utf-8").split("\n")
+        assert len(lines) == 3 and lines[-1] == ""  # the header and one cell
+        assert [len(line.split(sep)) for line in lines[:-1]] == [7, 7]
 
 
 def test_compare_order_shuffle_flag(capsys, fixtures_dir):

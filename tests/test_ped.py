@@ -423,12 +423,15 @@ def test_row_spans_cover_the_band(bound, m, n):
     spans = row_spans(m, n, lo, hi)
     assert len(spans) == m + 1
     for i in range(1, m + 1):
-        jlo, cols, sentinel, left, width, offset = spans[i]
+        jlo, cols, edge, left, width, offset = spans[i]
         expected = [j for j in range(1, n + 1) if lo <= i - j <= hi]
         assert list(cols) == expected and width == len(expected)
         assert jlo == (expected[0] if expected else 1)
         assert left == (float(i) if i <= hi else math.inf)
-        assert sentinel == (i - lo + 1 if i - lo < n else 0)
+        # the last column, when its up neighbour (i - 1, j) lies right of
+        # row i - 1's band; row 0 holds every column
+        assert edge == (expected[-1] if i >= 2 and expected and i - 1 - expected[-1] < lo
+                        else 0)
         # every cell of the band, column 0 too, finds the threshold of its gap
         top = max_gap(m, n, lo, hi)
         for j in range(n + 1):
@@ -547,14 +550,15 @@ def scan_cases(draw):
 @example(([((0,), "0x"), ((1,), "1"), ((2,), "2")], 1, [[0.5, 1.0, 0.5], [0.0, 1.0, 0.0],
           [1.0, 0.5, 0.25]], (2, 0), 1.15, "2x", True), None)
 # the first word wins on the full band and narrows it; the second resumes
-# from row 1, whose new sentinel column holds a full-band value, and wins
+# from row 1, whose column right of the new band holds a full-band value
+# that row 2 must read as inf, and wins
 @example(([((0, 0, 0, 1, 1), "00011"), ((0, 1, 1, 0, 0), "01100")], 5, [[0.0, 1.5], [1.5, 1.0]],
           (1, 1, 1, 0), math.inf, None, True), None)
 # the bucket's last word wins on the band the first win left: the scan
 # reaches the bucket's end and must still store the winner's rows
 @example(([((0,), "0"), ((1,), "1x")], 1, [[0.5, 0.0, 0.5], [1.5, 0.25, 0.25]], (0, 0, 0, 2),
           math.inf, None, True), math.inf)
-# without prune every word wins and each win returns; nothing is abandoned
+# without prune every word wins and the scan goes on; nothing is abandoned
 @example(([((0,), "0x"), ((1,), "1"), ((2,), "2")], 1, [[1.0, 1.0], [0.25, 0.25], [0.0, 0.0]],
           (1,), math.inf, None, False), math.inf)
 @settings(max_examples=300, deadline=None)

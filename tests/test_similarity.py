@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -708,12 +709,15 @@ def test_fixture_matrix_pinned_bit_for_bit(fixtures_dir):
     }
 
 
-def test_prepare_tokens_keeps_one_phone_per_label():
-    words = wordlist("aa", "NOUN", ["papa", "apa", "tat̪a"])
-    tokens, phones = similarity._prepare_tokens(words, INV, skip_unknown=False)
-    labels = [p.label for p in phones]
-    assert sorted(labels) == ["a", "p", "t", "t̪"]
-    assert all(INV[p.label] == p for p in phones)
+def test_prepare_lists_keeps_one_phone_per_label():
+    # two lists that share phones: one id and one table row per label, with
+    # the ids in label order
+    lists = [wordlist("aa", "NOUN", ["papa", "apa"]), wordlist("bb", "NOUN", ["tat̪a", "pat"])]
+    (first, second), rows = similarity._prepare_lists(lists, INV, COSTS, skip_unknown=False)
+    phones = [INV[label] for label in ("a", "p", "t", "t̪")]
+    assert first == {"papa": (1, 0, 1, 0), "apa": (0, 1, 0)}
+    assert second == {"tat̪a": (2, 0, 3, 0), "pat": (1, 0, 2)}
+    assert rows == [[COSTS.pair(a, b) for b in phones] for a in phones]
 
 
 def test_report_csv_format():
@@ -733,6 +737,18 @@ def test_report_long_tsv_same_data():
     csv_text = format_report(report, "csv")
     tsv_text = format_report(report, "long-tsv")
     assert tsv_text.replace("\t", ",") == csv_text
+
+
+@pytest.mark.parametrize("langs, pos, out_format", [
+    (("a,b", "c"), "PRON", "csv"),  # was an 8-field row under the 7-field header
+    (("aa", "bb"), "PR\nON", "long-tsv"),  # was a row split in two
+])
+def test_report_rejects_a_cell_that_would_split_its_row(langs, pos, out_format):
+    # lists built through the library skip read_wordlist's header rule
+    report = build_matrix([wordlist(lang, pos, TOY_L1) for lang in langs], INV, costs=COSTS)
+    cell = repr((*sorted(langs), pos))
+    with pytest.raises(WordListError, match=re.escape(f"report cell {cell}")):
+        format_report(report, out_format)
 
 
 def test_report_skipped_cell_row():
