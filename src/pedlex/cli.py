@@ -28,7 +28,7 @@ from .corpus import (
     write_wordlist,
 )
 from .distance import DistanceConfig, SubstitutionCosts, load_manner_table
-from .errors import PedlexError
+from .errors import PedlexError, WordListError
 from .features import load_inventory, paper_voice
 from .ped import ped
 from .similarity import (
@@ -180,7 +180,7 @@ def _parse_order(order: str | None):
         try:
             return int(order.split(":", 1)[1])
         except ValueError:
-            raise PedlexError(f"bad --order value {order!r}; use sorted or shuffle:<seed>")
+            pass
     raise PedlexError(f"bad --order value {order!r}; use sorted or shuffle:<seed>")
 
 
@@ -200,6 +200,14 @@ def _cmd_matrix(args) -> int:
     lists = [read_wordlist(p) for p in sorted(lists_dir.glob("*.tsv"))]
     if not lists:
         raise PedlexError(f"no .tsv word lists in {lists_dir}")
+    # a second list of one (language, tag), such as a copied file, would
+    # give a cell of the language against itself
+    first = {}
+    for wl in lists:
+        other = first.setdefault((wl.language, wl.pos), wl)
+        if other is not wl:
+            raise WordListError(
+                f"{other.path} and {wl.path} are both lists of ({wl.language}, {wl.pos})")
     if args.jobs is not None and args.jobs < 1:
         raise PedlexError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = args.jobs or _usable_cpus()

@@ -17,10 +17,12 @@ beyond it once the unit steps still owed to its remaining length gap are
 counted (Ukkonen 1985; Spouge 1989): cell (i, j) of an m x n DP owes
 |(m-i) - (n-j)| insertions or deletions. Both tests are lower bounds on the
 final distance, so they never discard a candidate that could still win or
-tie; results with pruning are bit-identical to results without. A greedy
-search need not start from an infinite bound: ``start_bound`` prices one
-likely near word along its diagonal, a sound upper bound on that word's own
-distance, so the first candidate already runs on a narrow band.
+tie; results with pruning are bit-identical to results without. A bucket
+whose length gap alone exceeds the best-so-far (``out_of_reach``) is not
+scanned at all. ``nearest`` is a query's whole greedy search. It need not
+start from an infinite bound: ``start_bound`` prices one likely near word
+along its diagonal, a sound upper bound on that word's own distance, so the
+first candidate already runs on a narrow band.
 
 The band's shape, a plan (m, n, lo, hi), fixes the columns of every row,
 and depends only on floor(limit): the kernel looks plans up by it. A scan
@@ -158,6 +160,19 @@ def gap_limits(limit: float, size: int) -> list[float]:
     return [limit] + [limit - g + (g + 2) * u for g in range(1, size)]
 
 
+def out_of_reach(m: int, n: int, best: float) -> bool:
+    """Whether the length gap alone puts every path of an m x n DP above
+    ``best``: fl(|m - n| / maxlen) > best, and never for two empty words.
+
+    That is exactly ``band(threshold(best, maxlen), m, n) is None``: ``band``
+    gives None when the integer gap |m - n| exceeds the limit (an infinite
+    one for two empty words), which by ``threshold``'s defining property is
+    when fl(|m - n| / maxlen) > best.
+    """
+    maxlen = m if m > n else n
+    return maxlen > 0 and abs(m - n) / maxlen > best
+
+
 def start_bound(order, rows, query):
     """A first guess at a query's nearest word: (bound, bucket, index).
 
@@ -178,7 +193,7 @@ def start_bound(order, rows, query):
     the left one (n > m) the same way, so D[m][n] <= d, and division by
     maxlen is monotone.
 
-    So a search may start from (bound, the word's IPA) in place of (inf,
+    So ``nearest`` may start from (bound, the word's IPA) in place of (inf,
     None), keeping the word when nothing wins. ``dp_labels`` keeps the
     lexicographic (nd, IPA) minimum, and the word's own (nd, IPA) is at or
     below the start, so the start never displaces the true minimum: the
@@ -298,12 +313,13 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
 
     With ``prune`` the search is cut off at ``best``: limit is
     ``threshold(best, maxlen)``, and row i computes only the columns on
-    ``band(limit, ...)``; every cell outside the band counts as inf. A
-    bucket whose length gap alone exceeds the limit is booked in
-    ``stats.prefiltered`` and not scanned, and the call returns False. Every
-    path to the last cell crosses each row, and from cell (i, j) it still
-    owes g = |(m-i) - (n-j)| unit steps; ``gap_limits(limit, ...)`` gives per
-    g a threshold above which such a cell cannot end within the limit. Once
+    ``band(limit, ...)``; every cell outside the band counts as inf. So the
+    bucket must not be ``out_of_reach`` of ``best``, which is when that band
+    is empty: ``nearest`` and ``ped`` book such a bucket in
+    ``stats.prefiltered`` themselves and do not call the kernel. Every path
+    to the last cell crosses each row, and from cell (i, j) it still owes
+    g = |(m-i) - (n-j)| unit steps; ``gap_limits(limit, ...)`` gives per g
+    a threshold above which such a cell cannot end within the limit. Once
     every cell of a row's band (column 0 too, when it is in the band)
     exceeds the threshold of its gap, no path through the row scores within
     best: the candidate is abandoned, and a candidate resumed from such a
@@ -348,13 +364,9 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     top = m + n
     table = plans(m, n)
     limit = threshold(best, maxlen) if prune else INF
-    plan = None if limit < 0 else table[floor(limit) if limit < top else top]
-    labels = bucket.labels
+    plan = table[floor(limit) if limit < top else top]
+    labels, lcp, ipas = bucket.labels, bucket.lcp, bucket.ipas
     end = len(labels)
-    if plan is None:
-        stats.prefiltered += end
-        return False
-    lcp, ipas = bucket.lcp, bucket.ipas
     hit = None
     k = depth = cells = completed = 0
     while k < end:
@@ -380,6 +392,30 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     stats.cells += cells
     stats.abandoned += end - completed
     return hit
+
+
+def nearest(order, rows, query, stack, prune, stats):
+    """(nd, bucket, index) of the query's nearest word in ``order``'s buckets.
+
+    Ties go to the smaller IPA. The search starts from ``start_bound``'s
+    word, which picks the same word as an infinite start. Each bucket is
+    one ``dp_labels`` call, except that with ``prune`` a bucket
+    ``out_of_reach`` of the best-so-far is booked in ``stats.prefiltered``
+    and not scanned. ``order`` may be any order; nearest length first finds
+    a near word soonest and so rules most buckets out.
+    """
+    best, found, k = start_bound(order, rows, query)
+    best_ipa = found.ipas[k]
+    n = len(query)
+    for bucket in order:
+        if prune and out_of_reach(bucket.length, n, best):
+            stats.prefiltered += len(bucket.labels)
+            continue
+        hit = dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats)
+        if hit:
+            k, best = hit
+            found, best_ipa = bucket, bucket.ipas[k]
+    return best, found, k
 
 
 def _interpret(plan, labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa,
@@ -681,7 +717,8 @@ def ped(
     distance is at most ``bound`` and None otherwise. ``trace=True`` ignores
     the bound and additionally returns the aligned edit script. The DP runs
     as ``dp_labels`` on a one-word bucket and books ``stats`` the same way;
-    a pair whose length gap alone exceeds the bound is not priced.
+    a pair ``out_of_reach`` of the bound is booked in ``stats.prefiltered``
+    and not priced.
     """
     if costs is None:
         costs = SubstitutionCosts()
@@ -690,7 +727,7 @@ def ped(
     m, n = len(source), len(target)
     # the kernel takes nd < best; the next float up admits nd == bound
     best = INF if bound is None or trace else nextafter(bound, INF)
-    if band(threshold(best, max(m, n)), m, n) is None:
+    if out_of_reach(m, n, best):
         stats.prefiltered += 1
         return None
     # label ids are positions: rows[i][j] prices source[i] against target[j]

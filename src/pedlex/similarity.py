@@ -14,8 +14,8 @@ phones in label order, so id tuples sort like label tuples, and prices one
 dense table over those phones. ``build_matrix`` prepares every list that
 some cell uses before any cell runs, and ``align_lists`` its own two. The
 DP kernel reads the table by the query's label ids, so a query builds
-nothing before its search. The search starts from a sound bound, not from
-infinity: the diagonal alignment of the word next to the query in label
+nothing before its search (``ped.nearest``), which starts from a bound, not
+from infinity: the diagonal alignment of the word next to the query in label
 order in the nearest-length bucket (``ped.start_bound``), which keeps that
 word unless another is strictly nearer or ties it with a smaller IPA.
 
@@ -37,7 +37,7 @@ from .corpus import WordList, check_header_value
 from .distance import SubstitutionCosts
 from .errors import PedlexError, TokenizeError, WordListError
 from .features import FeatureInventory
-from .ped import Bucket, DpStats, dp_labels, dp_stack, start_bound
+from .ped import Bucket, DpStats, dp_stack, nearest
 from .tokenizer import tokenize
 
 log = logging.getLogger("pedlex.similarity")
@@ -178,67 +178,28 @@ def _greedy_total(queries, long_, rows, prune, stats):
     """Σ over the queries, in order, of the normalized PED to the nearest
     unclaimed word of ``long_`` (ties to the smaller IPA), which it claims.
 
-    The long list is scanned in buckets of equal token length, nearest
-    length first (``_nearest``). rows[a][b] prices long-list label id a
+    The long list is held in buckets of equal token length. A query's search
+    is one ``ped.nearest`` call over them, nearest length first (ties to the
+    shorter); with ``prune``, a bucket whose length gap alone exceeds the
+    best-so-far is not scanned. rows[a][b] prices long-list label id a
     against query label id b.
     """
     by_length: dict[int, list] = {}
     for ipa, labels in long_.items():
         by_length.setdefault(len(labels), []).append((labels, ipa))
     buckets = [Bucket(length, by_length[length]) for length in sorted(by_length)]
-    visits: dict[int, tuple] = {}  # bucket visit order and sides per query length
+    visits: dict[int, list] = {}  # bucket visit order per query length
     stack = dp_stack(buckets[-1].length, max(map(len, queries)))  # reused across queries
     total = 0.0
     for w in queries:
         n = len(w)
-        visit = visits.get(n)
-        if visit is None:
-            order = sorted(buckets, key=lambda b: (abs(b.length - n), b.length))
-            visit = visits[n] = (order, [(b.length > n) - (b.length < n) for b in order])
-        best, (bucket, k) = _nearest(visit, rows, w, stack, prune, stats)
+        order = visits.get(n)
+        if order is None:
+            order = visits[n] = sorted(buckets, key=lambda b: (abs(b.length - n), b.length))
+        best, bucket, k = nearest(order, rows, w, stack, prune, stats)
         total += best
         bucket.remove(k)
     return total
-
-
-def _nearest(visit, rows, query, stack, prune, stats):
-    """(nd, (bucket, index)) of the query's nearest unclaimed word.
-
-    ``visit`` is (buckets, sides): the buckets nearest length first, ties to
-    the shorter, and the sign of each one's length minus the query's, so a
-    side is the longer (+1) or the shorter (-1) buckets, visited in order of
-    growing length gap. Each bucket is one ``dp_labels`` call, which skips
-    it whole when its length gap alone exceeds the best-so-far. The search
-    starts from ``start_bound``'s word rather than from an infinite bound,
-    which picks the same word.
-
-    Once a bucket is skipped on its gap, every later bucket of its side is
-    booked in ``stats.prefiltered`` without a kernel call; the kernel would
-    skip each of them too. Proof: with limit = ``threshold(best, maxlen)``,
-    ``band`` gives None exactly when the integer gap |m - n| exceeds limit
-    (its floor, or m + n when limit is larger, is below the gap), which is
-    when fl(|m - n| / maxlen) > best, by ``threshold``'s defining property.
-    On the longer side maxlen = m and the quotient's real value 1 - n/m
-    grows with m; on the shorter side maxlen = n and (n - m)/n grows as m
-    falls. Rounding is monotone, so the rounded quotient never falls along
-    a side, and best never grows during a search. The equal-length bucket
-    has gap 0 and is never skipped, and without ``prune`` no bucket is.
-    """
-    order, sides = visit
-    best, bucket, k = start_bound(order, rows, query)
-    best_ipa, best_at = bucket.ipas[k], (bucket, k)
-    ruled_out = [False, False, False]  # by side: equal, longer, shorter (index -1)
-    for bucket, side in zip(order, sides):
-        if ruled_out[side]:
-            stats.prefiltered += len(bucket.labels)
-            continue
-        hit = dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats)
-        if hit:
-            k, best = hit
-            best_ipa, best_at = bucket.ipas[k], (bucket, k)
-        elif hit is False:
-            ruled_out[side] = True
-    return best, best_at
 
 
 # A pooled run computes its largest cell in the caller first, so that the

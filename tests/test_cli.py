@@ -335,7 +335,10 @@ def test_compare_order_shuffle_flag(capsys, fixtures_dir):
     code, again_out, _ = run(capsys, "compare", "--a", ur, "--b", hi,
                              "--order", "shuffle:3")
     assert shuffled_out == again_out  # seeded order is reproducible
-    assert run(capsys, "compare", "--a", ur, "--b", hi, "--order", "bogus")[0] == 1
+    for bad in ("bogus", "shuffle:x"):
+        code, _, err = run(capsys, "compare", "--a", ur, "--b", hi, "--order", bad)
+        assert code == 1
+        assert f"bad --order value {bad!r}" in err
 
 
 def test_compare_prints_the_matrix_row_of_its_pair(capsys, tmp_path, fixtures_dir):
@@ -357,6 +360,18 @@ def test_matrix_empty_dir_exits_one(capsys, tmp_path):
     empty.mkdir()
     code, _, err = run(capsys, "matrix", "--lists", str(empty), "--out", str(tmp_path / "r.csv"))
     assert code == 1
+
+
+def test_matrix_rejects_two_lists_of_one_language_and_tag(capsys, tmp_path, fixtures_dir):
+    lists_dir = tmp_path / "lists"
+    shutil.copytree(fixtures_dir / "pronouns", lists_dir)
+    shutil.copy(lists_dir / "ar.tsv", lists_dir / "ar_copy.tsv")
+    out = tmp_path / "r.csv"
+    code, _, err = run(capsys, "matrix", "--lists", str(lists_dir), "--out", str(out),
+                       "--jobs", "1")
+    assert code == 1
+    assert str(lists_dir / "ar.tsv") in err and str(lists_dir / "ar_copy.tsv") in err
+    assert not out.exists()
 
 
 def test_matrix_rejects_jobs_below_one(capsys, tmp_path, fixtures_dir):

@@ -22,7 +22,8 @@ from pedlex import (
     tokenize,
 )
 from pedlex.ped import (
-    Bucket, band, dp_labels, dp_stack, gap_limits, max_gap, row_spans, start_bound, threshold,
+    Bucket, band, dp_labels, dp_stack, gap_limits, max_gap, nearest, out_of_reach, row_spans,
+    start_bound, threshold,
 )
 
 # the package re-exports a function named ``ped``, so import the module by path
@@ -302,6 +303,41 @@ def test_length_gap_prefilter_prices_no_pair():
     assert (stats.prefiltered, stats.dps, stats.abandoned, stats.cells) == (1, 0, 0, 0)
 
 
+def test_a_bucket_out_of_reach_is_booked_in_prefiltered():
+    # two words of 2 labels against an empty query: the gap alone gives
+    # 2 / 2 = 1.0, above a best of 0.9 or of an exact match, so no DP starts
+    stats = DpStats()
+    assert ped(ps("pa"), (), costs=COSTS, bound=0.9, stats=stats) is None
+    assert (stats.prefiltered, stats.dps, stats.abandoned, stats.cells) == (1, 0, 0, 0)
+    stats = DpStats()
+    order = [Bucket(0, [((), "")]), Bucket(2, [((0, 0), "00"), ((0, 1), "01")])]
+    assert nearest(order, [[0.0], [0.0]], (), dp_stack(2, 0), True, stats) == (0.0, order[0], 0)
+    assert (stats.prefiltered, stats.dps, stats.abandoned, stats.cells) == (2, 1, 0, 0)
+    # without prune every bucket is scanned
+    stats = DpStats()
+    assert nearest(order, [[0.0], [0.0]], (), dp_stack(2, 0), False, stats) == (0.0, order[0], 0)
+    assert (stats.prefiltered, stats.dps, stats.abandoned) == (0, 3, 0)
+
+
+def reach_bests(m, n):
+    """Bests at which the reach of an m x n DP may turn: each quotient
+    gap / maxlen and its neighbours, and values around 0 and beyond 1."""
+    maxlen = max(m, n)
+    quotients = [g / maxlen for g in range(maxlen + 1)] if maxlen else []
+    near = [math.nextafter(q, d) for q in quotients for d in (-math.inf, math.inf)]
+    return quotients + near + [-math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 2.0, math.inf]
+
+
+def test_out_of_reach_is_the_band_test():
+    # the one division against the kernel's own band math, for every m, n
+    # up to 40 and every best around which the answer may change
+    for m in range(41):
+        for n in range(41):
+            for best in reach_bests(m, n):
+                expected = band(threshold(best, max(m, n)), m, n) is None
+                assert out_of_reach(m, n, best) == expected, (m, n, best)
+
+
 # ---------------------------------------------------------------- kernel plan
 
 
@@ -529,14 +565,15 @@ def scan_cases(draw):
     ids = draw(st.integers(1, 3))  # query label ids, repeats included
     rows = [draw(st.lists(cost, min_size=ids, max_size=ids)) for _ in range(alphabet)]
     query = tuple(draw(st.lists(st.integers(0, ids - 1), min_size=n, max_size=n)))
-    best = draw(st.one_of(st.just(math.inf), st.floats(0.0, 1.2)))
+    # in reach: the kernel takes no bucket whose length gap exceeds best
+    reach = abs(m - n) / max(m, n, 1)
+    best = draw(st.one_of(st.just(math.inf), st.floats(reach, 1.2)))
     best_ipa = None if best == math.inf else draw(st.sampled_from(["", "1", "2x"]))
     return entries, m, rows, query, best, best_ipa, draw(st.booleans())
 
 
 @given(scan_cases(), st.sampled_from([None, math.inf]))
 @example(([((), "")], 0, [[0.5, 1.0, 0.5]], (0, 1, 2), math.inf, None, True), math.inf)
-@example(([((0, 0), "00"), ((0, 1), "01")], 2, [[0.0], [0.0]], (), 0.9, "", True), None)
 # rows that only the gap term abandons: row 5 of 7 against 6 query labels
 # (row 6 without the gap), and the second candidate of a 3 x 4 bucket at
 # its last row (completed without the gap); a tier that dropped the gap

@@ -31,7 +31,7 @@ from pedlex import (
 )
 from pedlex import similarity
 from pedlex.errors import TokenizeError, WordListError
-from pedlex.ped import Bucket, dp_labels, dp_stack, start_bound
+from pedlex.ped import Bucket, band, dp_labels, dp_stack, nearest, start_bound, threshold
 
 INV = default_inventory()
 XI = default_manner_table()
@@ -233,11 +233,18 @@ def test_seeded_200_word_cell_work_and_score_pinned():
 
 
 def full_visit(order, rows, query, stack, prune, stats):
-    """A query's search that calls the kernel on every bucket of ``order``."""
+    """A query's search over every bucket of ``order`` that rules a bucket
+    out, with ``prune``, by the kernel's own band: none is left of
+    ``threshold(best, maxlen)``."""
     stack[0] = [float(j) for j in range(len(query) + 1)]
     best, bucket, k = start_bound(order, rows, query)
     best_ipa, best_at = bucket.ipas[k], (bucket, k)
+    n = len(query)
     for bucket in order:
+        m = bucket.length
+        if prune and band(threshold(best, max(m, n)), m, n) is None:
+            stats.prefiltered += len(bucket.labels)
+            continue
         hit = dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats)
         if hit:
             k, best = hit
@@ -263,7 +270,7 @@ def visit_cases(draw):
 @example(([(0,), (0, 0, 0, 0), (0,) * 6, (0,) * 8, ()], [(0,)], [[0.0]], True))
 # a bound that rules out the far end of each side only
 @example(([(0,) * k for k in range(10)], [(1, 1, 1, 1), (1,)], [[1.0, 0.5], [0.5, 0.0]], True))
-def test_nearest_stops_a_side_at_its_first_ruled_out_bucket(case):
+def test_nearest_rules_out_the_buckets_the_kernel_band_rules_out(case):
     long_, queries, rows, prune = case
 
     def buckets():
@@ -283,10 +290,8 @@ def test_nearest_stops_a_side_at_its_first_ruled_out_bucket(case):
         def order(bs):
             return sorted(bs, key=lambda b: (abs(b.length - n), b.length))
 
-        sides = [(b.length > n) - (b.length < n) for b in order(ours)]
         mine, full = DpStats(), DpStats()
-        best, (bucket, k) = similarity._nearest(
-            (order(ours), sides), rows, query, stack, prune, mine)
+        best, bucket, k = nearest(order(ours), rows, query, stack, prune, mine)
         ref_best, (ref_bucket, ref_k) = full_visit(
             order(theirs), rows, query, reference_stack, prune, full)
         assert (best, bucket.ipas[k]) == (ref_best, ref_bucket.ipas[ref_k])
