@@ -395,14 +395,13 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
 
 
 def nearest(order, rows, query, stack, prune, stats):
-    """(nd, bucket, index) of the query's nearest word in ``order``'s buckets.
+    """(nd, bucket, index) of the query's nearest word in ``order``'s
+    buckets, ties to the smaller IPA.
 
-    Ties go to the smaller IPA. The search starts from ``start_bound``'s
-    word, which picks the same word as an infinite start. Each bucket is
-    one ``dp_labels`` call, except that with ``prune`` a bucket
-    ``out_of_reach`` of the best-so-far is booked in ``stats.prefiltered``
-    and not scanned. ``order`` may be any order; nearest length first finds
-    a near word soonest and so rules most buckets out.
+    The search starts from ``start_bound``'s word, which picks the same word
+    as an infinite start. Each bucket is one ``dp_labels`` call, but with
+    ``prune`` a bucket ``out_of_reach`` of the best-so-far is booked in
+    ``stats.prefiltered`` and not scanned.
     """
     best, found, k = start_bound(order, rows, query)
     best_ipa = found.ipas[k]

@@ -309,14 +309,13 @@ def test_a_bucket_out_of_reach_is_booked_in_prefiltered():
     stats = DpStats()
     assert ped(ps("pa"), (), costs=COSTS, bound=0.9, stats=stats) is None
     assert (stats.prefiltered, stats.dps, stats.abandoned, stats.cells) == (1, 0, 0, 0)
-    stats = DpStats()
+    # nearest finds the empty word first; without prune every bucket is scanned
     order = [Bucket(0, [((), "")]), Bucket(2, [((0, 0), "00"), ((0, 1), "01")])]
-    assert nearest(order, [[0.0], [0.0]], (), dp_stack(2, 0), True, stats) == (0.0, order[0], 0)
-    assert (stats.prefiltered, stats.dps, stats.abandoned, stats.cells) == (2, 1, 0, 0)
-    # without prune every bucket is scanned
-    stats = DpStats()
-    assert nearest(order, [[0.0], [0.0]], (), dp_stack(2, 0), False, stats) == (0.0, order[0], 0)
-    assert (stats.prefiltered, stats.dps, stats.abandoned) == (0, 3, 0)
+    for prune, counts in ((True, (2, 1, 0, 0)), (False, (0, 3, 0, 0))):
+        stats = DpStats()
+        hit = nearest(order, [[0.0], [0.0]], (), dp_stack(2, 0), prune, stats)
+        assert hit == (0.0, order[0], 0)
+        assert (stats.prefiltered, stats.dps, stats.abandoned, stats.cells) == counts
 
 
 def reach_bests(m, n):
