@@ -160,9 +160,15 @@ def _cmd_g2p(args) -> int:
 
 def _cmd_compare(args) -> int:
     inventory, costs = _load_tables(args)
+    a, b = read_wordlist(args.a), read_wordlist(args.b)
+    # a report row is one tag's cell, and the row would name --a's tag
+    if a.pos != b.pos:
+        raise WordListError(
+            f"{a.path} is a list of ({a.language}, {a.pos}) and {b.path} of "
+            f"({b.language}, {b.pos}); compare needs two lists of one tag")
     cell = align_lists(
-        read_wordlist(args.a),
-        read_wordlist(args.b),
+        a,
+        b,
         inventory,
         costs=costs,
         min_size=args.min_size,

@@ -5,10 +5,9 @@ substitution priced by the articulatory distance of the two phones (0 when
 the labels are equal). One kernel, ``dp_labels``, computes it for ``ped``,
 its edit-script trace and the greedy list alignment: one call scans a
 bucket of equal-length candidate words against one query word, rows over
-the candidate and columns over the query, and reuses the rows of a prefix
-shared with the previous candidate. It reads substitution costs from one
-table by candidate and query label id, so a query needs no cost profile of
-its own.
+the candidate and columns over the query, each candidate from row 0. It
+reads substitution costs from one table by candidate and query label id,
+so a query needs no cost profile of its own.
 
 The kernel cuts its search off at the normalized best-so-far. Only the
 diagonal band that a path within it can reach is filled (Ukkonen's cutoff),
@@ -29,22 +28,21 @@ and depends only on floor(limit): the kernel looks plans up by it. A scan
 runs one plan over a bucket's candidates. At a win it tightens its
 thresholds in place as long as the tighter limit keeps its plan, which most
 wins do, and hands over to the narrower plan's scan otherwise. Each plan
-runs in one of two tiers that compute the same cells in the same order, run
-the same row test and leave the same live rows. In both a cell outside the
-band counts as inf. The interpreted scan runs any plan, and each of its
-rows sets the one such cell it reads, its last column's up neighbour, to
-inf first. Pruned rows are 2-3 cells wide, and per row it unpacks the plan,
-builds a range and tests that edge, which costs about as much as the
-cells. So a plan whose rows are all narrow, once it has proved hot, is
-generated as straight-line code with the rows and columns unrolled and
-compiled: the DP rows live in local variables for the whole scan, row 0,
-column 0 and the cells outside the band are constants folded into the code,
-and each cell's gap is a constant that picks its threshold. Rows move
-between the stack and a scan's locals only when the next scan or the caller
-reads them, after a win. Compiling costs time and memory in proportion to
-the plan's cells, so only the narrow, hot plans that carry most of the work
-are worth it: wide plans (long words, loose bounds) and rarely used ones
-stay interpreted.
+runs in one of two tiers that compute the same cells in the same order and
+run the same row test. In both a cell outside the band counts as inf. The
+interpreted scan runs any plan, and each of its rows sets the one such
+cell it reads, its last column's up neighbour, to inf first. Pruned rows
+are 2-3 cells wide, and per row it unpacks the plan, builds a range and
+tests that edge, which costs about as much as the cells. So a plan whose
+rows are all narrow, once it has proved hot, is generated as straight-line
+code with the rows and columns unrolled and compiled: the DP rows live in
+local variables for the whole scan, row 0, column 0 and the cells outside
+the band are constants folded into the code, and each cell's gap is a
+constant that picks its threshold. It stores its rows to the stack only
+after a win, for ``ped`` to read the winner's distance and edit script.
+Compiling costs time and memory in proportion to the plan's cells, so only
+the narrow, hot plans that carry most of the work are worth it: wide plans
+(long words, loose bounds) and rarely used ones stay interpreted.
 """
 
 from __future__ import annotations
@@ -249,32 +247,20 @@ def row_spans(rows: int, cols: int, lo: int, hi: int) -> tuple:
 class Bucket:
     """Candidate words of one token length, sorted by (labels, ipa).
 
-    ``labels`` holds label-id tuples, ``ipas`` the IPA string of each (it
-    breaks distance ties), and lcp[k] the number of leading labels word k
-    shares with word k - 1 (0 for the first word).
+    ``labels`` holds label-id tuples and ``ipas`` the IPA string of each (it
+    breaks distance ties).
     """
 
-    __slots__ = ("length", "labels", "ipas", "lcp")
+    __slots__ = ("length", "labels", "ipas")
 
     def __init__(self, length, entries):
         entries.sort()
         self.length = length
         self.labels = [labels for labels, _ in entries]
         self.ipas = [ipa for _, ipa in entries]
-        self.lcp = [0] * len(entries)
-        for k in range(1, len(entries)):
-            a, b = self.labels[k - 1], self.labels[k]
-            common = 0
-            while common < length and a[common] == b[common]:
-                common += 1
-            self.lcp[k] = common
 
     def remove(self, k):
-        lcp = self.lcp
-        if k + 1 < len(lcp):
-            # the new neighbours share the shorter of the two prefixes
-            lcp[k + 1] = min(lcp[k], lcp[k + 1])
-        del self.labels[k], self.ipas[k], lcp[k]
+        del self.labels[k], self.ipas[k]
 
 
 def least_limit(rows: int, cols: int, lo: int, hi: int) -> int:
@@ -308,8 +294,7 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     i, and rows[a][b] is the cost of substituting candidate label id a for
     query label id b, so cell (i, j) of candidate x costs
     rows[x[i-1]][query[j-1]]. Neither row 0 nor column 0 is ever written.
-    Candidate k resumes from the rows of the lcp[k] labels it shares with
-    the one before, even rows that proved that one hopeless.
+    Every candidate computes its rows from row 0.
 
     With ``prune`` the search is cut off at ``best``: limit is
     ``threshold(best, maxlen)``, and row i computes only the columns on
@@ -322,8 +307,7 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     a threshold above which such a cell cannot end within the limit. Once
     every cell of a row's band (column 0 too, when it is in the band)
     exceeds the threshold of its gap, no path through the row scores within
-    best: the candidate is abandoned, and a candidate resumed from such a
-    row cannot win either.
+    best: the candidate is abandoned.
 
     A completed candidate with normalized distance nd wins when nd < best,
     or nd == best and its IPA sorts before ``best_ipa``; with ``prune`` the
@@ -340,23 +324,18 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     ``prune`` the band never narrows). The scan of the narrower plan takes
     over from the next candidate. A plan runs interpreted, or as a generated
     scan once it is hot and narrow; both take the same positional arguments
-    after the interpreted scan's plan and return (last index scanned, depth,
-    cells, completed candidates, index of the last winner or None, best,
-    limit).
+    after the interpreted scan's plan and return (last index scanned, cells,
+    completed candidates, index of the last winner or None, best, limit).
 
-    The live rows are 1..depth, where depth is what the last scan returned.
-    Every call starts at depth 0, so no scan reads a row that was not
-    written (or, by a generated scan, loaded) in the same call, and rows
-    above the depth are dead. A generated scan keeps the DP rows in local
-    variables. It stores its rows' band columns when the last candidate it
-    scanned won, which is when it returns for a plan switch and when the
-    bucket's last candidate won, so the winner's rows, which ``ped`` reads,
-    are all live; it loads them when it starts after a win. Rows
-    written under a wider band than the next scan's may hold a finite value
-    in the column right of the new band, which row i + 1 reads as its up
-    neighbour. Each row takes that cell as inf itself (a generated scan by
-    construction, the interpreted one by writing inf there first), so a
-    plan switch is only a new plan.
+    A generated scan keeps the DP rows in local variables. It stores its
+    rows' band columns when the last candidate it scanned won, which is when
+    it returns for a plan switch and when the bucket's last candidate won,
+    so the winner's rows, which ``ped`` reads, are on the stack. The column
+    right of a row's band, which row i + 1 reads as its up neighbour, may
+    hold a finite value: one written under an earlier scan's wider band, or
+    ``dp_stack``'s 0.0. Each row takes that cell as inf itself (a generated
+    scan by construction, the interpreted one by writing inf there first),
+    so a plan switch is only a new plan.
     """
     m = bucket.length
     n = len(query)
@@ -365,19 +344,18 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     table = plans(m, n)
     limit = threshold(best, maxlen) if prune else INF
     plan = table[floor(limit) if limit < top else top]
-    labels, lcp, ipas = bucket.labels, bucket.lcp, bucket.ipas
+    labels, ipas = bucket.labels, bucket.ipas
     end = len(labels)
     hit = None
-    k = depth = cells = completed = 0
+    k = cells = completed = 0
     while k < end:
         scan = _compiled.get(plan)
         if scan is not None:
-            k, depth, c, done, win, best, limit = scan(
-                labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa, prune)
+            k, c, done, win, best, limit = scan(
+                labels, ipas, rows, query, stack, k, limit, best, best_ipa, prune)
         else:
-            k, depth, c, done, win, best, limit = _interpret(
-                plan, labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa,
-                prune)
+            k, c, done, win, best, limit = _interpret(
+                plan, labels, ipas, rows, query, stack, k, limit, best, best_ipa, prune)
             _warm(plan, c)
         cells += c
         completed += done
@@ -417,15 +395,14 @@ def nearest(order, rows, query, stack, prune, stats):
     return best, found, k
 
 
-def _interpret(plan, labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa,
-               prune):
-    """Scan candidates k, k + 1, ... on ``plan`` from ``depth`` live rows.
+def _interpret(plan, labels, ipas, rows, query, stack, k, limit, best, best_ipa, prune):
+    """Scan candidates k, k + 1, ... on ``plan``.
 
     The arguments after ``plan`` are those ``dp_labels`` passes a scan, and
     so is the result (see there). Every plan can run here; generated scans
     (``_generate``) must agree with it: the same cells in the same order,
-    the same row tests and results, and the same live rows whenever they
-    store theirs.
+    the same row tests and results, and the same band columns on the stack
+    whenever they store theirs.
     """
     spans = row_spans(*plan)
     m, n = plan[0], plan[1]
@@ -438,10 +415,8 @@ def _interpret(plan, labels, lcp, ipas, rows, query, stack, k, depth, limit, bes
     win = None
     for k in range(k, len(labels)):
         x = labels[k]
-        if depth > lcp[k]:
-            depth = lcp[k]
-        prev = stack[depth]
-        for i in range(depth + 1, m + 1):
+        prev = stack[0]
+        for i in range(1, m + 1):
             jlo, cols, edge, left, width, offset = spans[i]
             cur = stack[i]
             cost = rows[x[i - 1]]
@@ -465,11 +440,9 @@ def _interpret(plan, labels, lcp, ipas, rows, query, stack, k, depth, limit, bes
                 diag = up
             cells += width
             if not within:  # every cell of the row ends beyond the limit
-                depth = i
                 break
             prev = cur
         else:
-            depth = m
             completed += 1
             nd = prev[n] / maxlen if maxlen else 0.0
             if nd < best or (nd == best and ipas[k] < best_ipa):
@@ -482,7 +455,7 @@ def _interpret(plan, labels, lcp, ipas, rows, query, stack, k, depth, limit, bes
                     vee = limits[:0:-1] + limits
                     continue
                 break
-    return k, depth, cells, completed, win, best, limit
+    return k, cells, completed, win, best, limit
 
 
 # A scan is generated for a plan whose rows are at most _NARROW cells wide,
@@ -549,12 +522,10 @@ def _generate(m, n, lo, hi):
     only its west one, and no row writes inf. Every cell's gap g is a
     constant that picks its threshold, the local t<g>, computed with the
     expression of ``gap_limits`` on entry and again at each win that keeps
-    the plan, so it is the same float. A scan starts at depth 0 or, after a
-    win, at m: it loads the band columns of all its rows when it starts
-    after a win, and stores them when the last candidate it scanned won.
-    Row i runs when depth < i, the row test is an ``and`` of ``> t<g>``
-    compares, and cells are booked per candidate as a difference of
-    cumulative row widths.
+    the plan, so it is the same float. A scan stores the band columns of all
+    its rows when the last candidate it scanned won. The row test is an
+    ``and`` of ``> t<g>`` compares, and a candidate books the cells of the
+    rows it computed as one constant: their cumulative width.
     """
     spans = row_spans(m, n, lo, hi)
 
@@ -568,29 +539,25 @@ def _generate(m, n, lo, hi):
     def plus_one(cell):  # cell + 1.0 as code, added up front for a float
         return f"{cell} + 1.0" if cell.startswith("v") else repr(float(cell) + 1.0)
 
-    loads, stores, gaps = [], [], set()
+    stores, gaps = [], set()
     code = [
         "    cells = completed = 0",
         "    win = None",
         "    for k in range(k, len(labels)):",
         "        x = labels[k]",
-        "        if depth > lcp[k]:",
-        "            depth = lcp[k]",
-        "        cells -= CUM[depth]",
     ]
-    cum = [0]
+    cum = 0
     for i in range(1, m + 1):
         jlo, cols, _, left, width, _ = spans[i]
-        cum.append(cum[-1] + width)
+        cum += width
         if not cols:
             continue  # n = 0: the row is column 0 alone, which passes the test
         names = ", ".join(at(i, j) for j in cols)
-        loads.append(f"        {names}, = stack[{i}][{jlo}:{cols[-1] + 1}]")
         stores.append(f"    stack[{i}][{jlo}:{cols[-1] + 1}] = {names},")
-        code += [f"        if depth < {i}:", f"            c = rows[x[{i - 1}]]"]
+        code.append(f"        c = rows[x[{i - 1}]]")
         for j in cols:
             cell, diag = at(i, j), at(i - 1, j - 1)
-            code.append(f"            {cell} = {diag} + c[q{j}]")
+            code.append(f"        {cell} = {diag} + c[q{j}]")
             # alt = (up if up < west else west) + 1.0, with a neighbour
             # outside the band dropped and a float's + 1.0 done up front
             up, west = at(i - 1, j), at(i, j - 1)
@@ -607,9 +574,9 @@ def _generate(m, n, lo, hi):
             else:
                 alt = f"({up} if {up} < {west} else {west}) + 1.0"
             if " " in alt:
-                code += [f"            a = {alt}", f"            if a < {cell}: {cell} = a"]
+                code += [f"        a = {alt}", f"        if a < {cell}: {cell} = a"]
             else:
-                code.append(f"            if {alt} < {cell}: {cell} = {alt}")
+                code.append(f"        if {alt} < {cell}: {cell} = {alt}")
         if left < INF:
             continue  # column 0 is in the band and passes the row test
         # smallest gap, so largest threshold, first: a row that passes
@@ -617,12 +584,7 @@ def _generate(m, n, lo, hi):
         order = sorted((abs(m - i - n + j), j) for j in cols)
         gaps.update(g for g, _ in order)
         test = " and ".join(f"{at(i, j)} > t{g}" for g, j in order)
-        code += [
-            f"            if {test}:",
-            f"                depth = {i}",
-            f"                cells += {cum[i]}",
-            "                continue",
-        ]
+        code += [f"        if {test}:", f"            cells += {cum}", "            continue"]
 
     def tune(pad):  # the thresholds of ``limit``, as gap_limits computes them
         lines = [f"{pad}u = ulp(limit)"] if gaps - {0} else []
@@ -631,8 +593,7 @@ def _generate(m, n, lo, hi):
 
     maxlen = max(m, n)
     code += [
-        f"        depth = {m}",
-        f"        cells += {cum[m]}",
+        f"        cells += {cum}",
         "        completed += 1",
         f"        nd = {at(m, n)} / {maxlen}" if maxlen else "        nd = 0.0",
         "        if nd < best or (nd == best and ipas[k] < best_ipa):",
@@ -646,18 +607,15 @@ def _generate(m, n, lo, hi):
         "            break",
         "    else:",
         "        if win != k:",
-        "            return k, depth, cells, completed, win, best, limit",
+        "            return k, cells, completed, win, best, limit",
         *stores,
-        "    return k, depth, cells, completed, win, best, limit",
+        "    return k, cells, completed, win, best, limit",
     ]
-    entry = ["def scan(labels, lcp, ipas, rows, query, stack, k, depth, limit, best, best_ipa,"
-             " prune):"]
+    entry = ["def scan(labels, ipas, rows, query, stack, k, limit, best, best_ipa, prune):"]
     if n:
         entry.append(f"    {', '.join(f'q{j}' for j in range(1, n + 1))}, = query")
-    namespace = {"CUM": tuple(cum), "ulp": ulp, "threshold": threshold}
-    if loads:
-        loads.insert(0, "    if depth:")
-    source = "\n".join(entry + tune("    ") + loads + code)
+    namespace = {"ulp": ulp, "threshold": threshold}
+    source = "\n".join(entry + tune("    ") + code)
     exec(compile(source, f"<scan {m}x{n} {lo}..{hi}>", "exec"), namespace)
     return namespace["scan"]
 

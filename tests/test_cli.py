@@ -355,6 +355,19 @@ def test_compare_prints_the_matrix_row_of_its_pair(capsys, tmp_path, fixtures_di
     assert len(compared.splitlines()) == 2
 
 
+def test_compare_rejects_lists_of_two_tags(capsys, tmp_path, fixtures_dir):
+    ur = fixtures_dir / "pronouns" / "ur.tsv"
+    hi = tmp_path / "hi.tsv"
+    text = (fixtures_dir / "pronouns" / "hi.tsv").read_text(encoding="utf-8")
+    hi.write_text(text.replace("pos=PRON", "pos=NOUN", 1), encoding="utf-8")
+    for a, b in ((ur, hi), (hi, ur)):
+        code, out, err = run(capsys, "compare", "--a", str(a), "--b", str(b))
+        assert code == 1
+        assert out == ""
+        assert str(ur) in err and str(hi) in err
+        assert "PRON" in err and "NOUN" in err
+
+
 def test_matrix_empty_dir_exits_one(capsys, tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()

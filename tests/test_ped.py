@@ -498,33 +498,33 @@ def tiers(hot, narrow=None, bound=None):
             setattr(kernel, name, value)
 
 
-def live_rows(plan, stack, depth):
-    """Band columns of rows 1..depth of the stack under ``plan``: what the
-    next scan may read (its cells outside the band count as inf)."""
+def band_rows(plan, stack):
+    """Band columns of rows 1..m of the stack under ``plan`` (m = plan[0]):
+    the winner's rows, which ``ped`` reads."""
     spans = row_spans(*plan)
-    return [stack[i][spans[i][0]:spans[i][0] + spans[i][4]] for i in range(1, depth + 1)]
+    return [stack[i][spans[i][0]:spans[i][0] + spans[i][4]] for i in range(1, plan[0] + 1)]
 
 
 @contextmanager
 def scan_log():
     """Record every scan either tier runs, with caches that start empty: its
-    result, and the live rows it leaves when the last candidate it scanned
-    won. A generated scan stores its rows only then, and only then are they
-    read: by the scan of the next plan, or by ``ped`` from the winner."""
+    result, and the rows it leaves when the last candidate it scanned won. A
+    generated scan stores its rows only then, and only then are they read,
+    by ``ped`` from the winner."""
     log = []
     interpret, generate = kernel._interpret, kernel._generate
 
     def record(plan, stack, result):
-        k, depth, _, _, win = result[:5]
-        log.append((result, live_rows(plan, stack, depth) if win == k else None))
+        k, _, _, win = result[:4]
+        log.append((result, band_rows(plan, stack) if win == k else None))
         return result
 
     def interpreted(plan, *args):
-        return record(plan, args[5], interpret(plan, *args))
+        return record(plan, args[4], interpret(plan, *args))
 
     def generated(*plan):
         scan = generate(*plan)
-        return lambda *args: record(plan, args[5], scan(*args))
+        return lambda *args: record(plan, args[4], scan(*args))
 
     kernel._interpret, kernel._generate = interpreted, generated
     try:
@@ -535,9 +535,9 @@ def scan_log():
 
 def scan_twice(bucket, rows, query, best, best_ipa, prune, dead=None):
     """Two identical dp_labels calls on one stack; per call, the hit and the
-    four DpStats counters. With ``dead`` set, every row the call starts
-    without (columns 1..n of rows 1..m) holds ``dead`` first. No call may
-    write row 0."""
+    four DpStats counters. With ``dead`` set, columns 1..n of rows 1..m hold
+    ``dead`` before each call, so a scan that read a row it had not written
+    in that call would change a hit or a counter. No call may write row 0."""
     stack = dp_stack(bucket.length, len(query))
     row0 = list(stack[0])
     runs = []
@@ -585,9 +585,9 @@ def scan_cases(draw):
 # abandons at row 1 (with t1 of the start bound it would complete)
 @example(([((0,), "0x"), ((1,), "1"), ((2,), "2")], 1, [[0.5, 1.0, 0.5], [0.0, 1.0, 0.0],
           [1.0, 0.5, 0.25]], (2, 0), 1.15, "2x", True), None)
-# the first word wins on the full band and narrows it; the second resumes
-# from row 1, whose column right of the new band holds a full-band value
-# that row 2 must read as inf, and wins
+# the first word wins on the full band and narrows it; in the second, row 1's
+# column right of the new band still holds the first word's full-band value,
+# which row 2 must read as inf, and the second wins
 @example(([((0, 0, 0, 1, 1), "00011"), ((0, 1, 1, 0, 0), "01100")], 5, [[0.0, 1.5], [1.5, 1.0]],
           (1, 1, 1, 0), math.inf, None, True), None)
 # the bucket's last word wins on the band the first win left: the scan
@@ -600,9 +600,9 @@ def scan_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_generated_scans_match_the_interpreted_scan(case, narrow):
     # per call the hit and the counters, and per scan its result and, when
-    # the last word it scanned won, the live rows it leaves: only then does
-    # a generated scan store its rows, and only then are they read (rows
-    # above the depth are dead, and the tiers may leave them differently)
+    # the last word it scanned won, the rows it leaves: only then does a
+    # generated scan store its rows, and only then are they read (other
+    # rows are never read, and the tiers may leave them differently)
     entries, m, rows, query, best, best_ipa, prune = case
     results = []
     for hot in (math.inf, 0):
@@ -612,8 +612,9 @@ def test_generated_scans_match_the_interpreted_scan(case, narrow):
             if hot == 0 and narrow == math.inf and calls[0][1][1]:
                 assert compiled  # the first call compiled every plan it ran
     assert results[0] == results[1]
-    if not prune:  # no bound: every word completes, none is prefiltered
+    if not prune:  # no bound: every word completes its m x n cells, none is prefiltered
         assert all(counts[2:] == (0, 0) for _, counts in results[0][0])
+        assert all(counts[0] == len(entries) * m * len(query) for _, counts in results[0][0])
 
 
 def test_generated_winners_leave_their_rows_for_ped():
@@ -632,7 +633,8 @@ def test_generated_winners_leave_their_rows_for_ped():
 
 @given(scan_cases(), st.sampled_from([math.inf, 0]))
 # the first candidate is abandoned at row 1, and the second shares two
-# labels with it: row 2 is dead, and the second resumes from row 1
+# labels with it: row 2 was never written, and the second computes its rows
+# from row 0
 @example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, [[1.0], [1.0]], (0, 0, 0), 0.1, "",
           True), math.inf)
 @example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, [[1.0], [1.0]], (0, 0, 0), 0.1, "",
