@@ -584,7 +584,11 @@ def _generate(m, n, lo, hi):
         order = sorted((abs(m - i - n + j), j) for j in cols)
         gaps.update(g for g, _ in order)
         test = " and ".join(f"{at(i, j)} > t{g}" for g, j in order)
-        code += [f"        if {test}:", f"            cells += {cum}", "            continue"]
+        code += [
+            f"        if {test}:",
+            f"            cells += {cum}",
+            "            continue",
+        ]
 
     def tune(pad):  # the thresholds of ``limit``, as gap_limits computes them
         lines = [f"{pad}u = ulp(limit)"] if gaps - {0} else []

@@ -601,8 +601,9 @@ def scan_cases(draw):
 def test_generated_scans_match_the_interpreted_scan(case, narrow):
     # per call the hit and the counters, and per scan its result and, when
     # the last word it scanned won, the rows it leaves: only then does a
-    # generated scan store its rows, and only then are they read (other
-    # rows are never read, and the tiers may leave them differently)
+    # generated scan store its rows, and only then are they read (at other
+    # times nothing reads what a scan leaves on the stack, and the tiers may
+    # leave it differently)
     entries, m, rows, query, best, best_ipa, prune = case
     results = []
     for hot in (math.inf, 0):
