@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import unicodedata
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -89,7 +90,9 @@ def extract_wordlists(conllu: str | Path, language: str) -> list[WordList]:
 
     Multiword-token ranges and empty nodes are skipped; lines with the wrong
     column count are reported (with their line number) and skipped; lemmas
-    "_" and "" are excluded. A file with no sentences is an error.
+    "_" and "" are excluded, and so are lemmas that begin with '#', which a
+    word-list row cannot hold (one warning names them). A file with no
+    sentences is an error.
     """
     path = Path(conllu)
     lemmas_by_tag: dict[str, set[str]] = {tag: set() for tag in TARGET_TAGS}
@@ -126,11 +129,30 @@ def extract_wordlists(conllu: str | Path, language: str) -> list[WordList]:
         sentences += 1
     if sentences == 0:
         raise ConlluError(f"{path}: no sentences found")
-    return [
-        WordList(language=language, pos=tag, lemmas=tuple(sorted(lemmas)))
-        for tag, lemmas in sorted(lemmas_by_tag.items())
-        if lemmas
-    ]
+    lists = []
+    left_out: set[str] = set()
+    for tag, lemmas in sorted(lemmas_by_tag.items()):
+        ordered = sorted(lemmas)
+        comments = comment_span(ordered)
+        left_out.update(ordered[comments])
+        del ordered[comments]
+        if ordered:
+            lists.append(WordList(language=language, pos=tag, lemmas=tuple(ordered)))
+    if left_out:
+        log.warning(
+            "%s: left out %d lemmas that a word list would read as comments: %s",
+            path,
+            len(left_out),
+            ", ".join(map(repr, sorted(left_out))),
+        )
+    return lists
+
+
+def comment_span(lemmas: list[str]) -> slice:
+    """The lemmas of sorted ``lemmas`` that begin with '#', which a word-list
+    row reads as a comment; found by bisection, so that a check costs no
+    pass over the lemmas."""
+    return slice(bisect_left(lemmas, "#"), bisect_left(lemmas, "$"))
 
 
 @dataclass(frozen=True)
@@ -278,12 +300,19 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
     """Write a ``# lang=.. pos=..`` header plus one row per lemma: ``lemma``
     in an unconverted list, ``lemma<TAB>ipa`` in a converted one, where a
     lemma that g2p dropped has an empty IPA field. A language or tag that
-    ``check_header_value`` rejects raises WordListError and writes nothing."""
+    ``check_header_value`` rejects, or a lemma that begins with '#' (its row
+    would read as a comment), raises WordListError and writes nothing."""
     check_header_value(f"{path}: header lang=", words.language)
     check_header_value(f"{path}: header pos=", words.pos)
+    lemmas = sorted(words.lemmas)
+    comments = lemmas[comment_span(lemmas)]
+    if comments:
+        raise WordListError(
+            f"{path}: lemma {comments[0]!r} begins with '#', so its row would read as a comment"
+        )
     lines = [f"# lang={words.language} pos={words.pos}"]
     ipa = words.ipa_by_lemma
-    for lemma in sorted(words.lemmas):
+    for lemma in lemmas:
         lines.append(lemma if ipa is None else f"{lemma}\t{ipa.get(lemma, '')}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -2,12 +2,13 @@
 
 The classic edit-distance recurrence with insertion/deletion at cost 1 and
 substitution priced by the articulatory distance of the two phones (0 when
-the labels are equal). One kernel, ``dp_labels``, computes it for ``ped``,
-its edit-script trace and the greedy list alignment: one call scans a
-bucket of equal-length candidate words against one query word, rows over
-the candidate and columns over the query, each candidate from row 0. It
-reads substitution costs from one table by candidate and query label id,
-so a query needs no cost profile of its own.
+the labels are equal). One kernel computes it for the greedy list
+alignment, and for ``ped`` and its edit-script trace: a ``dp_labels`` call
+scans a bucket of equal-length candidate words against one query word, rows
+over the candidate and columns over the query, each candidate from row 0,
+and ``ped`` runs the kernel's interpreted scan on its one pair. It reads
+substitution costs from one table by candidate and query label id, so a
+query needs no cost profile of its own.
 
 The kernel cuts its search off at the normalized best-so-far. Only the
 diagonal band that a path within it can reach is filled (Ukkonen's cutoff),
@@ -38,10 +39,10 @@ rows are all narrow, once it has proved hot, is generated as straight-line
 code with the rows and columns unrolled and compiled: the DP rows live in
 local variables for the whole scan, row 0, column 0 and the cells outside
 the band are constants folded into the code, and each cell's gap is a
-constant that picks its threshold. It stores its rows to the stack only
-after a win, for ``ped`` to read the winner's distance and edit script.
-Compiling costs time and memory in proportion to the plan's cells, so only
-the narrow, hot plans that carry most of the work are worth it: wide plans
+constant that picks its threshold. It writes nothing: the DP stack is the
+interpreted scan's scratch space, and ``ped``'s full matrix. Compiling
+costs time and memory in proportion to the plan's cells, so only the
+narrow, hot plans that carry most of the work are worth it: wide plans
 (long words, loose bounds) and rarely used ones stay interpreted.
 """
 
@@ -324,18 +325,15 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     ``prune`` the band never narrows). The scan of the narrower plan takes
     over from the next candidate. A plan runs interpreted, or as a generated
     scan once it is hot and narrow; both take the same positional arguments
-    after the interpreted scan's plan and return (last index scanned, cells,
-    completed candidates, index of the last winner or None, best, limit).
+    after the interpreted scan's plan and stack and return (last index
+    scanned, cells, completed candidates, index of the last winner or None,
+    best, limit).
 
-    A generated scan keeps the DP rows in local variables. It stores its
-    rows' band columns when the last candidate it scanned won, which is when
-    it returns for a plan switch and when the bucket's last candidate won,
-    so the winner's rows, which ``ped`` reads, are on the stack. The column
-    right of a row's band, which row i + 1 reads as its up neighbour, may
-    hold a finite value: one written under an earlier scan's wider band, or
-    ``dp_stack``'s 0.0. Each row takes that cell as inf itself (a generated
-    scan by construction, the interpreted one by writing inf there first),
-    so a plan switch is only a new plan.
+    A generated scan keeps the DP rows in local variables and writes
+    nothing; the interpreted scan computes them on the stack. There the
+    column right of a row's band, which row i + 1 reads as its up
+    neighbour, may hold a value written under an earlier scan's wider band,
+    or ``dp_stack``'s 0.0; the interpreted scan writes inf there first.
     """
     m = bucket.length
     n = len(query)
@@ -352,10 +350,10 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
         scan = _compiled.get(plan)
         if scan is not None:
             k, c, done, win, best, limit = scan(
-                labels, ipas, rows, query, stack, k, limit, best, best_ipa, prune)
+                labels, ipas, rows, query, k, limit, best, best_ipa, prune)
         else:
             k, c, done, win, best, limit = _interpret(
-                plan, labels, ipas, rows, query, stack, k, limit, best, best_ipa, prune)
+                plan, stack, labels, ipas, rows, query, k, limit, best, best_ipa, prune)
             _warm(plan, c)
         cells += c
         completed += done
@@ -395,14 +393,14 @@ def nearest(order, rows, query, stack, prune, stats):
     return best, found, k
 
 
-def _interpret(plan, labels, ipas, rows, query, stack, k, limit, best, best_ipa, prune):
-    """Scan candidates k, k + 1, ... on ``plan``.
+def _interpret(plan, stack, labels, ipas, rows, query, k, limit, best, best_ipa, prune):
+    """Scan candidates k, k + 1, ... on ``plan``, their rows on ``stack``.
 
-    The arguments after ``plan`` are those ``dp_labels`` passes a scan, and
+    The arguments after ``stack`` are those ``dp_labels`` passes a scan, and
     so is the result (see there). Every plan can run here; generated scans
     (``_generate``) must agree with it: the same cells in the same order,
-    the same row tests and results, and the same band columns on the stack
-    whenever they store theirs.
+    and the same row tests and results. ``ped`` reads its one candidate's
+    rows off the stack.
     """
     spans = row_spans(*plan)
     m, n = plan[0], plan[1]
@@ -522,10 +520,10 @@ def _generate(m, n, lo, hi):
     only its west one, and no row writes inf. Every cell's gap g is a
     constant that picks its threshold, the local t<g>, computed with the
     expression of ``gap_limits`` on entry and again at each win that keeps
-    the plan, so it is the same float. A scan stores the band columns of all
-    its rows when the last candidate it scanned won. The row test is an
-    ``and`` of ``> t<g>`` compares, and a candidate books the cells of the
-    rows it computed as one constant: their cumulative width.
+    the plan, so it is the same float. The scan reads and writes no stack.
+    The row test is an ``and`` of ``> t<g>`` compares, and a candidate
+    books the cells of the rows it computed as one constant: their
+    cumulative width.
     """
     spans = row_spans(m, n, lo, hi)
 
@@ -539,7 +537,7 @@ def _generate(m, n, lo, hi):
     def plus_one(cell):  # cell + 1.0 as code, added up front for a float
         return f"{cell} + 1.0" if cell.startswith("v") else repr(float(cell) + 1.0)
 
-    stores, gaps = [], set()
+    gaps = set()
     code = [
         "    cells = completed = 0",
         "    win = None",
@@ -548,12 +546,10 @@ def _generate(m, n, lo, hi):
     ]
     cum = 0
     for i in range(1, m + 1):
-        jlo, cols, _, left, width, _ = spans[i]
+        _, cols, _, left, width, _ = spans[i]
         cum += width
         if not cols:
             continue  # n = 0: the row is column 0 alone, which passes the test
-        names = ", ".join(at(i, j) for j in cols)
-        stores.append(f"    stack[{i}][{jlo}:{cols[-1] + 1}] = {names},")
         code.append(f"        c = rows[x[{i - 1}]]")
         for j in cols:
             cell, diag = at(i, j), at(i - 1, j - 1)
@@ -609,13 +605,9 @@ def _generate(m, n, lo, hi):
         *tune(" " * 16),
         "                continue",
         "            break",
-        "    else:",
-        "        if win != k:",
-        "            return k, cells, completed, win, best, limit",
-        *stores,
         "    return k, cells, completed, win, best, limit",
     ]
-    entry = ["def scan(labels, ipas, rows, query, stack, k, limit, best, best_ipa, prune):"]
+    entry = ["def scan(labels, ipas, rows, query, k, limit, best, best_ipa, prune):"]
     if n:
         entry.append(f"    {', '.join(f'q{j}' for j in range(1, n + 1))}, = query")
     namespace = {"ulp": ulp, "threshold": threshold}
@@ -676,10 +668,10 @@ def ped(
     (0 for two empty words).
     With ``bound`` set, returns the exact result when the normalized
     distance is at most ``bound`` and None otherwise. ``trace=True`` ignores
-    the bound and additionally returns the aligned edit script. The DP runs
-    as ``dp_labels`` on a one-word bucket and books ``stats`` the same way;
-    a pair ``out_of_reach`` of the bound is booked in ``stats.prefiltered``
-    and not priced.
+    the bound and additionally returns the aligned edit script. The DP is
+    the kernel's interpreted scan of one candidate, booked in ``stats`` as
+    ``dp_labels`` books one; a pair ``out_of_reach`` of the bound is booked
+    in ``stats.prefiltered`` and not priced.
     """
     if costs is None:
         costs = SubstitutionCosts()
@@ -694,11 +686,16 @@ def ped(
     # label ids are positions: rows[i][j] prices source[i] against target[j]
     rows = [[costs.pair(a, b) for b in target] for a in source]
     stack = dp_stack(m, n)
-    bucket = Bucket(m, [(tuple(range(m)), "")])
-    hit = dp_labels(bucket, rows, tuple(range(n)), stack, best, "", True, stats)
-    if not hit:
+    limit = threshold(best, max(m, n))
+    plan = plans(m, n)[floor(limit) if limit < m + n else m + n]
+    _, cells, completed, win, normalized, _ = _interpret(
+        plan, stack, [tuple(range(m))], [""], rows, tuple(range(n)), 0, limit, best, "", True)
+    stats.dps += 1
+    stats.cells += cells
+    stats.abandoned += 1 - completed
+    if win is None:
         return None
     ops = None
     if trace:
         ops = _edit_script(source, target, rows, stack)
-    return PedResult(distance=stack[m][n], normalized=hit[1], ops_trace=ops)
+    return PedResult(distance=stack[m][n], normalized=normalized, ops_trace=ops)

@@ -98,6 +98,23 @@ def test_underscore_and_empty_lemmas_excluded(tmp_path):
     assert nouns.lemmas == ("zeta",)
 
 
+def test_lemmas_a_word_list_reads_as_comments_left_out(tmp_path, caplog):
+    # a word-list row that begins with '#' is a comment, so such a lemma
+    # would vanish on write and read; one warning per file names them all
+    path = write_conllu(
+        tmp_path,
+        [[conllu_line(1, "x", "#x", "NOUN"), conllu_line(2, "y", "ab", "NOUN"),
+          conllu_line(3, "z", "#", "PROPN"), conllu_line(4, "w", "#x", "PROPN"),
+          conllu_line(5, "v", "a#", "PROPN")]],
+    )
+    with caplog.at_level(logging.WARNING, logger="pedlex.corpus"):
+        lists = extract_wordlists(path, "xx")
+    assert [(wl.pos, wl.lemmas) for wl in lists] == [("NOUN", ("ab",)), ("PROPN", ("a#",))]
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"{path}: left out 2 lemmas that a word list would read as comments: '#', '#x'"
+    ]
+
+
 def test_malformed_line_skipped_with_line_number(tmp_path, caplog):
     path = tmp_path / "bad.conllu"
     path.write_text(
@@ -174,6 +191,13 @@ def reference_extract(path, language):
         sentences += 1
     if sentences == 0:
         return ("ConlluError", f"{path}: no sentences found"), warnings
+    comments = {lemma for lemmas in lemmas_by_tag.values() for lemma in lemmas
+                if lemma.startswith("#")}
+    if comments:
+        warnings.append(f"{path}: left out {len(comments)} lemmas that a word list would "
+                        f"read as comments: {', '.join(map(repr, sorted(comments)))}")
+        lemmas_by_tag = {tag: kept for tag, lemmas in lemmas_by_tag.items()
+                         if (kept := lemmas - comments)}
     lists = [
         (language, tag, tuple(sorted(lemmas))) for tag, lemmas in sorted(lemmas_by_tag.items())
     ]
@@ -207,7 +231,8 @@ def conllu_row(draw):
     columns = [
         draw(st.sampled_from(["1", "2", "10", "1-2", "1.1"])),
         "form",
-        draw(st.sampled_from(["_", "", "ab", "a b", "café", "cafe\u0301", "e\u0301", "é"])),
+        draw(st.sampled_from(["_", "", "ab", "a b", "café", "cafe\u0301", "e\u0301", "é", "#",
+                              "#ab"])),
         draw(st.sampled_from(["NOUN", "VERB", "PRON", "PROPN", "PUNCT", "noun", ""])),
         "_", "_", "0", "root", "_",
         draw(st.sampled_from(["_", "", "  ", "SpaceAfter=No"])),
@@ -444,6 +469,14 @@ def test_wordlist_dropped_lemmas_roundtrip(tmp_path):
         write_wordlist(words, path)
         assert read_wordlist(path) == words
     assert path.read_text(encoding="utf-8") == "# lang=ur pos=PROPN\nAli\t\nBob\t\n"
+
+
+def test_write_wordlist_rejects_a_lemma_that_reads_as_a_comment(tmp_path):
+    words = WordList("ur", "NOUN", ("#x", "ab"), {"#x": "x", "ab": "ab"})
+    path = tmp_path / "list.tsv"
+    with pytest.raises(WordListError, match="lemma '#x' begins with '#'"):
+        write_wordlist(words, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("value", ["", "a,b", "a b", "a\tb", "a/b", "../esc", "a\\b"])

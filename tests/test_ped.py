@@ -498,33 +498,22 @@ def tiers(hot, narrow=None, bound=None):
             setattr(kernel, name, value)
 
 
-def band_rows(plan, stack):
-    """Band columns of rows 1..m of the stack under ``plan`` (m = plan[0]):
-    the winner's rows, which ``ped`` reads."""
-    spans = row_spans(*plan)
-    return [stack[i][spans[i][0]:spans[i][0] + spans[i][4]] for i in range(1, plan[0] + 1)]
-
-
 @contextmanager
 def scan_log():
-    """Record every scan either tier runs, with caches that start empty: its
-    result, and the rows it leaves when the last candidate it scanned won. A
-    generated scan stores its rows only then, and only then are they read,
-    by ``ped`` from the winner."""
+    """Record the result of every scan either tier runs."""
     log = []
     interpret, generate = kernel._interpret, kernel._generate
 
-    def record(plan, stack, result):
-        k, _, _, win = result[:4]
-        log.append((result, band_rows(plan, stack) if win == k else None))
+    def record(result):
+        log.append(result)
         return result
 
-    def interpreted(plan, *args):
-        return record(plan, args[4], interpret(plan, *args))
+    def interpreted(*args):
+        return record(interpret(*args))
 
     def generated(*plan):
         scan = generate(*plan)
-        return lambda *args: record(plan, args[4], scan(*args))
+        return lambda *args: record(scan(*args))
 
     kernel._interpret, kernel._generate = interpreted, generated
     try:
@@ -591,7 +580,7 @@ def scan_cases(draw):
 @example(([((0, 0, 0, 1, 1), "00011"), ((0, 1, 1, 0, 0), "01100")], 5, [[0.0, 1.5], [1.5, 1.0]],
           (1, 1, 1, 0), math.inf, None, True), None)
 # the bucket's last word wins on the band the first win left: the scan
-# reaches the bucket's end and must still store the winner's rows
+# reaches the bucket's end at a win
 @example(([((0,), "0"), ((1,), "1x")], 1, [[0.5, 0.0, 0.5], [1.5, 0.25, 0.25]], (0, 0, 0, 2),
           math.inf, None, True), math.inf)
 # without prune every word wins and the scan goes on; nothing is abandoned
@@ -599,11 +588,7 @@ def scan_cases(draw):
           (1,), math.inf, None, False), math.inf)
 @settings(max_examples=300, deadline=None)
 def test_generated_scans_match_the_interpreted_scan(case, narrow):
-    # per call the hit and the counters, and per scan its result and, when
-    # the last word it scanned won, the rows it leaves: only then does a
-    # generated scan store its rows, and only then are they read (at other
-    # times nothing reads what a scan leaves on the stack, and the tiers may
-    # leave it differently)
+    # per call the hit and the counters, and per scan its result
     entries, m, rows, query, best, best_ipa, prune = case
     results = []
     for hot in (math.inf, 0):
@@ -618,16 +603,18 @@ def test_generated_scans_match_the_interpreted_scan(case, narrow):
         assert all(counts[0] == len(entries) * m * len(query) for _, counts in results[0][0])
 
 
-def test_generated_winners_leave_their_rows_for_ped():
-    # ped reads the winner's rows: its distance, and with trace=True its
-    # edit script. The trace's win narrows the full band, and a bound at the
-    # pair's own distance keeps its band, so the scan stores at a plan
-    # switch and at the bucket's end
+def test_ped_is_exact_whichever_plans_are_compiled():
+    # ped reads its rows off the stack: its distance, and with trace=True
+    # its edit script. It runs the interpreted scan, so compiled scans of
+    # every plan of the pair, as dp_labels calls may leave, change nothing
     a, b = ps("fa:tər"), ps("pedær")
     exact = ped(a, b, costs=COSTS, trace=True)
-    for hot in (math.inf, 0):
-        with tiers(hot):
-            for _ in range(2):  # the first call compiles each plan it runs
+    for compile_all in (False, True):
+        with tiers(math.inf) as compiled:
+            if compile_all:
+                compiled.update((plan, kernel._generate(*plan))
+                                for plan in set(kernel.plans(len(a), len(b))) if plan)
+            for _ in range(2):
                 assert ped(a, b, costs=COSTS, trace=True) == exact
                 assert ped(a, b, costs=COSTS, bound=exact.normalized).distance == exact.distance
 
@@ -643,7 +630,7 @@ def test_generated_winners_leave_their_rows_for_ped():
 @settings(max_examples=200, deadline=None)
 def test_no_scan_reads_a_dead_row(case, hot):
     # -1.0 lowers any DP value that reads it, so a scan that read a row not
-    # written or loaded in its own call would change a hit or a counter
+    # written in its own call would change a hit or a counter
     entries, m, rows, query, best, best_ipa, prune = case
     results = []
     for dead in (None, -1.0):
@@ -653,19 +640,27 @@ def test_no_scan_reads_a_dead_row(case, hot):
     assert results[0] == results[1]
 
 
+# every candidate beats the one before it against a 6-label query: the first
+# wins on the full band, the second on band -3..3, the third on -1..1 and the
+# last on 0..0, so each win ends a scan: three at a plan switch, the last at
+# the bucket's end
+SWITCH_ROWS = [[1.0], [0.5], [0.0]]
+SWITCH_ENTRIES = [((0,) * 6, "a"), ((1,) * 6, "b"), ((2,) * 5 + (1,), "c"), ((2,) * 6, "d")]
+
+
+def switch_scan(stack):
+    stats = DpStats()
+    hit = dp_labels(Bucket(6, list(SWITCH_ENTRIES)), SWITCH_ROWS, (0,) * 6, stack, math.inf,
+                    None, True, stats)
+    return hit, (stats.cells, stats.dps, stats.abandoned)
+
+
 def test_a_win_switches_plan_and_tier_mid_bucket():
-    # every candidate beats the one before it against a 6-label query: the
-    # first wins on the full band and the second on band -3..3, both wider
-    # than the cap and interpreted; the last two win on -1..1 and 0..0,
-    # which the first call compiled
-    rows = [[1.0], [0.5], [0.0]]
-    entries = [((0,) * 6, "a"), ((1,) * 6, "b"), ((2,) * 5 + (1,), "c"), ((2,) * 6, "d")]
+    # the first two plans are wider than the cap and interpreted; the last
+    # two are those the first call compiled
 
     def scan():
-        stats = DpStats()
-        hit = dp_labels(Bucket(6, list(entries)), rows, (0,) * 6, dp_stack(6, 6), math.inf,
-                        None, True, stats)
-        return hit, (stats.cells, stats.dps, stats.abandoned)
+        return switch_scan(dp_stack(6, 6))
 
     with tiers(math.inf):
         reference = scan()
@@ -688,6 +683,25 @@ def test_a_win_switches_plan_and_tier_mid_bucket():
         plans = sorted(compiled)
     assert interpreted == [6, 6]
     assert plans == [(6, 6, -1, 1), (6, 6, 0, 0)]
+
+
+def test_generated_scans_write_nothing():
+    # without the width cap the first call compiles all four plans; in the
+    # second, every scan is generated and ends at a win, and rows 1..m keep
+    # what was put there before it
+    stack = dp_stack(6, 6)
+    with tiers(0, math.inf) as compiled:
+        reference = switch_scan(stack)
+        assert reference[0] == (3, 0.0)
+        assert sorted(compiled) == [(6, 6, -6, 6), (6, 6, -3, 3), (6, 6, -1, 1), (6, 6, 0, 0)]
+        for scan in compiled.values():
+            code = scan.__code__
+            assert "stack" not in code.co_varnames + code.co_names
+        for row in stack[1:]:
+            row[1:] = [-1.0] * 6
+        before = [list(row) for row in stack]
+        assert switch_scan(stack) == reference
+    assert stack == before
 
 
 def test_long_words_compile_only_narrow_plans_within_the_bound():
