@@ -72,7 +72,10 @@ def _configure_logging(args) -> None:
         level = logging.INFO
     elif args.verbose >= 2:
         level = logging.DEBUG
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s: %(message)s")
+    # basicConfig adds its handler only while the root logger has none, and
+    # sets no level after that, so the level is set on every call
+    logging.basicConfig(stream=sys.stderr, format="%(name)s: %(message)s")
+    logging.getLogger().setLevel(level)
 
 
 def _load_inventory(args):

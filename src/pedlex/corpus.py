@@ -90,9 +90,10 @@ def extract_wordlists(conllu: str | Path, language: str) -> list[WordList]:
 
     Multiword-token ranges and empty nodes are skipped; lines with the wrong
     column count are reported (with their line number) and skipped; lemmas
-    "_" and "" are excluded, and so are lemmas that begin with '#', which a
-    word-list row cannot hold (one warning names them). A file with no
-    sentences is an error.
+    "_" and "" are excluded, and so are lemmas that a word-list row cannot
+    hold: those that begin with '#' (a comment) or are whitespace only (a
+    blank line). One warning names them. A file with no sentences is an
+    error.
     """
     path = Path(conllu)
     lemmas_by_tag: dict[str, set[str]] = {tag: set() for tag in TARGET_TAGS}
@@ -132,15 +133,17 @@ def extract_wordlists(conllu: str | Path, language: str) -> list[WordList]:
     lists = []
     left_out: set[str] = set()
     for tag, lemmas in sorted(lemmas_by_tag.items()):
+        blank = set(filter(str.isspace, lemmas))
+        lemmas -= blank
         ordered = sorted(lemmas)
         comments = comment_span(ordered)
-        left_out.update(ordered[comments])
+        left_out.update(blank, ordered[comments])
         del ordered[comments]
         if ordered:
             lists.append(WordList(language=language, pos=tag, lemmas=tuple(ordered)))
     if left_out:
         log.warning(
-            "%s: left out %d lemmas that a word list would read as comments: %s",
+            "%s: left out %d lemmas that a word list would read as comments or blank lines: %s",
             path,
             len(left_out),
             ", ".join(map(repr, sorted(left_out))),
@@ -300,8 +303,10 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
     """Write a ``# lang=.. pos=..`` header plus one row per lemma: ``lemma``
     in an unconverted list, ``lemma<TAB>ipa`` in a converted one, where a
     lemma that g2p dropped has an empty IPA field. A language or tag that
-    ``check_header_value`` rejects, or a lemma that begins with '#' (its row
-    would read as a comment), raises WordListError and writes nothing."""
+    ``check_header_value`` rejects raises WordListError and writes nothing,
+    and so does a row that would not read back: a lemma that begins with '#'
+    (a comment) or is empty or whitespace only (a blank line), or a lemma or
+    IPA string that holds a tab, CR or LF. The error names the lemma."""
     check_header_value(f"{path}: header lang=", words.language)
     check_header_value(f"{path}: header pos=", words.pos)
     lemmas = sorted(words.lemmas)
@@ -310,11 +315,27 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
         raise WordListError(
             f"{path}: lemma {comments[0]!r} begins with '#', so its row would read as a comment"
         )
+    blank = "" if lemmas[:1] == [""] else next(filter(str.isspace, lemmas), None)
+    if blank is not None:
+        raise WordListError(
+            f"{path}: lemma {blank!r} is empty or whitespace only, so its row would not read back"
+        )
     lines = [f"# lang={words.language} pos={words.pos}"]
     ipa = words.ipa_by_lemma
     for lemma in lemmas:
         lines.append(lemma if ipa is None else f"{lemma}\t{ipa.get(lemma, '')}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    # every row ends at its own LF and a converted row holds one tab, so the
+    # counts over the whole text match exactly when no field holds a break
+    tabs = 0 if ipa is None else len(lemmas)
+    if text.count("\n") != len(lines) or text.count("\t") != tabs or "\r" in text:
+        k = next(k for k, row in enumerate(lines[1:])
+                 if row.count("\t") != (ipa is not None) or "\r" in row or "\n" in row)
+        raise WordListError(
+            f"{path}: lemma {lemmas[k]!r} or its IPA holds a tab, CR or LF, which would "
+            "split its row"
+        )
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_wordlist(path: str | Path) -> WordList:

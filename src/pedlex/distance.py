@@ -181,5 +181,6 @@ class SubstitutionCosts:
 
     def rows_for(self, phones_a, phones_b) -> list[list[float]]:
         """Dense cost table for the DP: rows[i][j] prices phones_a[i]
-        against phones_b[j] (two sequences of distinct phones)."""
+        against phones_b[j]. A run prices its distinct phones against each
+        other; ``ped`` prices one word against the other, by position."""
         return [[self.pair(a, b) for b in phones_b] for a in phones_a]

@@ -19,10 +19,17 @@ counted (Ukkonen 1985; Spouge 1989): cell (i, j) of an m x n DP owes
 final distance, so they never discard a candidate that could still win or
 tie; results with pruning are bit-identical to results without. A bucket
 whose length gap alone exceeds the best-so-far (``out_of_reach``) is not
-scanned at all. ``nearest`` is a query's whole greedy search. It need not
-start from an infinite bound: ``start_bound`` prices one likely near word
-along its diagonal, a sound upper bound on that word's own distance, so the
-first candidate already runs on a narrow band.
+scanned at all.
+
+The greedy list alignment's search is here too: in ``greedy_total`` each
+query, in the caller's order, claims its nearest unclaimed word of the long
+list, which is held in buckets of equal token length that a query visits
+nearest length first. One ``nearest`` call is a query's whole search. It
+need not start from an infinite bound: ``start_bound`` prices the word next
+to the query in label order in the nearest-length bucket along its
+diagonal, a sound upper bound on that word's own distance, so the first
+candidate already runs on a narrow band, and the pick is the one an
+infinite start makes.
 
 The band's shape, a plan (m, n, lo, hi), fixes the columns of every row,
 and depends only on floor(limit): the kernel looks plans up by it. A scan
@@ -372,12 +379,11 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
 
 def nearest(order, rows, query, stack, prune, stats):
     """(nd, bucket, index) of the query's nearest word in ``order``'s
-    buckets, ties to the smaller IPA.
+    buckets, ties to the smaller IPA, from ``start_bound``'s word.
 
-    The search starts from ``start_bound``'s word, which picks the same word
-    as an infinite start. Each bucket is one ``dp_labels`` call, but with
-    ``prune`` a bucket ``out_of_reach`` of the best-so-far is booked in
-    ``stats.prefiltered`` and not scanned.
+    Each bucket is one ``dp_labels`` call, but with ``prune`` a bucket
+    ``out_of_reach`` of the best-so-far is booked in ``stats.prefiltered``
+    and not scanned.
     """
     best, found, k = start_bound(order, rows, query)
     best_ipa = found.ipas[k]
@@ -391,6 +397,32 @@ def nearest(order, rows, query, stack, prune, stats):
             k, best = hit
             found, best_ipa = bucket, bucket.ipas[k]
     return best, found, k
+
+
+def greedy_total(queries, long_, rows, prune, stats):
+    """Σ over the queries, in order, of the normalized PED to the nearest
+    unclaimed word of ``long_`` (ties to the smaller IPA), which it claims.
+
+    ``long_`` maps the long list's IPA strings to label-id tuples, and
+    rows[a][b] prices its label id a against query label id b. Buckets of
+    equal length distance from a query are visited shorter first.
+    """
+    by_length: dict[int, list] = {}
+    for ipa, labels in long_.items():
+        by_length.setdefault(len(labels), []).append((labels, ipa))
+    buckets = [Bucket(length, by_length[length]) for length in sorted(by_length)]
+    visits: dict[int, list] = {}  # bucket visit order per query length
+    stack = dp_stack(buckets[-1].length, max(map(len, queries)))
+    total = 0.0
+    for w in queries:
+        n = len(w)
+        order = visits.get(n)
+        if order is None:
+            order = visits[n] = sorted(buckets, key=lambda b: (abs(b.length - n), b.length))
+        best, bucket, k = nearest(order, rows, w, stack, prune, stats)
+        total += best
+        bucket.remove(k)
+    return total
 
 
 def _interpret(plan, stack, labels, ipas, rows, query, k, limit, best, best_ipa, prune):
@@ -684,7 +716,7 @@ def ped(
         stats.prefiltered += 1
         return None
     # label ids are positions: rows[i][j] prices source[i] against target[j]
-    rows = [[costs.pair(a, b) for b in target] for a in source]
+    rows = costs.rows_for(source, target)
     stack = dp_stack(m, n)
     limit = threshold(best, max(m, n))
     plan = plans(m, n)[floor(limit) if limit < m + n else m + n]

@@ -1,7 +1,7 @@
 """Word-list alignment and the PoS-wise similarity matrix.
 
 Two lists are compared greedily: walking the shorter list in sorted order,
-each word grabs its nearest (normalized-PED) unused word of the longer list;
+each word grabs its closest (normalized-PED) unused word of the longer list;
 the mean of those minima is the pair's similarity score (0 identical, 1
 disjoint). Greedy results depend on iteration order, so the order is pinned
 (sorted by IPA string, with an opt-in seeded-shuffle diagnostic), argmin ties
@@ -13,17 +13,10 @@ A run prepares each list once: it tokenizes the list, numbers the run's
 phones in label order, so id tuples sort like label tuples, and prices one
 dense table over those phones. ``build_matrix`` prepares every list that
 some cell uses before any cell runs, and ``align_lists`` its own two. The
-DP kernel reads the table by the query's label ids, so a query builds
-nothing before its search (``ped.nearest``), which starts from a bound, not
-from infinity: the diagonal alignment of the word next to the query in label
-order in the nearest-length bucket (``ped.start_bound``), which keeps that
-word unless another is strictly nearer or ties it with a smaller IPA.
+search itself, over the long list's length buckets, is ``ped.greedy_total``.
 
-``build_matrix`` runs its cells largest first, on a pool of worker
-processes when asked. The DP kernel compiles its hot plans per process, so
-when the workers fork and the largest cell is small enough for the wait to
-pay, the caller computes that cell before it starts the pool, and the
-workers begin with its compiled plans instead of compiling them again.
+``build_matrix`` runs its cells largest first: the caller computes a prefix
+of them, and a pool of worker processes, when asked, the rest.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ from .corpus import WordList, check_header_value
 from .distance import SubstitutionCosts
 from .errors import PedlexError, TokenizeError, WordListError
 from .features import FeatureInventory
-from .ped import Bucket, DpStats, dp_stack, nearest
+from .ped import DpStats, greedy_total
 from .tokenizer import tokenize
 
 log = logging.getLogger("pedlex.similarity")
@@ -169,37 +162,9 @@ def align_lists(
         random.Random(shuffle_seed).shuffle(order)
     if stats is None:
         stats = DpStats()
-    psi_all = _greedy_total([short[ipa] for ipa in order], long_, rows, prune, stats)
+    psi_all = greedy_total([short[ipa] for ipa in order], long_, rows, prune, stats)
     mu_psi = psi_all / len(short)
     return SimilarityCell(mu_psi=mu_psi, skipped_reason=None, **base)
-
-
-def _greedy_total(queries, long_, rows, prune, stats):
-    """Σ over the queries, in order, of the normalized PED to the nearest
-    unclaimed word of ``long_`` (ties to the smaller IPA), which it claims.
-
-    The long list is held in buckets of equal token length. A query's search
-    is one ``ped.nearest`` call over them, nearest length first (ties to the
-    shorter); with ``prune``, a bucket whose length gap alone exceeds the
-    best-so-far is not scanned. rows[a][b] prices long-list label id a
-    against query label id b.
-    """
-    by_length: dict[int, list] = {}
-    for ipa, labels in long_.items():
-        by_length.setdefault(len(labels), []).append((labels, ipa))
-    buckets = [Bucket(length, by_length[length]) for length in sorted(by_length)]
-    visits: dict[int, list] = {}  # bucket visit order per query length
-    stack = dp_stack(buckets[-1].length, max(map(len, queries)))  # reused across queries
-    total = 0.0
-    for w in queries:
-        n = len(w)
-        order = visits.get(n)
-        if order is None:
-            order = visits[n] = sorted(buckets, key=lambda b: (abs(b.length - n), b.length))
-        best, bucket, k = nearest(order, rows, w, stack, prune, stats)
-        total += best
-        bucket.remove(k)
-    return total
 
 
 # A pooled run computes its largest cell in the caller first, so that the
@@ -263,21 +228,20 @@ def build_matrix(
     raises before any worker starts, naming the list the first failing cell
     would name, and ``skip_unknown`` logs one drop warning per list.
 
-    Cells are independent and can run on ``jobs`` worker processes, at most
-    one per cell, started after the preparation: each worker receives the
-    lists, ``min_size``, the id tuples and the table once, when it starts,
-    and each cell is sent to it as a pair of list indices. A worker that
-    starts cold compiles the same hot DP plans as every other one
-    (``ped._warm``), so when the workers fork from this process (start
-    method ``fork``), the largest cell has at most ``_WARM_MAX_PAIRS`` word
-    pairs and at least ``jobs`` cells are left after it, this process
-    computes that cell itself before it starts the pool, and the workers
-    fork with the scans it compiled and the heat it booked. Otherwise every
-    cell goes to the pool. Cells run largest first, in the pool and
-    in-process alike, so when several cells fail the first of them in that
-    order is the one raised. A cell that fails with anything but a
-    ``PedlexError`` raises a ``RuntimeError`` naming it. The report is
-    assembled in canonical (pos, lang_a, lang_b) order.
+    Cells are independent. This process computes a prefix of them, and a
+    pool of ``jobs`` worker processes, at most one per cell, the rest: each
+    worker receives the lists, ``min_size``, the id tuples and the table
+    once, when it starts, and each cell as a pair of list indices. Without
+    a pool the prefix is every cell. With one it is the largest cell when
+    the workers fork from this process (start method ``fork``), that cell
+    has at most ``_WARM_MAX_PAIRS`` word pairs and at least ``jobs`` cells
+    are left after it, and empty otherwise: a worker that starts cold
+    compiles the same hot DP plans as every other one (``ped._warm``), and
+    these fork with the scans that cell compiled and the heat it booked.
+    Cells run largest first on both sides, so when several cells fail the
+    first of them in that order is the one raised. A cell that fails with
+    anything but a ``PedlexError`` raises a ``RuntimeError`` naming it. The
+    report is assembled in canonical (pos, lang_a, lang_b) order.
     """
     if costs is None:
         costs = SubstitutionCosts()
@@ -302,24 +266,23 @@ def build_matrix(
     state = (lists, min_size, tokens, rows)
     # the pool starts all its workers up front; never more than there are cells
     workers = min(jobs, len(pairs))
+    caller = len(pairs)  # how many of the largest-first cells run here
     if workers > 1:
         # imported here: only a forking run pays for concurrent.futures and
         # multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        cells = []
         i, j = pairs[0]
-        if (sizes[i] * sizes[j] <= _WARM_MAX_PAIRS and len(pairs) > jobs
-                and multiprocessing.get_start_method() == "fork"):
-            # the workers fork with the scans this cell compiled
-            cells.append(_cell_task(state, pairs.pop(0)))
+        # the workers fork with the scans the largest cell compiled
+        caller = int(sizes[i] * sizes[j] <= _WARM_MAX_PAIRS and len(pairs) > jobs
+                     and multiprocessing.get_start_method() == "fork")
+    cells = [_cell_task(state, pair) for pair in pairs[:caller]]
+    if caller < len(pairs):
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=state
         ) as pool:
-            cells.extend(pool.map(_pooled_cell, pairs))
-    else:
-        cells = [_cell_task(state, pair) for pair in pairs]
+            cells.extend(pool.map(_pooled_cell, pairs[caller:]))
     cells.sort(key=lambda c: (c.pos, c.lang_a, c.lang_b))
     return SimilarityReport(cells=tuple(cells))
 

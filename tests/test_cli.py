@@ -201,6 +201,44 @@ def test_extract_g2p_compare_pipeline(capsys, tmp_path):
     assert row.startswith("ur,ur,PRON,0.0000,5,5")
 
 
+def test_extract_leaves_out_a_whitespace_lemma_and_g2p_never_counts_it(capsys, tmp_path):
+    # a lemma of one space would be written as a blank row, which reads back
+    # as nothing
+    conllu = tmp_path / "ur.conllu"
+    conllu.write_text(CONLLU.replace("\tسب\tسب\t", "\tسب\t \t"), encoding="utf-8")
+    out_dir = tmp_path / "lists"
+    code, _, err = run(capsys, "extract", "--input", str(conllu), "--lang", "ur",
+                       "--out-dir", str(out_dir), "--pos", "PRON")
+    assert code == 0
+    assert err == f"wrote {out_dir / 'ur_PRON.tsv'} (4 lemmas)\n"
+    code, _, err = run(capsys, "g2p", "--script", "perso-arabic",
+                       "--in", str(out_dir / "ur_PRON.tsv"), "--out", str(tmp_path / "ipa.tsv"))
+    assert code == 0
+    assert err == "converted 4/4 lemmas of (ur, PRON)\n"
+    assert read_wordlist(tmp_path / "ipa.tsv").lemmas == ("آپ", "تم", "جو", "میں")
+
+
+def test_verbose_flag_sets_the_level_on_every_call(capsys, caplog, tmp_path):
+    # logging.basicConfig does nothing once the root logger has a handler,
+    # as it has here (pytest's) and after a first call in any process
+    words = tmp_path / "ur_PROPN.tsv"
+    words.write_text("# lang=ur pos=PROPN\nAli\nتم\n", encoding="utf-8")
+    argv = ["g2p", "--script", "perso-arabic", "--in", str(words), "--out", str(tmp_path / "o.tsv")]
+    root = logging.getLogger()
+    level = root.level
+    try:
+        for flags, expected in (([], logging.WARNING), (["-vv"], logging.DEBUG),
+                                (["-v"], logging.INFO), ([], logging.WARNING)):
+            caplog.clear()
+            assert run(capsys, *argv, *flags)[0] == 0
+            assert root.level == expected
+            # g2p logs the Latin word it drops at DEBUG, and their count as a warning
+            assert [rec.levelno for rec in caplog.records] == (
+                [logging.DEBUG] if expected == logging.DEBUG else []) + [logging.WARNING]
+    finally:
+        root.setLevel(level)
+
+
 def test_extract_pos_filter(capsys, tmp_path):
     conllu = tmp_path / "ur.conllu"
     conllu.write_text(CONLLU, encoding="utf-8")

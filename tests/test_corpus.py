@@ -111,7 +111,26 @@ def test_lemmas_a_word_list_reads_as_comments_left_out(tmp_path, caplog):
         lists = extract_wordlists(path, "xx")
     assert [(wl.pos, wl.lemmas) for wl in lists] == [("NOUN", ("ab",)), ("PROPN", ("a#",))]
     assert [rec.getMessage() for rec in caplog.records] == [
-        f"{path}: left out 2 lemmas that a word list would read as comments: '#', '#x'"
+        f"{path}: left out 2 lemmas that a word list would read as comments or blank lines: "
+        "'#', '#x'"
+    ]
+
+
+def test_whitespace_only_lemmas_left_out(tmp_path, caplog):
+    # a whitespace-only row reads as a blank line, so such a lemma would
+    # vanish on write and read; the one warning names them with the '#' ones
+    path = write_conllu(
+        tmp_path,
+        [[conllu_line(1, "x", " ", "NOUN"), conllu_line(2, "y", "ab", "NOUN"),
+          conllu_line(3, "z", "\u3000", "VERB"), conllu_line(4, "w", "#", "VERB"),
+          conllu_line(5, "v", " a", "VERB")]],
+    )
+    with caplog.at_level(logging.WARNING, logger="pedlex.corpus"):
+        lists = extract_wordlists(path, "xx")
+    assert [(wl.pos, wl.lemmas) for wl in lists] == [("NOUN", ("ab",)), ("VERB", (" a",))]
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"{path}: left out 3 lemmas that a word list would read as comments or blank lines: "
+        "' ', '#', '\\u3000'"
     ]
 
 
@@ -191,13 +210,14 @@ def reference_extract(path, language):
         sentences += 1
     if sentences == 0:
         return ("ConlluError", f"{path}: no sentences found"), warnings
-    comments = {lemma for lemmas in lemmas_by_tag.values() for lemma in lemmas
-                if lemma.startswith("#")}
-    if comments:
-        warnings.append(f"{path}: left out {len(comments)} lemmas that a word list would "
-                        f"read as comments: {', '.join(map(repr, sorted(comments)))}")
+    left_out = {lemma for lemmas in lemmas_by_tag.values() for lemma in lemmas
+                if lemma.startswith("#") or lemma.isspace()}
+    if left_out:
+        warnings.append(f"{path}: left out {len(left_out)} lemmas that a word list would "
+                        f"read as comments or blank lines: "
+                        f"{', '.join(map(repr, sorted(left_out)))}")
         lemmas_by_tag = {tag: kept for tag, lemmas in lemmas_by_tag.items()
-                         if (kept := lemmas - comments)}
+                         if (kept := lemmas - left_out)}
     lists = [
         (language, tag, tuple(sorted(lemmas))) for tag, lemmas in sorted(lemmas_by_tag.items())
     ]
@@ -232,7 +252,7 @@ def conllu_row(draw):
         draw(st.sampled_from(["1", "2", "10", "1-2", "1.1"])),
         "form",
         draw(st.sampled_from(["_", "", "ab", "a b", "café", "cafe\u0301", "e\u0301", "é", "#",
-                              "#ab"])),
+                              "#ab", " ", "\u3000 "])),
         draw(st.sampled_from(["NOUN", "VERB", "PRON", "PROPN", "PUNCT", "noun", ""])),
         "_", "_", "0", "root", "_",
         draw(st.sampled_from(["_", "", "  ", "SpaceAfter=No"])),
@@ -477,6 +497,42 @@ def test_write_wordlist_rejects_a_lemma_that_reads_as_a_comment(tmp_path):
     with pytest.raises(WordListError, match="lemma '#x' begins with '#'"):
         write_wordlist(words, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("ipa", [None, {"ab": "ab"}])
+@pytest.mark.parametrize("lemma", ["", " ", "\t", "\u3000 \x0b"])
+def test_write_wordlist_rejects_an_empty_or_whitespace_only_lemma(tmp_path, lemma, ipa):
+    # its row would read as a blank line, and the lemma would vanish, or as
+    # a row with an empty lemma, which the reader refuses
+    path = tmp_path / "list.tsv"
+    with pytest.raises(WordListError,
+                       match=f"lemma {re.escape(repr(lemma))} is empty or whitespace only"):
+        write_wordlist(WordList("ur", "NOUN", (lemma, "ab"), ipa), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("lemmas, ipa, named", [
+    (("a\tb", "ab"), None, "a\tb"),  # would read back as lemma 'a' with IPA 'b'
+    (("a\tb", "ab"), {"a\tb": "ab", "ab": "ab"}, "a\tb"),
+    (("ab", "c\nd"), None, "c\nd"),
+    (("ab", "cd\r"), {"ab": "ab"}, "cd\r"),
+    (("ab", "cd"), {"ab": "a\tb", "cd": "cd"}, "ab"),
+    (("ab", "cd"), {"ab": "ab", "cd": "c\nd"}, "cd"),
+    (("ab", "cd"), {"ab": "ab", "cd": "\r"}, "cd"),
+])
+def test_write_wordlist_rejects_a_tab_cr_or_lf_in_a_field(tmp_path, lemmas, ipa, named):
+    path = tmp_path / "list.tsv"
+    with pytest.raises(WordListError, match=f"lemma {re.escape(repr(named))} or its IPA holds"):
+        write_wordlist(WordList("ur", "NOUN", lemmas, ipa), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("ipa", [None, {" a": "a b", "a\x0bb": "\u3000"}])
+def test_wordlist_with_inner_whitespace_roundtrips(tmp_path, ipa):
+    words = WordList("ur", "NOUN", (" a", "a\x0bb", "c "), ipa)
+    path = tmp_path / "list.tsv"
+    write_wordlist(words, path)
+    assert read_wordlist(path) == words
 
 
 @pytest.mark.parametrize("value", ["", "a,b", "a b", "a\tb", "a/b", "../esc", "a\\b"])
