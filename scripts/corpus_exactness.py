@@ -153,21 +153,15 @@ def main(argv=None) -> int:
         print(f"wrote {GOLDEN}: {len(bits)} cells, report sha256 {digest}")
         return 0
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    variants = {"jobs=1": lambda: report_bits(lists),
-                "unpruned": lambda: (None, unpruned_bits(lists))}
+    runs = [("jobs=1", *report_bits(lists)), ("unpruned", None, unpruned_bits(lists))]
     for name, hot in (("every plan interpreted", math.inf), ("narrow plans compiled", 0)):
-        def run(hot=hot):
-            with _trigger(hot):
-                return report_bits(lists)
-        variants[name] = run
+        with _trigger(hot):
+            runs.append((name, *report_bits(lists)))
     for method in multiprocessing.get_all_start_methods():
-        def run(method=method):
-            multiprocessing.set_start_method(method, force=True)
-            return report_bits(lists, jobs=2)
-        variants[f"jobs=2 {method}"] = run
+        multiprocessing.set_start_method(method, force=True)
+        runs.append((f"jobs=2 {method}", *report_bits(lists, jobs=2)))
     failed = 0
-    for name, run in variants.items():
-        digest, bits = run()
+    for name, digest, bits in runs:
         moved = sorted(k for k in golden["mu_psi_hex"].keys() | bits.keys()
                        if golden["mu_psi_hex"].get(k, "absent") != bits.get(k, "absent"))
         same = not moved and digest in (None, golden["report_sha256"])
