@@ -28,7 +28,7 @@ from .corpus import (
     write_wordlist,
 )
 from .distance import DistanceConfig, SubstitutionCosts, load_manner_table
-from .errors import PedlexError, WordListError
+from .errors import PedlexError
 from .features import load_inventory, paper_voice
 from .ped import ped
 from .similarity import (
@@ -66,6 +66,16 @@ def _add_verbose_flag(parser):
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is at each record, so a caller that
+    redirects stderr around one ``main`` call keeps no later diagnostics."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    stream = property(lambda self: sys.stderr)
+
+
 def _configure_logging(args) -> None:
     level = logging.WARNING
     if args.verbose == 1:
@@ -74,7 +84,7 @@ def _configure_logging(args) -> None:
         level = logging.DEBUG
     # basicConfig adds its handler only while the root logger has none, and
     # sets no level after that, so the level is set on every call
-    logging.basicConfig(stream=sys.stderr, format="%(name)s: %(message)s")
+    logging.basicConfig(handlers=[_StderrHandler()], format="%(name)s: %(message)s")
     logging.getLogger().setLevel(level)
 
 
@@ -163,15 +173,9 @@ def _cmd_g2p(args) -> int:
 
 def _cmd_compare(args) -> int:
     inventory, costs = _load_tables(args)
-    a, b = read_wordlist(args.a), read_wordlist(args.b)
-    # a report row is one tag's cell, and the row would name --a's tag
-    if a.pos != b.pos:
-        raise WordListError(
-            f"{a.path} is a list of ({a.language}, {a.pos}) and {b.path} of "
-            f"({b.language}, {b.pos}); compare needs two lists of one tag")
     cell = align_lists(
-        a,
-        b,
+        read_wordlist(args.a),
+        read_wordlist(args.b),
         inventory,
         costs=costs,
         min_size=args.min_size,
@@ -209,14 +213,6 @@ def _cmd_matrix(args) -> int:
     lists = [read_wordlist(p) for p in sorted(lists_dir.glob("*.tsv"))]
     if not lists:
         raise PedlexError(f"no .tsv word lists in {lists_dir}")
-    # a second list of one (language, tag), such as a copied file, would
-    # give a cell of the language against itself
-    first = {}
-    for wl in lists:
-        other = first.setdefault((wl.language, wl.pos), wl)
-        if other is not wl:
-            raise WordListError(
-                f"{other.path} and {wl.path} are both lists of ({wl.language}, {wl.pos})")
     if args.jobs is not None and args.jobs < 1:
         raise PedlexError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = args.jobs or _usable_cpus()

@@ -305,8 +305,9 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
     lemma that g2p dropped has an empty IPA field. A language or tag that
     ``check_header_value`` rejects raises WordListError and writes nothing,
     and so does a row that would not read back: a lemma that begins with '#'
-    (a comment) or is empty or whitespace only (a blank line), or a lemma or
-    IPA string that holds a tab, CR or LF. The error names the lemma."""
+    (a comment) or is empty or whitespace only (a blank line), a lemma that
+    is not NFC (it would read back composed), or a lemma or IPA string that
+    holds a tab, CR or LF. The error names the lemma."""
     check_header_value(f"{path}: header lang=", words.language)
     check_header_value(f"{path}: header pos=", words.pos)
     lemmas = sorted(words.lemmas)
@@ -320,6 +321,10 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
         raise WordListError(
             f"{path}: lemma {blank!r} is empty or whitespace only, so its row would not read back"
         )
+    # NFC stops at a line break: the joined lemmas are NFC when each one is
+    if not unicodedata.is_normalized("NFC", "\n".join(lemmas)):
+        bad = next(lemma for lemma in lemmas if not unicodedata.is_normalized("NFC", lemma))
+        raise WordListError(f"{path}: lemma {bad!r} is not NFC, so it would read back composed")
     lines = [f"# lang={words.language} pos={words.pos}"]
     ipa = words.ipa_by_lemma
     for lemma in lemmas:

@@ -18,8 +18,7 @@ counted (Ukkonen 1985; Spouge 1989): cell (i, j) of an m x n DP owes
 |(m-i) - (n-j)| insertions or deletions. Both tests are lower bounds on the
 final distance, so they never discard a candidate that could still win or
 tie; results with pruning are bit-identical to results without. A bucket
-whose length gap alone exceeds the best-so-far (``out_of_reach``) is not
-scanned at all.
+whose band is empty, its length gap alone beyond the limit, is not scanned.
 
 The greedy list alignment's search is here too: in ``greedy_total`` each
 query, in the caller's order, claims its nearest unclaimed word of the long
@@ -166,19 +165,6 @@ def gap_limits(limit: float, size: int) -> list[float]:
     return [limit] + [limit - g + (g + 2) * u for g in range(1, size)]
 
 
-def out_of_reach(m: int, n: int, best: float) -> bool:
-    """Whether the length gap alone puts every path of an m x n DP above
-    ``best``: fl(|m - n| / maxlen) > best, and never for two empty words.
-
-    That is exactly ``band(threshold(best, maxlen), m, n) is None``: ``band``
-    gives None when the integer gap |m - n| exceeds the limit (an infinite
-    one for two empty words), which by ``threshold``'s defining property is
-    when fl(|m - n| / maxlen) > best.
-    """
-    maxlen = m if m > n else n
-    return maxlen > 0 and abs(m - n) / maxlen > best
-
-
 def start_bound(order, rows, query):
     """A first guess at a query's nearest word: (bound, bucket, index).
 
@@ -306,11 +292,12 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
 
     With ``prune`` the search is cut off at ``best``: limit is
     ``threshold(best, maxlen)``, and row i computes only the columns on
-    ``band(limit, ...)``; every cell outside the band counts as inf. So the
-    bucket must not be ``out_of_reach`` of ``best``, which is when that band
-    is empty: ``nearest`` and ``ped`` book such a bucket in
-    ``stats.prefiltered`` themselves and do not call the kernel. Every path
-    to the last cell crosses each row, and from cell (i, j) it still owes
+    ``band(limit, ...)``; every cell outside the band counts as inf. That
+    band is empty when |m - n| > limit, which by ``threshold``'s defining
+    property is when fl(|m - n| / maxlen) > best (never without ``prune``
+    or for two empty words, whose limit is inf): the bucket is then booked
+    in ``stats.prefiltered`` and not scanned. Every path to the last cell
+    crosses each row, and from cell (i, j) it still owes
     g = |(m-i) - (n-j)| unit steps; ``gap_limits(limit, ...)`` gives per g
     a threshold above which such a cell cannot end within the limit. Once
     every cell of a row's band (column 0 too, when it is in the band)
@@ -320,8 +307,8 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     A completed candidate with normalized distance nd wins when nd < best,
     or nd == best and its IPA sorts before ``best_ipa``; with ``prune`` the
     cut-offs then tighten to nd. Returns (index, nd) of the last winner, or
-    None when none wins. Books every candidate in ``stats.dps``, and those
-    that did not complete in ``stats.abandoned``.
+    None when none wins. Books every candidate of a scanned bucket in
+    ``stats.dps``, and those that did not complete in ``stats.abandoned``.
 
     The band's shape, a plan (m, n, lo, hi), depends only on floor(limit),
     capped at m + n: ``plans(m, n)`` holds them. A scan runs one plan over
@@ -345,15 +332,19 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     m = bucket.length
     n = len(query)
     maxlen = m if m > n else n
-    top = m + n
-    table = plans(m, n)
     limit = threshold(best, maxlen) if prune else INF
-    plan = table[floor(limit) if limit < top else top]
     labels, ipas = bucket.labels, bucket.ipas
     end = len(labels)
+    if abs(m - n) > limit:  # ``band``'s own emptiness test
+        stats.prefiltered += end
+        return None
+    top = m + n
+    table = plans(m, n)
     hit = None
     k = cells = completed = 0
     while k < end:
+        # the first plan, or the narrower one of the win the last scan stopped at
+        plan = table[floor(limit) if limit < top else top]
         scan = _compiled.get(plan)
         if scan is not None:
             k, c, done, win, best, limit = scan(
@@ -367,10 +358,6 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
         if win is not None:
             best_ipa, hit = ipas[win], (win, best)
         k += 1
-        if k == end:
-            break
-        # the scan stopped at a win that narrowed the band
-        plan = table[floor(limit) if limit < top else top]
     stats.dps += end
     stats.cells += cells
     stats.abandoned += end - completed
@@ -379,19 +366,11 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
 
 def nearest(order, rows, query, stack, prune, stats):
     """(nd, bucket, index) of the query's nearest word in ``order``'s
-    buckets, ties to the smaller IPA, from ``start_bound``'s word.
-
-    Each bucket is one ``dp_labels`` call, but with ``prune`` a bucket
-    ``out_of_reach`` of the best-so-far is booked in ``stats.prefiltered``
-    and not scanned.
-    """
+    buckets, ties to the smaller IPA, from ``start_bound``'s word. Each
+    bucket is one ``dp_labels`` call."""
     best, found, k = start_bound(order, rows, query)
     best_ipa = found.ipas[k]
-    n = len(query)
     for bucket in order:
-        if prune and out_of_reach(bucket.length, n, best):
-            stats.prefiltered += len(bucket.labels)
-            continue
         hit = dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats)
         if hit:
             k, best = hit
@@ -702,8 +681,8 @@ def ped(
     distance is at most ``bound`` and None otherwise. ``trace=True`` ignores
     the bound and additionally returns the aligned edit script. The DP is
     the kernel's interpreted scan of one candidate, booked in ``stats`` as
-    ``dp_labels`` books one; a pair ``out_of_reach`` of the bound is booked
-    in ``stats.prefiltered`` and not priced.
+    ``dp_labels`` books one; a pair whose band is empty is booked in
+    ``stats.prefiltered`` and not priced.
     """
     if costs is None:
         costs = SubstitutionCosts()
@@ -712,13 +691,13 @@ def ped(
     m, n = len(source), len(target)
     # the kernel takes nd < best; the next float up admits nd == bound
     best = INF if bound is None or trace else nextafter(bound, INF)
-    if out_of_reach(m, n, best):
+    limit = threshold(best, max(m, n))
+    if abs(m - n) > limit:
         stats.prefiltered += 1
         return None
     # label ids are positions: rows[i][j] prices source[i] against target[j]
     rows = costs.rows_for(source, target)
     stack = dp_stack(m, n)
-    limit = threshold(best, max(m, n))
     plan = plans(m, n)[floor(limit) if limit < m + n else m + n]
     _, cells, completed, win, normalized, _ = _interpret(
         plan, stack, [tuple(range(m))], [""], rows, tuple(range(n)), 0, limit, best, "", True)

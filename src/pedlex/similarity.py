@@ -58,6 +58,12 @@ class SimilarityReport:
     cells: tuple[SimilarityCell, ...]
 
 
+def _files(*lists: WordList) -> str:
+    """'<file> and <file>: ' of the lists read from a file, to head an error."""
+    paths = [str(wl.path) for wl in lists if wl.path is not None]
+    return f"{' and '.join(paths)}: " if paths else ""
+
+
 def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: bool):
     """Distinct IPA strings of a list mapped to their phone tuples. With
     ``skip_unknown``, strings that do not tokenize are dropped: one warning
@@ -135,7 +141,12 @@ def align_lists(
     prepared both lists already, as ``build_matrix`` does; the lists are
     then neither tokenized nor priced again, and ``inventory`` (which may
     then be None), ``costs`` and ``skip_unknown`` are not read.
+
+    A cell is one tag's: lists of two tags raise WordListError.
     """
+    if l1.pos != l2.pos:
+        raise WordListError(f"{_files(l1, l2)}lists of ({l1.language}, {l1.pos}) and "
+                            f"({l2.language}, {l2.pos}) make no cell: a cell is one tag's")
     if prepared is None:
         if costs is None:
             costs = SubstitutionCosts()
@@ -242,12 +253,19 @@ def build_matrix(
     first of them in that order is the one raised. A cell that fails with
     anything but a ``PedlexError`` raises a ``RuntimeError`` naming it. The
     report is assembled in canonical (pos, lang_a, lang_b) order.
+
+    Two lists of one (language, tag), such as a copied file, would give a
+    cell of the language against itself: they raise WordListError.
     """
     if costs is None:
         costs = SubstitutionCosts()
     lists = tuple(lists)
     by_pos: dict[str, list[int]] = {}
+    first: dict[tuple[str, str], int] = {}
     for k, wl in enumerate(lists):
+        j = first.setdefault((wl.language, wl.pos), k)
+        if j != k:
+            raise WordListError(f"{_files(lists[j], wl)}two lists of ({wl.language}, {wl.pos})")
         by_pos.setdefault(wl.pos, []).append(k)
     pairs = []
     for pos in sorted(by_pos):

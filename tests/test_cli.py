@@ -1,8 +1,10 @@
+import io
 import logging
 import shutil
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -236,6 +238,32 @@ def test_verbose_flag_sets_the_level_on_every_call(capsys, caplog, tmp_path):
             assert [rec.levelno for rec in caplog.records] == (
                 [logging.DEBUG] if expected == logging.DEBUG else []) + [logging.WARNING]
     finally:
+        root.setLevel(level)
+
+
+def test_diagnostics_go_to_the_stderr_of_the_call_that_logs_them(tmp_path):
+    # the first call installs the root handler, so pytest's handlers are set
+    # aside here, whatever ran before; a caller may redirect stderr around
+    # that call alone
+    words = tmp_path / "ur_PROPN.tsv"
+    words.write_text("# lang=ur pos=PROPN\nAli\nتم\n", encoding="utf-8")
+    argv = ["g2p", "--script", "perso-arabic", "--in", str(words), "--out", str(tmp_path / "o.tsv")]
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    for handler in handlers:
+        root.removeHandler(handler)
+    try:
+        streams = io.StringIO(), io.StringIO()
+        for stream in streams:
+            with redirect_stderr(stream):
+                assert main(argv) == 0
+        for stream in streams:
+            assert stream.getvalue().count("pedlex.corpus: g2p dropped 1 of 2 words") == 1
+    finally:
+        for handler in root.handlers[:]:
+            root.removeHandler(handler)
+        for handler in handlers:
+            root.addHandler(handler)
         root.setLevel(level)
 
 

@@ -527,6 +527,20 @@ def test_write_wordlist_rejects_a_tab_cr_or_lf_in_a_field(tmp_path, lemmas, ipa,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("ipa", [None, {"ab": "ab"}])
+def test_write_wordlist_rejects_a_lemma_that_is_not_nfc(tmp_path, ipa):
+    # the reader composes a lemma, so a decomposed one would read back
+    # unequal to the list written; IPA strings round-trip as written
+    nfd = unicodedata.normalize("NFD", "café")
+    path = tmp_path / "list.tsv"
+    with pytest.raises(WordListError, match=f"lemma {re.escape(repr(nfd))} is not NFC"):
+        write_wordlist(WordList("fr", "NOUN", ("ab", nfd), ipa), path)
+    assert not path.exists()
+    words = WordList("fr", "NOUN", ("ab", "café"), {"ab": nfd, "café": nfd})
+    write_wordlist(words, path)
+    assert read_wordlist(path) == words
+
+
 @pytest.mark.parametrize("ipa", [None, {" a": "a b", "a\x0bb": "\u3000"}])
 def test_wordlist_with_inner_whitespace_roundtrips(tmp_path, ipa):
     words = WordList("ur", "NOUN", (" a", "a\x0bb", "c "), ipa)

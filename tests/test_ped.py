@@ -22,8 +22,8 @@ from pedlex import (
     tokenize,
 )
 from pedlex.ped import (
-    Bucket, band, dp_labels, dp_stack, gap_limits, max_gap, nearest, out_of_reach, row_spans,
-    start_bound, threshold,
+    Bucket, band, dp_labels, dp_stack, gap_limits, max_gap, nearest, row_spans, start_bound,
+    threshold,
 )
 
 # the package re-exports a function named ``ped``, so import the module by path
@@ -328,13 +328,17 @@ def reach_bests(m, n):
 
 
 def test_out_of_reach_is_the_band_test():
-    # the one division against the kernel's own band math, for every m, n
-    # up to 40 and every best around which the answer may change
+    # the kernel's reach rule, |m - n| > threshold(best, maxlen), against
+    # ``band``'s emptiness and the division fl(|m - n| / maxlen) > best, for
+    # every m, n up to 40 and every best around which the answer may change
     for m in range(41):
         for n in range(41):
+            maxlen = max(m, n)
             for best in reach_bests(m, n):
-                expected = band(threshold(best, max(m, n)), m, n) is None
-                assert out_of_reach(m, n, best) == expected, (m, n, best)
+                limit = threshold(best, maxlen)
+                ruled_out = abs(m - n) > limit
+                assert ruled_out == (band(limit, m, n) is None), (m, n, best)
+                assert ruled_out == (maxlen > 0 and abs(m - n) / maxlen > best), (m, n, best)
 
 
 # ---------------------------------------------------------------- kernel plan

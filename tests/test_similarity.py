@@ -28,6 +28,7 @@ from pedlex import (
     ped,
     read_wordlist,
     tokenize,
+    write_wordlist,
 )
 from pedlex import similarity
 from pedlex.errors import TokenizeError, WordListError
@@ -408,13 +409,34 @@ def test_matrix_two_languages_one_tag():
     assert len(report.cells) == 1
 
 
-def test_matrix_same_language_twice_is_diagonal_zero():
-    report = build_matrix(
-        [wordlist("aa", "PRON", TOY_L1), wordlist("aa", "PRON", TOY_L1)], INV, costs=COSTS
-    )
-    (cell,) = report.cells
-    assert cell.lang_a == cell.lang_b == "aa"
-    assert cell.mu_psi == 0.0
+def test_build_matrix_rejects_two_lists_of_one_language_and_tag(tmp_path):
+    # the second list would make a cell of its language against itself; the
+    # error names both lists' files, when they came from files
+    lists = [wordlist("aa", "PRON", TOY_L1), wordlist("bb", "PRON", TOY_L2),
+             wordlist("aa", "PRON", TOY_L2)]
+    for twice in (lists, lists[:1] * 2):
+        with pytest.raises(WordListError, match=r"^two lists of \(aa, PRON\)"):
+            build_matrix(twice, INV, costs=COSTS, jobs=2)
+    paths = [tmp_path / f"{k}.tsv" for k in range(len(lists))]
+    for wl, path in zip(lists, paths):
+        write_wordlist(wl, path)
+    with pytest.raises(WordListError) as info:
+        build_matrix([read_wordlist(path) for path in paths], INV, costs=COSTS)
+    assert str(info.value).startswith(f"{paths[0]} and {paths[2]}: two lists of (aa, PRON)")
+
+
+def test_align_lists_rejects_lists_of_two_tags(tmp_path):
+    # a cell is one tag's: NOUN against VERB must not come back as a NOUN cell
+    noun, verb = wordlist("aa", "NOUN", TOY_L1), wordlist("bb", "VERB", TOY_L2)
+    for a, b in ((noun, verb), (verb, noun)):
+        with pytest.raises(WordListError, match=r"^lists of \((aa, NOUN|bb, VERB)\) and"):
+            align_lists(a, b, INV, costs=COSTS)
+    noun_path, verb_path = tmp_path / "aa_NOUN.tsv", tmp_path / "bb_VERB.tsv"
+    write_wordlist(noun, noun_path)
+    write_wordlist(verb, verb_path)
+    with pytest.raises(WordListError) as info:
+        align_lists(read_wordlist(noun_path), read_wordlist(verb_path), INV, costs=COSTS)
+    assert str(info.value).startswith(f"{noun_path} and {verb_path}: lists of (aa, NOUN)")
 
 
 def test_matrix_no_overlap_empty_report(caplog):
