@@ -15,6 +15,8 @@ import logging
 import unicodedata
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import filterfalse
 from pathlib import Path
 
 from .errors import ConlluError, G2PError, WordListError, open_lines
@@ -321,9 +323,9 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
         raise WordListError(
             f"{path}: lemma {blank!r} is empty or whitespace only, so its row would not read back"
         )
-    # NFC stops at a line break: the joined lemmas are NFC when each one is
-    if not unicodedata.is_normalized("NFC", "\n".join(lemmas)):
-        bad = next(lemma for lemma in lemmas if not unicodedata.is_normalized("NFC", lemma))
+    # per lemma: a nukta (NFC quick check "maybe") then normalizes its lemma alone
+    bad = next(filterfalse(partial(unicodedata.is_normalized, "NFC"), lemmas), None)
+    if bad is not None:
         raise WordListError(f"{path}: lemma {bad!r} is not NFC, so it would read back composed")
     lines = [f"# lang={words.language} pos={words.pos}"]
     ipa = words.ipa_by_lemma

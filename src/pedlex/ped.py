@@ -292,17 +292,17 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
 
     With ``prune`` the search is cut off at ``best``: limit is
     ``threshold(best, maxlen)``, and row i computes only the columns on
-    ``band(limit, ...)``; every cell outside the band counts as inf. That
-    band is empty when |m - n| > limit, which by ``threshold``'s defining
-    property is when fl(|m - n| / maxlen) > best (never without ``prune``
-    or for two empty words, whose limit is inf): the bucket is then booked
-    in ``stats.prefiltered`` and not scanned. Every path to the last cell
-    crosses each row, and from cell (i, j) it still owes
-    g = |(m-i) - (n-j)| unit steps; ``gap_limits(limit, ...)`` gives per g
-    a threshold above which such a cell cannot end within the limit. Once
-    every cell of a row's band (column 0 too, when it is in the band)
-    exceeds the threshold of its gap, no path through the row scores within
-    best: the candidate is abandoned.
+    ``band(limit, ...)``; every cell outside the band counts as inf. The band
+    is empty when |m - n| > limit, which by ``threshold``'s defining property
+    is when fl(|m - n| / maxlen) > best (never without ``prune`` or for two
+    empty words, whose limit is inf): the bucket is then booked in
+    ``stats.prefiltered`` and not scanned. Every path to the last cell
+    crosses each row, and from cell (i, j) it still owes g = |(m-i) - (n-j)|
+    unit steps; ``gap_limits(limit, ...)`` gives per g a threshold above
+    which such a cell cannot end within the limit. Once every cell of a
+    row's band (column 0 too, when it is in the band) exceeds the threshold
+    of its gap, no path through the row scores within best: the candidate
+    is abandoned.
 
     A completed candidate with normalized distance nd wins when nd < best,
     or nd == best and its IPA sorts before ``best_ipa``; with ``prune`` the
@@ -338,13 +338,12 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     if abs(m - n) > limit:  # ``band``'s own emptiness test
         stats.prefiltered += end
         return None
-    top = m + n
     table = plans(m, n)
     hit = None
     k = cells = completed = 0
     while k < end:
         # the first plan, or the narrower one of the win the last scan stopped at
-        plan = table[floor(limit) if limit < top else top]
+        plan = table[floor(limit) if limit < m + n else m + n]
         scan = _compiled.get(plan)
         if scan is not None:
             k, c, done, win, best, limit = scan(
