@@ -36,6 +36,7 @@ from .similarity import (
     SimilarityReport,
     align_lists,
     build_matrix,
+    check_distinct,
     format_report,
 )
 from .tokenizer import tokenize
@@ -173,9 +174,11 @@ def _cmd_g2p(args) -> int:
 
 def _cmd_compare(args) -> int:
     inventory, costs = _load_tables(args)
+    lists = [read_wordlist(args.a), read_wordlist(args.b)]
+    if not Path(args.a).samefile(args.b):  # one file twice is its self-similarity
+        check_distinct(lists)
     cell = align_lists(
-        read_wordlist(args.a),
-        read_wordlist(args.b),
+        *lists,
         inventory,
         costs=costs,
         min_size=args.min_size,

@@ -53,8 +53,10 @@ _N_COLUMNS = 10
 class WordList:
     """De-duplicated lemmas of one (language, PoS), with optional IPA forms.
 
-    ``path`` is the file :func:`read_wordlist` read the list from, and None
-    for a list built any other way.
+    ``lemmas`` is kept sorted, as :func:`read_wordlist` reads them back, so
+    the order a list was built in does not make it unequal. ``path`` is the
+    file :func:`read_wordlist` read the list from, and None for a list built
+    any other way.
     """
 
     language: str
@@ -62,6 +64,9 @@ class WordList:
     lemmas: tuple[str, ...]
     ipa_by_lemma: dict[str, str] | None = None
     path: Path | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lemmas", tuple(sorted(self.lemmas)))
 
     def ipa_strings(self) -> tuple[str, ...]:
         """Distinct IPA strings, sorted; what list alignment operates on."""
@@ -306,19 +311,22 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
     in an unconverted list, ``lemma<TAB>ipa`` in a converted one, where a
     lemma that g2p dropped has an empty IPA field. A language or tag that
     ``check_header_value`` rejects raises WordListError and writes nothing,
-    and so does a row that would not read back: a lemma that begins with '#'
-    (a comment) or is empty or whitespace only (a blank line), a lemma that
-    is not NFC (it would read back composed), or a lemma or IPA string that
-    holds a tab, CR or LF. The error names the lemma."""
+    and so does a list that would not read back equal: a lemma that begins
+    with '#' (a comment), is empty or whitespace only (a blank line), is not
+    NFC (it would read back composed) or occurs twice; a lemma or IPA string
+    that holds a tab, CR or LF; IPA for a string that is not a lemma, or an
+    empty IPA string (it reads back as a lemma g2p dropped); and a converted
+    list without lemmas (it reads back unconverted). The error names the
+    lemma, or the list for the last."""
     check_header_value(f"{path}: header lang=", words.language)
     check_header_value(f"{path}: header pos=", words.pos)
-    lemmas = sorted(words.lemmas)
+    lemmas = words.lemmas  # sorted
     comments = lemmas[comment_span(lemmas)]
     if comments:
         raise WordListError(
             f"{path}: lemma {comments[0]!r} begins with '#', so its row would read as a comment"
         )
-    blank = "" if lemmas[:1] == [""] else next(filter(str.isspace, lemmas), None)
+    blank = "" if lemmas[:1] == ("",) else next(filter(str.isspace, lemmas), None)
     if blank is not None:
         raise WordListError(
             f"{path}: lemma {blank!r} is empty or whitespace only, so its row would not read back"
@@ -327,8 +335,28 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
     bad = next(filterfalse(partial(unicodedata.is_normalized, "NFC"), lemmas), None)
     if bad is not None:
         raise WordListError(f"{path}: lemma {bad!r} is not NFC, so it would read back composed")
-    lines = [f"# lang={words.language} pos={words.pos}"]
+    distinct = set(lemmas)
+    if len(distinct) < len(lemmas):
+        twice = next(a for a, b in zip(lemmas, lemmas[1:]) if a == b)
+        raise WordListError(f"{path}: lemma {twice!r} occurs twice, which the reader refuses")
     ipa = words.ipa_by_lemma
+    if ipa is not None:
+        if not ipa.keys() <= distinct:
+            raise WordListError(
+                f"{path}: {min(ipa.keys() - distinct)!r} has IPA but is not a lemma, so the IPA "
+                "would not be written"
+            )
+        if "" in ipa.values():
+            raise WordListError(
+                f"{path}: lemma {min(k for k, v in ipa.items() if not v)!r} has an empty IPA "
+                "string, which reads back as a lemma g2p dropped"
+            )
+        if not lemmas:
+            raise WordListError(
+                f"{path}: list ({words.language}, {words.pos}) is converted but has no "
+                "lemmas, so it would read back unconverted"
+            )
+    lines = [f"# lang={words.language} pos={words.pos}"]
     for lemma in lemmas:
         lines.append(lemma if ipa is None else f"{lemma}\t{ipa.get(lemma, '')}")
     text = "\n".join(lines) + "\n"
@@ -391,7 +419,7 @@ def read_wordlist(path: str | Path) -> WordList:
     return WordList(
         language=language,
         pos=pos,
-        lemmas=tuple(sorted(lemmas)),
+        lemmas=tuple(lemmas),
         ipa_by_lemma=ipa_by_lemma if saw_ipa else None,
         path=path,
     )

@@ -6,9 +6,9 @@ the labels are equal). One kernel computes it for the greedy list
 alignment, and for ``ped`` and its edit-script trace: a ``dp_labels`` call
 scans a bucket of equal-length candidate words against one query word, rows
 over the candidate and columns over the query, each candidate from row 0,
-and ``ped`` runs the kernel's interpreted scan on its one pair. It reads
-substitution costs from one table by candidate and query label id, so a
-query needs no cost profile of its own.
+and ``ped`` runs the kernel's interpreted scan on its one pair. Each
+candidate carries its cost rows, row i pricing its label i against every
+query label id, so a query needs no cost profile of its own.
 
 The kernel cuts its search off at the normalized best-so-far. Only the
 diagonal band that a path within it can reach is filled (Ukkonen's cutoff),
@@ -37,19 +37,19 @@ thresholds in place as long as the tighter limit keeps its plan, which most
 wins do, and hands over to the narrower plan's scan otherwise. Each plan
 runs in one of two tiers that compute the same cells in the same order and
 run the same row test. In both a cell outside the band counts as inf. The
-interpreted scan runs any plan, and each of its rows sets the one such
-cell it reads, its last column's up neighbour, to inf first. Pruned rows
-are 2-3 cells wide, and per row it unpacks the plan, builds a range and
-tests that edge, which costs about as much as the cells. So a plan whose
-rows are all narrow, once it has proved hot, is generated as straight-line
-code with the rows and columns unrolled and compiled: the DP rows live in
-local variables for the whole scan, row 0, column 0 and the cells outside
-the band are constants folded into the code, and each cell's gap is a
-constant that picks its threshold. It writes nothing: the DP stack is the
-interpreted scan's scratch space, and ``ped``'s full matrix. Compiling
-costs time and memory in proportion to the plan's cells, so only the
-narrow, hot plans that carry most of the work are worth it: wide plans
-(long words, loose bounds) and rarely used ones stay interpreted.
+interpreted scan runs any plan on fresh rows, inf outside row 0 and column
+0, and writes only its band. Pruned rows are 2-3 cells wide, and per row it
+unpacks the plan and builds a range, which costs about as much as the
+cells. So a plan whose rows are all narrow, once it has proved hot, is
+generated as straight-line code with the rows and columns unrolled and
+compiled: the DP rows live in local variables for the whole scan, row 0,
+column 0 and the cells outside the band are constants folded into the
+code, and each cell's gap is a constant that picks its threshold. It
+writes nothing: the DP stack is the interpreted scan's scratch space, and
+``ped``'s full matrix. Compiling costs time and memory in proportion to
+the plan's cells, so only the narrow, hot plans that carry most of the
+work are worth it: wide plans (long words, loose bounds) and rarely used
+ones stay interpreted.
 """
 
 from __future__ import annotations
@@ -165,17 +165,17 @@ def gap_limits(limit: float, size: int) -> list[float]:
     return [limit] + [limit - g + (g + 2) * u for g in range(1, size)]
 
 
-def start_bound(order, rows, query):
+def start_bound(order, query):
     """A first guess at a query's nearest word: (bound, bucket, index).
 
     The word is where ``query`` bisects into the first non-empty bucket of
     ``order``, or that bucket's last word when the query sorts after them
     all: the query and the words are numbered alike, by the run's phones in
     label order, so that is the word next to the query in label order. Its
-    bound is the word's diagonal alignment in the DP's own float
-    order: d = d + rows[x[i]][query[i]] for i < min(m, n) from d = 0.0, then
-    |m - n| additions of 1.0, then d / maxlen (0.0 for two empty words).
-    Some bucket of ``order`` must hold a word.
+    bound is the word's diagonal alignment in the DP's own float order, x
+    its cost rows: d = d + x[i][query[i]] for i < min(m, n) from d = 0.0,
+    then |m - n| additions of 1.0, then d / maxlen (0.0 for two empty
+    words). Some bucket of ``order`` must hold a word.
 
     Proof that the word's normalized distance nd is at most the bound. The
     recurrence takes a min over its diagonal, up and left branches, and
@@ -195,11 +195,11 @@ def start_bound(order, rows, query):
     bucket = next(bucket for bucket in order if bucket.labels)
     labels = bucket.labels
     k = min(bisect_left(labels, query), len(labels) - 1)
-    x = labels[k]
+    x = bucket.costs[k]
     m, n = len(x), len(query)
     d = 0.0
     for i in range(min(m, n)):
-        d = d + rows[x[i]][query[i]]
+        d = d + x[i][query[i]]
     for _ in range(abs(m - n)):
         d = d + 1.0
     maxlen = m if m > n else n
@@ -218,43 +218,42 @@ def row_spans(rows: int, cols: int, lo: int, hi: int) -> tuple:
     """Per-row plan of the DP cells on diagonals lo..hi (see ``band``).
 
     Entry i (1..rows; entry 0 is unused) is (first column, range of the
-    columns 1..cols computed, edge, the row's column-0 value or inf when
-    column 0 is outside the band, the number of columns, the gap offset).
-    The edge is the row's last column when that column's up neighbour lies
-    right of row i - 1's band, and 0 otherwise; row 0 is never written, so
-    row 1 has none. Cell (i, j) owes |offset + j - G| unit steps, G =
-    ``max_gap(rows, cols, lo, hi)``. The plan keeps a constant number of
-    fields per row: long words have thousands of plans.
+    columns 1..cols computed, the row's column-0 value or inf when column 0
+    is outside the band, the number of columns, the gap offset). Cell (i, j)
+    owes |offset + j - G| unit steps, G = ``max_gap(rows, cols, lo, hi)``.
+    The plan keeps a constant number of fields per row: long words have
+    thousands of plans.
     """
     spans = [None]
     top = max_gap(rows, cols, lo, hi) + rows - cols
     for i in range(1, rows + 1):
         jlo, jhi = i - hi, min(i - lo, cols)
-        edge = jhi if i >= 2 and i - lo <= cols else 0
         left = INF
         if jlo <= 0:
             jlo, left = 1, float(i)
-        spans.append((jlo, range(jlo, jhi + 1), edge, left, jhi - jlo + 1, top - i))
+        spans.append((jlo, range(jlo, jhi + 1), left, jhi - jlo + 1, top - i))
     return tuple(spans)
 
 
 class Bucket:
     """Candidate words of one token length, sorted by (labels, ipa).
 
-    ``labels`` holds label-id tuples and ``ipas`` the IPA string of each (it
-    breaks distance ties).
+    ``labels`` holds label-id tuples, ``ipas`` the IPA string of each (it
+    breaks distance ties) and ``costs`` its cost rows: rows[a] for each of
+    its label ids a, where rows[a][b] prices a against query label id b.
     """
 
-    __slots__ = ("length", "labels", "ipas")
+    __slots__ = ("length", "labels", "ipas", "costs")
 
-    def __init__(self, length, entries):
+    def __init__(self, length, entries, rows):
         entries.sort()
         self.length = length
         self.labels = [labels for labels, _ in entries]
         self.ipas = [ipa for _, ipa in entries]
+        self.costs = [tuple([rows[a] for a in labels]) for labels in self.labels]
 
     def remove(self, k):
-        del self.labels[k], self.ipas[k]
+        del self.labels[k], self.ipas[k], self.costs[k]
 
 
 def least_limit(rows: int, cols: int, lo: int, hi: int) -> int:
@@ -280,15 +279,13 @@ def plans(rows: int, cols: int) -> tuple:
     return tuple(table)
 
 
-def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
+def dp_labels(bucket, query, best, best_ipa, prune, stats):
     """Scan one bucket for a candidate nearer than ``best``; the DP kernel.
 
     Rows run over a candidate, columns over the query word, a tuple of n
-    label ids: stack[0] is [0, 1, ..., n'] for some n' >= n, stack[i][0] is
-    i, and rows[a][b] is the cost of substituting candidate label id a for
-    query label id b, so cell (i, j) of candidate x costs
-    rows[x[i-1]][query[j-1]]. Neither row 0 nor column 0 is ever written.
-    Every candidate computes its rows from row 0.
+    label ids: row 0 is [0, 1, ..., n], column 0 of row i is i, and cell (i,
+    j) of a candidate with cost rows x (``bucket.costs``) costs
+    x[i-1][query[j-1]]. Each candidate computes its rows from row 0.
 
     With ``prune`` the search is cut off at ``best``: limit is
     ``threshold(best, maxlen)``, and row i computes only the columns on
@@ -324,17 +321,16 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     best, limit).
 
     A generated scan keeps the DP rows in local variables and writes
-    nothing; the interpreted scan computes them on the stack. There the
-    column right of a row's band, which row i + 1 reads as its up
-    neighbour, may hold a value written under an earlier scan's wider band,
-    or ``dp_stack``'s 0.0; the interpreted scan writes inf there first.
+    nothing; each interpreted scan computes them on fresh ``dp_stack`` rows.
+    Its plan, and so its band, holds for the whole scan, so every cell
+    outside the band that a row reads still holds ``dp_stack``'s inf.
     """
     m = bucket.length
     n = len(query)
     maxlen = m if m > n else n
     limit = threshold(best, maxlen) if prune else INF
-    labels, ipas = bucket.labels, bucket.ipas
-    end = len(labels)
+    costs, ipas = bucket.costs, bucket.ipas
+    end = len(costs)
     if abs(m - n) > limit:  # ``band``'s own emptiness test
         stats.prefiltered += end
         return None
@@ -347,10 +343,10 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
         scan = _compiled.get(plan)
         if scan is not None:
             k, c, done, win, best, limit = scan(
-                labels, ipas, rows, query, k, limit, best, best_ipa, prune)
+                costs, ipas, query, k, limit, best, best_ipa, prune)
         else:
             k, c, done, win, best, limit = _interpret(
-                plan, stack, labels, ipas, rows, query, k, limit, best, best_ipa, prune)
+                plan, dp_stack(m, n), costs, ipas, query, k, limit, best, best_ipa, prune)
             _warm(plan, c)
         cells += c
         completed += done
@@ -363,14 +359,14 @@ def dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats):
     return hit
 
 
-def nearest(order, rows, query, stack, prune, stats):
+def nearest(order, query, prune, stats):
     """(nd, bucket, index) of the query's nearest word in ``order``'s
     buckets, ties to the smaller IPA, from ``start_bound``'s word. Each
     bucket is one ``dp_labels`` call."""
-    best, found, k = start_bound(order, rows, query)
+    best, found, k = start_bound(order, query)
     best_ipa = found.ipas[k]
     for bucket in order:
-        hit = dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats)
+        hit = dp_labels(bucket, query, best, best_ipa, prune, stats)
         if hit:
             k, best = hit
             found, best_ipa = bucket, bucket.ipas[k]
@@ -382,35 +378,35 @@ def greedy_total(queries, long_, rows, prune, stats):
     unclaimed word of ``long_`` (ties to the smaller IPA), which it claims.
 
     ``long_`` maps the long list's IPA strings to label-id tuples, and
-    rows[a][b] prices its label id a against query label id b. Buckets of
-    equal length distance from a query are visited shorter first.
+    rows[a][b] prices its label id a against query label id b; the buckets
+    keep each word's cost rows, so the search below reads no table. Buckets
+    of equal length distance from a query are visited shorter first.
     """
     by_length: dict[int, list] = {}
     for ipa, labels in long_.items():
         by_length.setdefault(len(labels), []).append((labels, ipa))
-    buckets = [Bucket(length, by_length[length]) for length in sorted(by_length)]
+    buckets = [Bucket(length, by_length[length], rows) for length in sorted(by_length)]
     visits: dict[int, list] = {}  # bucket visit order per query length
-    stack = dp_stack(buckets[-1].length, max(map(len, queries)))
     total = 0.0
     for w in queries:
         n = len(w)
         order = visits.get(n)
         if order is None:
             order = visits[n] = sorted(buckets, key=lambda b: (abs(b.length - n), b.length))
-        best, bucket, k = nearest(order, rows, w, stack, prune, stats)
+        best, bucket, k = nearest(order, w, prune, stats)
         total += best
         bucket.remove(k)
     return total
 
 
-def _interpret(plan, stack, labels, ipas, rows, query, k, limit, best, best_ipa, prune):
-    """Scan candidates k, k + 1, ... on ``plan``, their rows on ``stack``.
+def _interpret(plan, stack, costs, ipas, query, k, limit, best, best_ipa, prune):
+    """Scan candidates k, k + 1, ... on ``plan``, their rows on ``stack``
+    (fresh ``dp_stack`` rows, of which it writes only the band).
 
-    The arguments after ``stack`` are those ``dp_labels`` passes a scan, and
-    so is the result (see there). Every plan can run here; generated scans
+    The other arguments are those ``dp_labels`` passes a scan, and so is the
+    result (see there). Every plan can run here; generated scans
     (``_generate``) must agree with it: the same cells in the same order,
-    and the same row tests and results. ``ped`` reads its one candidate's
-    rows off the stack.
+    and the same row tests and results. ``ped`` reads its rows off the stack.
     """
     spans = row_spans(*plan)
     m, n = plan[0], plan[1]
@@ -421,15 +417,13 @@ def _interpret(plan, stack, labels, ipas, rows, query, k, limit, best, best_ipa,
     vee = limits[:0:-1] + limits  # vee[offset + j] is the threshold of cell (i, j)
     cells = completed = 0
     win = None
-    for k in range(k, len(labels)):
-        x = labels[k]
+    for k in range(k, len(costs)):
+        x = costs[k]
         prev = stack[0]
         for i in range(1, m + 1):
-            jlo, cols, edge, left, width, offset = spans[i]
+            jlo, cols, left, width, offset = spans[i]
             cur = stack[i]
-            cost = rows[x[i - 1]]
-            if edge:  # its up neighbour lies outside the band
-                prev[edge] = INF
+            cost = x[i - 1]
             # column 0 in the band passes the row test: its value i plus its
             # gap counts the unit steps of a path, which ``band`` kept within
             # the limit
@@ -507,7 +501,7 @@ def _warm(plan, cells):
     if left is None:
         if len(_heat) >= 4096:
             _heat.clear()  # as many plans as row_spans caches; start counting again
-        widths = [span[4] for span in row_spans(*plan)[1:]]
+        widths = [span[3] for span in row_spans(*plan)[1:]]
         # a wide plan never compiles
         left = INF if max(widths, default=0) > _NARROW else max(_HOT_FLOOR, _HOT * sum(widths))
     left -= cells
@@ -523,17 +517,16 @@ def _generate(m, n, lo, hi):
 
     It does what ``_interpret`` does on the plan, with the row and column
     loops unrolled, and takes the arguments that follow ``_interpret``'s
-    plan. Cell (i, j) of rows 1..m is the local v<i>_<j>, and query label j
+    stack. Cell (i, j) of rows 1..m is the local v<i>_<j>, and query label j
     is the local q<j>. Row 0 and column 0 are constants and cells outside
     the band are inf, so both fold into each cell's expressions when the
     scan is generated: a cell whose up neighbour lies outside the band reads
-    only its west one, and no row writes inf. Every cell's gap g is a
-    constant that picks its threshold, the local t<g>, computed with the
-    expression of ``gap_limits`` on entry and again at each win that keeps
-    the plan, so it is the same float. The scan reads and writes no stack.
-    The row test is an ``and`` of ``> t<g>`` compares, and a candidate
-    books the cells of the rows it computed as one constant: their
-    cumulative width.
+    only its west one. Every cell's gap g is a constant that picks its
+    threshold, the local t<g>, computed with the expression of
+    ``gap_limits`` on entry and again at each win that keeps the plan, so it
+    is the same float. The scan reads and writes no stack. The row test is
+    an ``and`` of ``> t<g>`` compares, and a candidate books the cells of
+    the rows it computed as one constant: their cumulative width.
     """
     spans = row_spans(m, n, lo, hi)
 
@@ -551,16 +544,16 @@ def _generate(m, n, lo, hi):
     code = [
         "    cells = completed = 0",
         "    win = None",
-        "    for k in range(k, len(labels)):",
-        "        x = labels[k]",
+        "    for k in range(k, len(costs)):",
+        "        x = costs[k]",
     ]
     cum = 0
     for i in range(1, m + 1):
-        _, cols, _, left, width, _ = spans[i]
+        _, cols, left, width, _ = spans[i]
         cum += width
         if not cols:
             continue  # n = 0: the row is column 0 alone, which passes the test
-        code.append(f"        c = rows[x[{i - 1}]]")
+        code.append(f"        c = x[{i - 1}]")
         for j in cols:
             cell, diag = at(i, j), at(i - 1, j - 1)
             code.append(f"        {cell} = {diag} + c[q{j}]")
@@ -617,7 +610,7 @@ def _generate(m, n, lo, hi):
         "            break",
         "    return k, cells, completed, win, best, limit",
     ]
-    entry = ["def scan(labels, ipas, rows, query, k, limit, best, best_ipa, prune):"]
+    entry = ["def scan(costs, ipas, query, k, limit, best, best_ipa, prune):"]
     if n:
         entry.append(f"    {', '.join(f'q{j}' for j in range(1, n + 1))}, = query")
     namespace = {"ulp": ulp, "threshold": threshold}
@@ -627,12 +620,11 @@ def _generate(m, n, lo, hi):
 
 
 def dp_stack(rows: int, cols: int) -> list[list[float]]:
-    """DP rows for candidates of up to ``rows`` labels against query words of
-    up to ``cols``: row 0 is [0, 1, ..., cols], and column 0 of row i is i,
-    which ``dp_labels`` reads but never writes."""
-    stack = [[float(i)] + [0.0] * cols for i in range(rows + 1)]
-    stack[0] = [float(j) for j in range(cols + 1)]
-    return stack
+    """Fresh DP rows for one scan of a ``rows`` x ``cols`` plan: row 0 is
+    [0, 1, ..., cols], column 0 of row i is i, and every other cell is inf,
+    as a cell outside the band counts."""
+    row0 = [float(j) for j in range(cols + 1)]
+    return [row0] + [[float(i)] + [INF] * cols for i in range(1, rows + 1)]
 
 
 def _edit_script(source, target, sub, stack):
@@ -694,12 +686,12 @@ def ped(
     if abs(m - n) > limit:
         stats.prefiltered += 1
         return None
-    # label ids are positions: rows[i][j] prices source[i] against target[j]
+    # the one candidate's cost rows: rows[i][j] prices source[i] against target[j]
     rows = costs.rows_for(source, target)
     stack = dp_stack(m, n)
     plan = plans(m, n)[floor(limit) if limit < m + n else m + n]
     _, cells, completed, win, normalized, _ = _interpret(
-        plan, stack, [tuple(range(m))], [""], rows, tuple(range(n)), 0, limit, best, "", True)
+        plan, stack, [tuple(rows)], [""], tuple(range(n)), 0, limit, best, "", True)
     stats.dps += 1
     stats.cells += cells
     stats.abandoned += 1 - completed

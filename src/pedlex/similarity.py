@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -62,6 +63,18 @@ def _files(*lists: WordList) -> str:
     """'<file> and <file>: ' of the lists read from a file, to head an error."""
     paths = [str(wl.path) for wl in lists if wl.path is not None]
     return f"{' and '.join(paths)}: " if paths else ""
+
+
+def check_distinct(lists: Sequence[WordList]) -> None:
+    """Raise WordListError, naming both files, when two of ``lists`` share a
+    (language, tag): such a pair, a copied file say, would give a cell of
+    the language against itself. ``align_lists`` itself takes one list
+    twice, as a self-similarity check does."""
+    first: dict[tuple[str, str], int] = {}
+    for k, wl in enumerate(lists):
+        j = first.setdefault((wl.language, wl.pos), k)
+        if j != k:
+            raise WordListError(f"{_files(lists[j], wl)}two lists of ({wl.language}, {wl.pos})")
 
 
 def _prepare_tokens(words: WordList, inventory: FeatureInventory, skip_unknown: bool):
@@ -254,18 +267,14 @@ def build_matrix(
     anything but a ``PedlexError`` raises a ``RuntimeError`` naming it. The
     report is assembled in canonical (pos, lang_a, lang_b) order.
 
-    Two lists of one (language, tag), such as a copied file, would give a
-    cell of the language against itself: they raise WordListError.
+    Two lists of one (language, tag) raise WordListError (``check_distinct``).
     """
     if costs is None:
         costs = SubstitutionCosts()
     lists = tuple(lists)
+    check_distinct(lists)
     by_pos: dict[str, list[int]] = {}
-    first: dict[tuple[str, str], int] = {}
     for k, wl in enumerate(lists):
-        j = first.setdefault((wl.language, wl.pos), k)
-        if j != k:
-            raise WordListError(f"{_files(lists[j], wl)}two lists of ({wl.language}, {wl.pos})")
         by_pos.setdefault(wl.pos, []).append(k)
     pairs = []
     for pos in sorted(by_pos):

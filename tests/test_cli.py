@@ -434,6 +434,18 @@ def test_compare_rejects_lists_of_two_tags(capsys, tmp_path, fixtures_dir):
         assert "PRON" in err and "NOUN" in err
 
 
+def test_compare_rejects_two_lists_of_one_language_and_tag(capsys, tmp_path, fixtures_dir):
+    # as matrix does on the same two files: the pair has no matrix row
+    ur = fixtures_dir / "pronouns" / "ur.tsv"
+    copy = tmp_path / "ur_copy.tsv"
+    shutil.copy(ur, copy)
+    code, out, err = run(capsys, "compare", "--a", str(ur), "--b", str(copy))
+    assert code == 1
+    assert out == ""
+    assert str(ur) in err and str(copy) in err
+    assert "two lists of (ur, PRON)" in err
+
+
 def test_matrix_empty_dir_exits_one(capsys, tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()

@@ -4,7 +4,7 @@ import unicodedata
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pedlex import (
     WordList,
@@ -539,6 +539,62 @@ def test_write_wordlist_rejects_a_lemma_that_is_not_nfc(tmp_path, ipa):
     words = WordList("fr", "NOUN", ("ab", "café"), {"ab": nfd, "café": nfd})
     write_wordlist(words, path)
     assert read_wordlist(path) == words
+
+
+@pytest.mark.parametrize("words, named", [
+    # an empty IPA string reads back as a lemma g2p dropped
+    (WordList("ur", "NOUN", ("ab",), {"ab": ""}), "lemma 'ab' has an empty IPA string"),
+    # IPA of a string that is not a lemma gets no row, yet ipa_strings() aligns it
+    (WordList("ur", "NOUN", ("ab",), {"ab": "ab", "zz": "zz"}), "'zz' has IPA but is not a lemma"),
+    # a converted list without rows reads back unconverted
+    (WordList("ur", "NOUN", (), {}), "list (ur, NOUN) is converted but has no lemmas"),
+    # the reader refuses a lemma's second row
+    (WordList("ur", "NOUN", ("ab", "ab"), {"ab": "ab"}), "lemma 'ab' occurs twice"),
+])
+def test_write_wordlist_refuses_a_list_that_would_read_back_unequal(tmp_path, words, named):
+    path = tmp_path / "list.tsv"
+    with pytest.raises(WordListError, match=re.escape(named)):
+        write_wordlist(words, path)
+    assert not path.exists()
+
+
+def test_a_list_built_in_any_order_reads_back_equal(tmp_path):
+    words = WordList("ur", "NOUN", ("cd", "ab"), {"ab": "ab"})
+    assert words == WordList("ur", "NOUN", ("ab", "cd"), {"ab": "ab"})
+    path = tmp_path / "list.tsv"
+    write_wordlist(words, path)
+    assert read_wordlist(path) == words
+
+
+# text that hits the rows' separators, comments, blanks and NFC more often
+# than arbitrary text alone does
+ROW_TEXT = st.text(st.one_of(st.sampled_from("ab#\t\r\n \x0b\u3000\u0301\ufeff"),
+                             st.characters()), max_size=4)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_written_list_reads_back_equal_or_is_refused(tmp_path_factory, data):
+    # lemmas, IPA strings and stray IPA keys from arbitrary text, empty IPA
+    # strings and empty lists included; a refused list names a lemma (or
+    # the list) and leaves no file
+    lemmas = data.draw(st.lists(ROW_TEXT, max_size=6), "lemmas")
+    ipa = None
+    if data.draw(st.booleans(), "converted"):
+        keys = data.draw(st.lists(st.sampled_from(lemmas), unique=True), "keys") if lemmas else []
+        keys += data.draw(st.lists(ROW_TEXT, max_size=2), "stray keys")
+        ipa = {key: data.draw(st.one_of(st.just(""), ROW_TEXT), "ipa") for key in keys}
+    words = WordList("ur", "NOUN", tuple(lemmas), ipa)
+    path = tmp_path_factory.getbasetemp() / "roundtrip.tsv"
+    path.unlink(missing_ok=True)
+    try:
+        write_wordlist(words, path)
+    except WordListError as exc:
+        named = [repr(text) for text in (*lemmas, *(ipa or ()))] + ["(ur, NOUN)"]
+        assert any(name in str(exc) for name in named), str(exc)
+        assert not path.exists()
+    else:
+        assert read_wordlist(path) == words
 
 
 @pytest.mark.parametrize("ipa", [None, {" a": "a b", "a\x0bb": "\u3000"}])

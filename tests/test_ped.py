@@ -22,8 +22,7 @@ from pedlex import (
     tokenize,
 )
 from pedlex.ped import (
-    Bucket, band, dp_labels, dp_stack, gap_limits, max_gap, nearest, row_spans, start_bound,
-    threshold,
+    Bucket, band, dp_labels, gap_limits, max_gap, nearest, row_spans, start_bound, threshold,
 )
 
 # the package re-exports a function named ``ped``, so import the module by path
@@ -310,10 +309,11 @@ def test_a_bucket_out_of_reach_is_booked_in_prefiltered():
     assert ped(ps("pa"), (), costs=COSTS, bound=0.9, stats=stats) is None
     assert (stats.prefiltered, stats.dps, stats.abandoned, stats.cells) == (1, 0, 0, 0)
     # nearest finds the empty word first; without prune every bucket is scanned
-    order = [Bucket(0, [((), "")]), Bucket(2, [((0, 0), "00"), ((0, 1), "01")])]
+    rows = [[0.0], [0.0]]
+    order = [Bucket(0, [((), "")], rows), Bucket(2, [((0, 0), "00"), ((0, 1), "01")], rows)]
     for prune, counts in ((True, (2, 1, 0, 0)), (False, (0, 3, 0, 0))):
         stats = DpStats()
-        hit = nearest(order, [[0.0], [0.0]], (), dp_stack(2, 0), prune, stats)
+        hit = nearest(order, (), prune, stats)
         assert hit == (0.0, order[0], 0)
         assert (stats.prefiltered, stats.dps, stats.abandoned, stats.cells) == counts
 
@@ -434,11 +434,11 @@ def test_start_bound_is_at_least_the_unpruned_distance(data):
     rows = [data.draw(st.lists(cost, min_size=ids, max_size=ids)) for _ in range(alphabet)]
     word = tuple(data.draw(st.lists(st.integers(0, alphabet - 1), min_size=m, max_size=m)))
     query = tuple(data.draw(st.lists(st.integers(0, ids - 1), min_size=n, max_size=n)))
-    bucket = Bucket(m, [(word, "w")])
+    bucket = Bucket(m, [(word, "w")], rows)
     # an emptied bucket first in the visit order is passed over
-    bound, start, k = start_bound([Bucket(n, []), bucket], rows, query)
+    bound, start, k = start_bound([Bucket(n, [], rows), bucket], query)
     assert (start, k) == (bucket, 0)
-    hit = dp_labels(bucket, rows, query, dp_stack(m, n), math.inf, None, False, DpStats())
+    hit = dp_labels(bucket, query, math.inf, None, False, DpStats())
     assert bound >= hit[1]
 
 
@@ -462,15 +462,11 @@ def test_row_spans_cover_the_band(bound, m, n):
     spans = row_spans(m, n, lo, hi)
     assert len(spans) == m + 1
     for i in range(1, m + 1):
-        jlo, cols, edge, left, width, offset = spans[i]
+        jlo, cols, left, width, offset = spans[i]
         expected = [j for j in range(1, n + 1) if lo <= i - j <= hi]
         assert list(cols) == expected and width == len(expected)
         assert jlo == (expected[0] if expected else 1)
         assert left == (float(i) if i <= hi else math.inf)
-        # the last column, when its up neighbour (i - 1, j) lies right of
-        # row i - 1's band; row 0 holds every column
-        assert edge == (expected[-1] if i >= 2 and expected and i - 1 - expected[-1] < lo
-                        else 0)
         # every cell of the band, column 0 too, finds the threshold of its gap
         top = max_gap(m, n, lo, hi)
         for j in range(n + 1):
@@ -526,22 +522,32 @@ def scan_log():
         kernel._interpret, kernel._generate = interpret, generate
 
 
-def scan_twice(bucket, rows, query, best, best_ipa, prune, dead=None):
-    """Two identical dp_labels calls on one stack; per call, the hit and the
-    four DpStats counters. With ``dead`` set, columns 1..n of rows 1..m hold
-    ``dead`` before each call, so a scan that read a row it had not written
-    in that call would change a hit or a counter. No call may write row 0."""
-    stack = dp_stack(bucket.length, len(query))
-    row0 = list(stack[0])
-    runs = []
-    for _ in range(2):
+def scan_twice(bucket, query, best, best_ipa, prune, dead=None):
+    """Two identical dp_labels calls; per call, the hit and the four DpStats
+    counters. With ``dead`` set, the band's cells of rows 1..m hold ``dead``
+    before each interpreted scan, so a candidate that read a row it had not
+    written would change a hit or a counter. No scan may write row 0."""
+    interpret = kernel._interpret
+
+    def scan(plan, stack, *args):
         if dead is not None:
-            for row in stack[1:]:
-                row[1:] = [dead] * (len(row) - 1)
-        stats = DpStats()
-        hit = dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats)
+            for row, span in zip(stack[1:], row_spans(*plan)[1:]):
+                for j in span[1]:
+                    row[j] = dead
+        row0 = list(stack[0])
+        result = interpret(plan, stack, *args)
         assert stack[0] == row0
-        runs.append((hit, (stats.cells, stats.dps, stats.abandoned, stats.prefiltered)))
+        return result
+
+    runs = []
+    kernel._interpret = scan
+    try:
+        for _ in range(2):
+            stats = DpStats()
+            hit = dp_labels(bucket, query, best, best_ipa, prune, stats)
+            runs.append((hit, (stats.cells, stats.dps, stats.abandoned, stats.prefiltered)))
+    finally:
+        kernel._interpret = interpret
     return runs
 
 
@@ -597,7 +603,7 @@ def test_generated_scans_match_the_interpreted_scan(case, narrow):
     results = []
     for hot in (math.inf, 0):
         with tiers(hot, narrow) as compiled, scan_log() as log:
-            calls = scan_twice(Bucket(m, list(entries)), rows, query, best, best_ipa, prune)
+            calls = scan_twice(Bucket(m, list(entries), rows), query, best, best_ipa, prune)
             results.append((calls, log))
             if hot == 0 and narrow == math.inf and calls[0][1][1]:
                 assert compiled  # the first call compiled every plan it ran
@@ -633,13 +639,13 @@ def test_ped_is_exact_whichever_plans_are_compiled():
           True), 0)
 @settings(max_examples=200, deadline=None)
 def test_no_scan_reads_a_dead_row(case, hot):
-    # -1.0 lowers any DP value that reads it, so a scan that read a row not
-    # written in its own call would change a hit or a counter
+    # -1.0 lowers any DP value that reads it, so a candidate that read a row
+    # it had not written would change a hit or a counter
     entries, m, rows, query, best, best_ipa, prune = case
     results = []
     for dead in (None, -1.0):
         with tiers(hot):
-            results.append(scan_twice(Bucket(m, list(entries)), rows, query, best, best_ipa,
+            results.append(scan_twice(Bucket(m, list(entries), rows), query, best, best_ipa,
                                       prune, dead))
     assert results[0] == results[1]
 
@@ -652,36 +658,32 @@ SWITCH_ROWS = [[1.0], [0.5], [0.0]]
 SWITCH_ENTRIES = [((0,) * 6, "a"), ((1,) * 6, "b"), ((2,) * 5 + (1,), "c"), ((2,) * 6, "d")]
 
 
-def switch_scan(stack):
+def switch_scan():
     stats = DpStats()
-    hit = dp_labels(Bucket(6, list(SWITCH_ENTRIES)), SWITCH_ROWS, (0,) * 6, stack, math.inf,
-                    None, True, stats)
+    hit = dp_labels(Bucket(6, list(SWITCH_ENTRIES), SWITCH_ROWS), (0,) * 6, math.inf, None,
+                    True, stats)
     return hit, (stats.cells, stats.dps, stats.abandoned)
 
 
 def test_a_win_switches_plan_and_tier_mid_bucket():
     # the first two plans are wider than the cap and interpreted; the last
     # two are those the first call compiled
-
-    def scan():
-        return switch_scan(dp_stack(6, 6))
-
     with tiers(math.inf):
-        reference = scan()
+        reference = switch_scan()
     assert reference[0] == (3, 0.0)
     interpreted = []
     with tiers(0) as compiled:
         interpret = kernel._interpret
 
         def spy(plan, *args):
-            interpreted.append(max(span[4] for span in row_spans(*plan)[1:]))
+            interpreted.append(max(span[3] for span in row_spans(*plan)[1:]))
             return interpret(plan, *args)
 
         kernel._interpret = spy
         try:
-            assert scan() == reference
+            assert switch_scan() == reference
             interpreted.clear()
-            assert scan() == reference
+            assert switch_scan() == reference
         finally:
             kernel._interpret = interpret
         plans = sorted(compiled)
@@ -691,21 +693,33 @@ def test_a_win_switches_plan_and_tier_mid_bucket():
 
 def test_generated_scans_write_nothing():
     # without the width cap the first call compiles all four plans; in the
-    # second, every scan is generated and ends at a win, and rows 1..m keep
-    # what was put there before it
-    stack = dp_stack(6, 6)
-    with tiers(0, math.inf) as compiled:
-        reference = switch_scan(stack)
-        assert reference[0] == (3, 0.0)
-        assert sorted(compiled) == [(6, 6, -6, 6), (6, 6, -3, 3), (6, 6, -1, 1), (6, 6, 0, 0)]
-        for scan in compiled.values():
-            code = scan.__code__
-            assert "stack" not in code.co_varnames + code.co_names
-        for row in stack[1:]:
-            row[1:] = [-1.0] * 6
-        before = [list(row) for row in stack]
-        assert switch_scan(stack) == reference
-    assert stack == before
+    # second, every scan is generated and ends at a win: it makes no DP rows,
+    # and the rows the first call's interpreted scans made keep what was put
+    # there before it
+    made, make = [], kernel.dp_stack
+
+    def dp_stack(rows, cols):
+        made.append(make(rows, cols))
+        return made[-1]
+
+    kernel.dp_stack = dp_stack
+    try:
+        with tiers(0, math.inf) as compiled:
+            reference = switch_scan()
+            assert reference[0] == (3, 0.0)
+            assert sorted(compiled) == [(6, 6, -6, 6), (6, 6, -3, 3), (6, 6, -1, 1),
+                                        (6, 6, 0, 0)]
+            for scan in compiled.values():
+                code = scan.__code__
+                assert "stack" not in code.co_varnames + code.co_names
+            for stack in made:
+                for row in stack[1:]:
+                    row[1:] = [-1.0] * 6
+            before = [[list(row) for row in stack] for stack in made]
+            assert switch_scan() == reference
+    finally:
+        kernel.dp_stack = make
+    assert made == before
 
 
 def test_long_words_compile_only_narrow_plans_within_the_bound():
@@ -722,7 +736,7 @@ def test_long_words_compile_only_narrow_plans_within_the_bound():
     with tiers(0, bound=6) as compiled:
         mu_psi = align_lists(*lists, INV, costs=COSTS).mu_psi
         assert len(compiled) == 6
-        assert all(max(span[4] for span in row_spans(*plan)[1:]) <= kernel._NARROW
+        assert all(max(span[3] for span in row_spans(*plan)[1:]) <= kernel._NARROW
                    for plan in compiled)
     assert mu_psi.hex() == exact.hex()
 

@@ -32,7 +32,7 @@ from pedlex import (
 )
 from pedlex import similarity
 from pedlex.errors import TokenizeError, WordListError
-from pedlex.ped import Bucket, band, dp_labels, dp_stack, nearest, start_bound, threshold
+from pedlex.ped import Bucket, band, dp_labels, nearest, start_bound, threshold
 
 INV = default_inventory()
 XI = default_manner_table()
@@ -234,12 +234,11 @@ def test_seeded_200_word_cell_work_and_score_pinned():
     assert cell.mu_psi.hex() == "0x1.72c24e72ba1d2p-2"
 
 
-def full_visit(order, rows, query, stack, prune, stats):
+def full_visit(order, query, prune, stats):
     """A query's search over every bucket of ``order`` that rules a bucket
     out, with ``prune``, by the kernel's own band: none is left of
     ``threshold(best, maxlen)``."""
-    stack[0] = [float(j) for j in range(len(query) + 1)]
-    best, bucket, k = start_bound(order, rows, query)
+    best, bucket, k = start_bound(order, query)
     best_ipa, best_at = bucket.ipas[k], (bucket, k)
     n = len(query)
     for bucket in order:
@@ -247,7 +246,7 @@ def full_visit(order, rows, query, stack, prune, stats):
         if prune and band(threshold(best, max(m, n)), m, n) is None:
             stats.prefiltered += len(bucket.labels)
             continue
-        hit = dp_labels(bucket, rows, query, stack, best, best_ipa, prune, stats)
+        hit = dp_labels(bucket, query, best, best_ipa, prune, stats)
         if hit:
             k, best = hit
             best_ipa, best_at = bucket.ipas[k], (bucket, k)
@@ -279,11 +278,9 @@ def test_nearest_rules_out_the_buckets_the_kernel_band_rules_out(case):
         by_length = {}
         for k, word in enumerate(long_):
             by_length.setdefault(len(word), []).append((word, f"{k:02}"))
-        return [Bucket(m, entries) for m, entries in sorted(by_length.items())]
+        return [Bucket(m, entries, rows) for m, entries in sorted(by_length.items())]
 
     ours, theirs = buckets(), buckets()
-    top = max(map(len, long_))
-    stack, reference_stack = dp_stack(top, 9), dp_stack(top, 9)
     for query in queries:
         if not any(b.labels for b in ours):
             break
@@ -293,9 +290,8 @@ def test_nearest_rules_out_the_buckets_the_kernel_band_rules_out(case):
             return sorted(bs, key=lambda b: (abs(b.length - n), b.length))
 
         mine, full = DpStats(), DpStats()
-        best, bucket, k = nearest(order(ours), rows, query, stack, prune, mine)
-        ref_best, (ref_bucket, ref_k) = full_visit(
-            order(theirs), rows, query, reference_stack, prune, full)
+        best, bucket, k = nearest(order(ours), query, prune, mine)
+        ref_best, (ref_bucket, ref_k) = full_visit(order(theirs), query, prune, full)
         assert (best, bucket.ipas[k]) == (ref_best, ref_bucket.ipas[ref_k])
         assert [getattr(mine, c) for c in DpStats.__slots__] == [
             getattr(full, c) for c in DpStats.__slots__]
