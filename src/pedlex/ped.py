@@ -627,7 +627,7 @@ def dp_stack(rows: int, cols: int) -> list[list[float]]:
     return [row0] + [[float(i)] + [INF] * cols for i in range(1, rows + 1)]
 
 
-def _edit_script(source, target, sub, stack):
+def _edit_script(source, target, sub, matrix):
     """Backtrack a full DP matrix into edit operations, source to target;
     sub[i - 1][j - 1] prices source[i - 1] against target[j - 1]."""
     x = [p.label for p in source]
@@ -637,13 +637,13 @@ def _edit_script(source, target, sub, stack):
     while i > 0 or j > 0:
         if i > 0 and j > 0:
             cost = sub[i - 1][j - 1]
-            if stack[i][j] == stack[i - 1][j - 1] + cost:
+            if matrix[i][j] == matrix[i - 1][j - 1] + cost:
                 op = "match" if x[i - 1] == w[j - 1] else "substitute"
                 ops.append(EditOp(op, x[i - 1], w[j - 1], cost))
                 i -= 1
                 j -= 1
                 continue
-        if i > 0 and stack[i][j] == stack[i - 1][j] + 1.0:
+        if i > 0 and matrix[i][j] == matrix[i - 1][j] + 1.0:
             ops.append(EditOp("delete", x[i - 1], None, 1.0))
             i -= 1
             continue
