@@ -4,12 +4,13 @@
     PYTHONPATH=src python3 scripts/corpus_exactness.py          # check
     PYTHONPATH=src python3 scripts/corpus_exactness.py --write  # rewrite
 
-``corpus_lists`` writes the seeded treebanks of the benchmark's corpus
-workload (``perfbench/inputs.py``) and turns them into word lists with
-``pedlex extract`` and ``pedlex g2p``. ``report_bits`` runs ``build_matrix``
-over the lists and returns the sha256 of the CSV report and every cell's μΨ
-as ``float.hex`` (None for a skipped cell). ``tests/test_corpus_golden.py``
-compares a ``jobs=1`` run with ``tests/fixtures/corpus_seed1.json``.
+``corpus_lists`` writes the seeded treebanks of one of the benchmark's
+workloads (``perfbench/inputs.py``; corpus by default) and turns them into
+word lists with ``pedlex extract`` and ``pedlex g2p``. ``report_bits`` runs
+``build_matrix`` over the lists and returns the sha256 of the CSV report and
+every cell's μΨ as ``float.hex`` (None for a skipped cell).
+``tests/test_corpus_golden.py`` compares a ``jobs=1`` run with
+``tests/fixtures/corpus_seed1.json``.
 
 Without flags this script checks, on the same lists and against the same
 file, the variants that the test leaves out for time:
@@ -50,6 +51,7 @@ SEED = 1
 
 
 def _inputs_module():
+    """``perfbench/inputs.py``, loaded by path: ``perfbench`` is no package."""
     spec = importlib.util.spec_from_file_location("perfbench_inputs",
                                                   ROOT / "perfbench" / "inputs.py")
     module = importlib.util.module_from_spec(spec)
@@ -58,13 +60,14 @@ def _inputs_module():
     return module
 
 
-def corpus_lists(out: Path, seed: int = SEED) -> list:
-    """The corpus workload's word lists for ``seed``, as ``pedlex matrix``
-    reads them after ``extract`` and ``g2p`` wrote them under ``out``."""
+def corpus_lists(out: Path, seed: int = SEED, workload: str = "corpus") -> list:
+    """The word lists of ``workload`` (corpus or ingest) for ``seed``, as
+    ``pedlex matrix`` reads them after ``extract`` and ``g2p`` wrote them
+    under ``out / "lists"``; each keeps its file as ``path``."""
     inputs = _inputs_module()
     scripts = sorted(set(inputs.LANGUAGES.values()))
     tables = {s: pedlex.load_g2p_table(defaults.default_g2p_table_path(s)) for s in scripts}
-    generated = inputs.generate("corpus", seed, out / "treebanks", tables)
+    generated = inputs.generate(workload, seed, out / "treebanks", tables)
     lists = out / "lists"
 
     def pedlex_cli(*argv):

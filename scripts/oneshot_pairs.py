@@ -7,9 +7,10 @@
 The benchmark's corpus workload runs every rep's ``matrix`` in one process,
 so whatever that process keeps across reps (compiled DP scans, pool workers
 forked from them) counts there but not in a user's single ``pedlex matrix``.
-This script times the single command. It writes the seeded treebanks of
-``perfbench/inputs.py`` (the corpus workload's by default) once, runs
-``extract`` and ``g2p`` over them with this checkout's pedlex, and then runs
+This script times the single command. It builds the word lists of the
+corpus or ingest workload once, with this checkout's pedlex
+(``corpus_exactness.corpus_lists``: the seeded treebanks of
+``perfbench/inputs.py`` through ``extract`` and ``g2p``), and then runs
 ``--runs`` pairs of fresh ``python -m pedlex matrix --jobs N`` processes, one
 per checkout (each imports pedlex from its own ``src``), the parent first in
 even pairs and the change first in odd ones. Per side it prints the median
@@ -25,9 +26,7 @@ words): ``--workload ingest --pos NOUN --langs ar hi ur --fraction 0.1667``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import io
 import math
 import os
 import resource
@@ -42,41 +41,23 @@ from bench_pairs import ROOT, SIDES, quartiles
 
 
 def make_lists(out: Path, workload: str, seed: int, pos, langs, fraction) -> Path:
-    """Generate the workload's treebanks, extract and g2p them into lists."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    import inputs
+    """The workload's word lists under ``out``, restricted to ``langs`` and
+    ``pos``, each cut to its first ``fraction`` of converted lemmas."""
+    sys.path.insert(0, str(ROOT / "src"))
     import pedlex
-    from pedlex import cli, defaults
+    from corpus_exactness import corpus_lists
 
-    scripts = sorted(set(inputs.LANGUAGES.values()))
-    tables = {s: pedlex.load_g2p_table(defaults.default_g2p_table_path(s)) for s in scripts}
-    generated = inputs.generate(workload, seed, out / "treebanks", tables)
-    lists = out / "lists"
-
-    def pedlex_cli(*argv):
-        # pedlex reports each list it writes on stderr; show that only on failure
-        with contextlib.redirect_stderr(io.StringIO()) as err:
-            code = cli.main(list(argv))
-        if code != 0:
-            raise SystemExit(f"pedlex {' '.join(argv)} exited {code}\n{err.getvalue()}")
-
-    for lang, info in generated.manifest["languages"].items():
-        if not langs or lang in langs:
-            tags = [arg for tag in pos or () for arg in ("--pos", tag)]
-            pedlex_cli("extract", "--input", str(generated.directory / info["conllu"]),
-                       "--lang", lang, "--out-dir", str(lists), *tags)
-    for path in sorted(lists.glob("*.tsv")):
-        script = inputs.LANGUAGES[path.name.split("_")[0]]
-        pedlex_cli("g2p", "--script", script, "--in", str(path), "--out", str(path))
-        if fraction < 1:
-            # extract lists lemmas in treebank order, so a prefix is a sample
-            words = pedlex.read_wordlist(path)
+    for words in corpus_lists(out, seed, workload):
+        if (langs and words.language not in langs) or (pos and words.pos not in pos):
+            words.path.unlink()
+        elif fraction < 1:
+            # lemmas are kept sorted, so the prefix is the same on every run
             kept = [lemma for lemma in words.lemmas if lemma in words.ipa_by_lemma]
             kept = kept[:math.ceil(fraction * len(kept))]
             ipa = {lemma: words.ipa_by_lemma[lemma] for lemma in kept}
             pedlex.write_wordlist(
-                dataclasses.replace(words, lemmas=tuple(kept), ipa_by_lemma=ipa), path)
-    return lists
+                dataclasses.replace(words, lemmas=tuple(kept), ipa_by_lemma=ipa), words.path)
+    return out / "lists"
 
 
 def describe(lists: Path) -> str:

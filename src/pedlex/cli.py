@@ -28,7 +28,7 @@ from .corpus import (
     write_wordlist,
 )
 from .distance import DistanceConfig, SubstitutionCosts, load_manner_table
-from .errors import PedlexError
+from .errors import PedlexError, write_text
 from .features import load_inventory, paper_voice
 from .ped import ped
 from .similarity import (
@@ -144,7 +144,10 @@ def _cmd_extract(args) -> int:
             raise PedlexError(f"unsupported tag {tag!r}; choose from {', '.join(TARGET_TAGS)}")
     wordlists = extract_wordlists(args.input, args.lang)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PedlexError(f"cannot create --out-dir {out_dir}: {exc.strerror or exc}") from None
     written = 0
     for wl in wordlists:
         if wl.pos not in tags:
@@ -228,7 +231,7 @@ def _cmd_matrix(args) -> int:
         jobs=jobs,
     )
     text = format_report(report, args.out_format)
-    Path(args.out).write_text(text, encoding="utf-8")
+    write_text(args.out, text, PedlexError, "report")
     print(f"wrote {args.out} ({len(report.cells)} cells)", file=sys.stderr)
     return 0
 

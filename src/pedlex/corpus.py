@@ -19,7 +19,7 @@ from functools import partial
 from itertools import filterfalse
 from pathlib import Path
 
-from .errors import ConlluError, G2PError, WordListError, open_lines
+from .errors import ConlluError, G2PError, WordListError, open_lines, write_text
 from .longest_match import LongestMatch
 
 log = logging.getLogger("pedlex.corpus")
@@ -201,7 +201,9 @@ def load_g2p_table(path: str | Path, script: str | None = None) -> G2PTable:
 
     '#' lines are comments; a ``# script=<name>`` comment declares the script
     (a ``script`` argument overrides it). Graphemes are NFC-normalized so
-    composed and decomposed spellings of the same letter match.
+    composed and decomposed spellings of the same letter match. An IPA or
+    language field may not hold whitespace: no word with whitespace is
+    tokenized, and no list header's ``lang=`` holds any.
     """
     path = Path(path)
     rules: dict[tuple[str, str | None], str] = {}
@@ -226,6 +228,9 @@ def load_g2p_table(path: str | Path, script: str | None = None) -> G2PTable:
                 raise G2PError(f"{path} line {lineno}: empty grapheme")
             ipa = fields[1]
             lang = fields[2] if len(fields) == 3 and fields[2] else None
+            for name, value in (("IPA", ipa), ("language", lang or "")):
+                if any(c.isspace() for c in value):
+                    raise G2PError(f"{path} line {lineno}: whitespace in {name} {value!r}")
             key = (grapheme, lang)
             if key in rules:
                 raise G2PError(
@@ -317,7 +322,8 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
     that holds a tab, CR or LF; IPA for a string that is not a lemma, or an
     empty IPA string (it reads back as a lemma g2p dropped); and a converted
     list without lemmas (it reads back unconverted). The error names the
-    lemma, or the list for the last."""
+    lemma, or the list for the last. A path that cannot be written raises
+    WordListError naming it."""
     check_header_value(f"{path}: header lang=", words.language)
     check_header_value(f"{path}: header pos=", words.pos)
     lemmas = words.lemmas  # sorted
@@ -370,7 +376,7 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
             f"{path}: lemma {lemmas[k]!r} or its IPA holds a tab, CR or LF, which would "
             "split its row"
         )
-    Path(path).write_text(text, encoding="utf-8")
+    write_text(path, text, WordListError, "word list")
 
 
 def read_wordlist(path: str | Path) -> WordList:

@@ -4,7 +4,9 @@ Everything raised for bad *input* (files, symbols, flags) derives from
 PedlexError; the CLI maps these to exit code 1. Anything else escaping to
 the CLI is treated as an internal invariant violation (exit code 2).
 ``open_lines`` is the one reader of input text files, so a file that is
-missing, unreadable or not UTF-8 is bad input too.
+missing, unreadable or not UTF-8 is bad input too. Word lists and reports
+are written through ``write_text``, so an output path that cannot be written
+is bad input as well.
 """
 
 from contextlib import contextmanager
@@ -78,3 +80,13 @@ def open_lines(path: Path, error: type[PedlexError], what: str):
             raise
         except OSError as exc:
             raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
+def write_text(path: str | Path, text: str, error: type[PedlexError], what: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8. A path that cannot be written (a
+    directory, a file in a missing directory, no permission) raises
+    ``error`` with "cannot write <what> <path>: <reason>"."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot write {what} {path}: {exc.strerror or exc}") from None

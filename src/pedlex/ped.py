@@ -30,20 +30,20 @@ diagonal, a sound upper bound on that word's own distance, so the first
 candidate already runs on a narrow band, and the pick is the one an
 infinite start makes.
 
-The band's shape, a plan (m, n, lo, hi), fixes the columns of every row,
-and depends only on floor(limit): the kernel looks plans up by it. A scan
+A plan (m, n, lo, hi) is the band's shape: lo..hi are the diagonals that
+``band`` gives the limit, and they fix the columns of every row. A scan
 runs one plan over a bucket's candidates. At a win it tightens its
-thresholds in place as long as the tighter limit keeps its plan, which most
-wins do, and hands over to the narrower plan's scan otherwise. Each plan
-runs in one of two tiers that compute the same cells in the same order and
-run the same row test. In both a cell outside the band counts as inf. The
-interpreted scan runs any plan on fresh rows, inf outside row 0 and column
-0, and writes only its band. Pruned rows are 2-3 cells wide, and per row it
-unpacks the plan and builds a range, which costs about as much as the
-cells. So a plan whose rows are all narrow, once it has proved hot, is
-generated as straight-line code with the rows and columns unrolled and
-compiled: the DP rows live in local variables for the whole scan, row 0,
-column 0 and the cells outside the band are constants folded into the
+thresholds in place as long as the tighter limit keeps its plan, which
+most wins do, and hands over to the narrower plan's scan otherwise. Each
+plan runs in one of two tiers that compute the same cells in the same
+order and run the same row test. In both a cell outside the band counts as
+inf. The interpreted scan runs any plan on fresh rows, inf outside row 0
+and column 0, and writes only its band. Pruned rows are 2-3 cells wide,
+and per row it unpacks the plan and builds a range, which costs about as
+much as the cells. So a plan whose rows are all narrow, once it has proved
+hot, is generated as straight-line code with the rows and columns unrolled
+and compiled: the DP rows live in local variables for the whole scan, row
+0, column 0 and the cells outside the band are constants folded into the
 code, and each cell's gap is a constant that picks its threshold. It
 writes nothing: the DP stack is the interpreted scan's scratch space, and
 ``ped``'s full matrix. Compiling costs time and memory in proportion to
@@ -257,26 +257,12 @@ class Bucket:
 
 
 def least_limit(rows: int, cols: int, lo: int, hi: int) -> int:
-    """The smallest integer t whose ``band(t, rows, cols)`` is lo..hi: every
-    t from it up to the next plan's least limit, or past rows + cols, gives
-    the same diagonals, so a limit keeps a plan exactly when its floor is at
-    least this."""
+    """The smallest integer t whose ``band(t, rows, cols)`` is lo..hi, the
+    inverse of ``band``: every t from it up to the next plan's least limit,
+    or past rows + cols, gives the same diagonals, so a limit keeps a plan
+    exactly when its floor is at least this."""
     delta = rows - cols
     return abs(delta) + 2 * (hi - max(0, delta))
-
-
-@lru_cache(maxsize=4096)
-def plans(rows: int, cols: int) -> tuple:
-    """Entry t (0..rows + cols) is the plan (rows, cols, lo, hi) of
-    ``band(t, rows, cols)``, or None when no path is within t. Entries of
-    one plan are one tuple. Bounded like ``row_spans``: every (rows, cols)
-    of a run fits."""
-    table = []
-    for t in range(rows + cols + 1):
-        diagonals = band(t, rows, cols)
-        plan = None if diagonals is None else (rows, cols, *diagonals)
-        table.append(table[-1] if table and table[-1] == plan else plan)
-    return tuple(table)
 
 
 def dp_labels(bucket, query, best, best_ipa, prune, stats):
@@ -307,8 +293,7 @@ def dp_labels(bucket, query, best, best_ipa, prune, stats):
     None when none wins. Books every candidate of a scanned bucket in
     ``stats.dps``, and those that did not complete in ``stats.abandoned``.
 
-    The band's shape, a plan (m, n, lo, hi), depends only on floor(limit),
-    capped at m + n: ``plans(m, n)`` holds them. A scan runs one plan over
+    Each scan runs one plan, (m, n, *band(limit, m, n)) at its start, over
     the bucket's candidates. At a win it works out the tightened limit, and
     while that limit keeps its plan (it is at least the plan's
     ``least_limit``) it retunes its thresholds and goes on; it returns only
@@ -334,12 +319,11 @@ def dp_labels(bucket, query, best, best_ipa, prune, stats):
     if abs(m - n) > limit:  # ``band``'s own emptiness test
         stats.prefiltered += end
         return None
-    table = plans(m, n)
     hit = None
     k = cells = completed = 0
     while k < end:
         # the first plan, or the narrower one of the win the last scan stopped at
-        plan = table[floor(limit) if limit < m + n else m + n]
+        plan = (m, n, *band(limit, m, n))
         scan = _compiled.get(plan)
         if scan is not None:
             k, c, done, win, best, limit = scan(
@@ -689,9 +673,9 @@ def ped(
     # the one candidate's cost rows: rows[i][j] prices source[i] against target[j]
     rows = costs.rows_for(source, target)
     stack = dp_stack(m, n)
-    plan = plans(m, n)[floor(limit) if limit < m + n else m + n]
     _, cells, completed, win, normalized, _ = _interpret(
-        plan, stack, [tuple(rows)], [""], tuple(range(n)), 0, limit, best, "", True)
+        (m, n, *band(limit, m, n)), stack, [tuple(rows)], [""], tuple(range(n)), 0, limit,
+        best, "", True)
     stats.dps += 1
     stats.cells += cells
     stats.abandoned += 1 - completed

@@ -1,22 +1,22 @@
 """The DP kernel's work on the benchmark's cell1000 workload, seed 1: one
 pruned ``align_lists`` over its two 1000-word lists, built by
-``perfbench/inputs.py``. The four ``DpStats`` counters and μΨ are pinned, so
-a change that moves how many cells the kernel computes, or which candidates
-it starts, abandons or rules out, shows here. A change that moves them on
+``perfbench/inputs.py`` (loaded through ``scripts/corpus_exactness.py``).
+The four ``DpStats`` counters and μΨ are pinned, so a change that moves how
+many cells the kernel computes, or which candidates it starts, abandons or
+rules out, shows here. A change that moves them on
 purpose rewrites these numbers and says so in CHANGES.md."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 from pedlex import DpStats, SubstitutionCosts, align_lists, default_inventory, read_wordlist
 
 ROOT = Path(__file__).resolve().parent.parent
-spec = importlib.util.spec_from_file_location("perfbench_inputs",
-                                              ROOT / "perfbench" / "inputs.py")
-inputs = importlib.util.module_from_spec(spec)
-sys.modules[spec.name] = inputs  # its dataclass looks its module up
-spec.loader.exec_module(inputs)
+spec = importlib.util.spec_from_file_location("corpus_exactness",
+                                              ROOT / "scripts" / "corpus_exactness.py")
+corpus_exactness = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(corpus_exactness)
+inputs = corpus_exactness._inputs_module()
 
 
 def test_cell1000_seed1_dp_counters_and_mu_psi(tmp_path):

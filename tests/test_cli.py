@@ -768,3 +768,31 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1.200\n"
+
+
+# ---------------------------------------------------------------- unwritable outputs
+
+
+def test_matrix_out_that_cannot_be_written_exits_one(capsys, tmp_path, fixtures_dir):
+    lists = str(fixtures_dir / "pronouns")
+    for out in (tmp_path, tmp_path / "missing" / "r.csv"):
+        code, _, err = run(capsys, "matrix", "--lists", lists, "--out", str(out), "--jobs", "1")
+        assert_bad_file(code, err, out, "cannot write report")
+
+
+def test_g2p_out_in_a_missing_directory_exits_one(capsys, tmp_path, fixtures_dir):
+    out = tmp_path / "missing" / "ur.tsv"
+    code, _, err = run(capsys, "g2p", "--script", "perso-arabic",
+                       "--in", str(fixtures_dir / "pronouns" / "ur.tsv"), "--out", str(out))
+    assert_bad_file(code, err, out, "cannot write word list")
+
+
+def test_extract_out_dir_that_is_a_file_exits_one(capsys, tmp_path):
+    conllu = tmp_path / "ur.conllu"
+    conllu.write_text(CONLLU, encoding="utf-8")
+    out_dir = tmp_path / "lists"
+    out_dir.write_text("not a directory\n", encoding="utf-8")
+    code, _, err = run(capsys, "extract", "--input", str(conllu), "--lang", "ur",
+                       "--out-dir", str(out_dir))
+    assert_bad_file(code, err, out_dir, "cannot create --out-dir")
+    assert out_dir.read_text(encoding="utf-8") == "not a directory\n"

@@ -388,6 +388,26 @@ def test_g2p_table_rejects_duplicate_rule(tmp_path):
         load_g2p_table(path)
 
 
+@pytest.mark.parametrize("row, field", [
+    ("ا\ta ", "IPA 'a '"),
+    ("ا\ta b", "IPA 'a b'"),
+    ("ا\ta\tur ", "language 'ur '"),
+    ("ا\ta\t ", "language ' '"),
+])
+def test_g2p_table_rejects_whitespace_in_ipa_or_language(tmp_path, row, field):
+    path = tmp_path / "t.tsv"
+    path.write_text(f"# script=demo\nب\tb\n{row}\n", encoding="utf-8")
+    with pytest.raises(G2PError, match=f"^{path} line 3: whitespace in {field}$"):
+        load_g2p_table(path)
+
+
+def test_g2p_table_keeps_a_rule_for_a_space(tmp_path):
+    # graphemes may hold whitespace: a rule for a space serves multiword lemmas
+    path = tmp_path / "t.tsv"
+    path.write_text("# script=demo\na\tx\n \ty\n", encoding="utf-8")
+    assert convert_word("a a", load_g2p_table(path)) == "xyx"
+
+
 def test_g2p_empty_output_rule_deletes(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("# script=demo\na\tx\nb\t\n", encoding="utf-8")

@@ -22,7 +22,8 @@ from pedlex import (
     tokenize,
 )
 from pedlex.ped import (
-    Bucket, band, dp_labels, gap_limits, max_gap, nearest, row_spans, start_bound, threshold,
+    Bucket, band, dp_labels, gap_limits, least_limit, max_gap, nearest, row_spans, start_bound,
+    threshold,
 )
 
 # the package re-exports a function named ``ped``, so import the module by path
@@ -452,6 +453,21 @@ def test_infinite_limit_bands_every_cell():
                 assert list(spans[i][1]) == list(range(1, n + 1))
 
 
+def test_least_limit_is_the_least_limit_of_its_band():
+    # a scan keeps its plan at a win exactly when the new limit's floor is
+    # at least the plan's least_limit, so it must be the band's own least t
+    for m in range(13):
+        for n in range(13):
+            for t in range(m + n + 2):
+                diagonals = band(t, m, n)
+                if diagonals is None:
+                    continue
+                least = least_limit(m, n, *diagonals)
+                assert least <= t
+                assert band(least, m, n) == diagonals
+                assert band(least - 1, m, n) != diagonals
+
+
 @given(st.one_of(st.floats(-0.5, 1.5), st.just(math.inf)), st.integers(0, 12),
        st.integers(0, 12))
 @settings(max_examples=300)
@@ -618,12 +634,14 @@ def test_ped_is_exact_whichever_plans_are_compiled():
     # its edit script. It runs the interpreted scan, so compiled scans of
     # every plan of the pair, as dp_labels calls may leave, change nothing
     a, b = ps("fa:tər"), ps("pedær")
+    m, n = len(a), len(b)
     exact = ped(a, b, costs=COSTS, trace=True)
+    # every plan of the pair: t from the length gap, where the band opens, to m + n
+    pair_plans = {(m, n, *band(t, m, n)) for t in range(abs(m - n), m + n + 1)}
     for compile_all in (False, True):
         with tiers(math.inf) as compiled:
             if compile_all:
-                compiled.update((plan, kernel._generate(*plan))
-                                for plan in set(kernel.plans(len(a), len(b))) if plan)
+                compiled.update((plan, kernel._generate(*plan)) for plan in pair_plans)
             for _ in range(2):
                 assert ped(a, b, costs=COSTS, trace=True) == exact
                 assert ped(a, b, costs=COSTS, bound=exact.normalized).distance == exact.distance
