@@ -117,7 +117,8 @@ def band(limit: float, rows: int, cols: int):
     slack = (t - abs(delta)) // 2
     if slack < 0:
         return None
-    return min(0, delta) - slack, max(0, delta) + slack
+    # (min(0, delta) - slack, max(0, delta) + slack), spelled out: every scan start calls band
+    return (delta - slack, slack) if delta < 0 else (-slack, delta + slack)
 
 
 def threshold(bound: float, maxlen: int) -> float:

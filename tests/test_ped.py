@@ -453,6 +453,16 @@ def test_infinite_limit_bands_every_cell():
                 assert list(spans[i][1]) == list(range(1, n + 1))
 
 
+def test_band_is_the_diagonals_of_paths_within_the_limit():
+    # every cell on diagonal d of an m x n DP owes |d| + |(m - n) - d| unit
+    # steps to a path through it; t past m + n reaches no further diagonal
+    for m in range(13):
+        for n in range(13):
+            for t in range(-1, m + n + 3):
+                ds = [d for d in range(-n, m + 1) if abs(d) + abs(m - n - d) <= t]
+                assert band(t, m, n) == ((ds[0], ds[-1]) if ds else None), (t, m, n)
+
+
 def test_least_limit_is_the_least_limit_of_its_band():
     # a scan keeps its plan at a win exactly when the new limit's floor is
     # at least the plan's least_limit, so it must be the band's own least t
