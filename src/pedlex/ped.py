@@ -30,20 +30,20 @@ diagonal, a sound upper bound on that word's own distance, so the first
 candidate already runs on a narrow band, and the pick is the one an
 infinite start makes.
 
-A plan (m, n, lo, hi) is the band's shape: lo..hi are the diagonals that
-``band`` gives the limit, and they fix the columns of every row. A scan
+The band's shape, a plan (m, n, lo, hi), fixes the columns of every row;
+its diagonals lo..hi are what ``band`` returns for the limit. A scan
 runs one plan over a bucket's candidates. At a win it tightens its
-thresholds in place as long as the tighter limit keeps its plan, which
-most wins do, and hands over to the narrower plan's scan otherwise. Each
-plan runs in one of two tiers that compute the same cells in the same
-order and run the same row test. In both a cell outside the band counts as
-inf. The interpreted scan runs any plan on fresh rows, inf outside row 0
-and column 0, and writes only its band. Pruned rows are 2-3 cells wide,
-and per row it unpacks the plan and builds a range, which costs about as
-much as the cells. So a plan whose rows are all narrow, once it has proved
-hot, is generated as straight-line code with the rows and columns unrolled
-and compiled: the DP rows live in local variables for the whole scan, row
-0, column 0 and the cells outside the band are constants folded into the
+thresholds in place as long as the tighter limit keeps its plan, which most
+wins do, and hands over to the narrower plan's scan otherwise. Each plan
+runs in one of two tiers that compute the same cells in the same order and
+run the same row test. In both a cell outside the band counts as inf. The
+interpreted scan runs any plan on fresh rows, inf outside row 0 and column
+0, and writes only its band. Pruned rows are 2-3 cells wide, and per row it
+unpacks the plan and builds a range, which costs about as much as the
+cells. So a plan whose rows are all narrow, once it has proved hot, is
+generated as straight-line code with the rows and columns unrolled and
+compiled: the DP rows live in local variables for the whole scan, row 0,
+column 0 and the cells outside the band are constants folded into the
 code, and each cell's gap is a constant that picks its threshold. It
 writes nothing: the DP stack is the interpreted scan's scratch space, and
 ``ped``'s full matrix. Compiling costs time and memory in proportion to
