@@ -15,8 +15,9 @@ every cell's μΨ as ``float.hex`` (None for a skipped cell).
 Without flags this script checks, on the same lists and against the same
 file, the variants that the test leaves out for time:
 - every cell unpruned (``align_lists(prune=False)``);
-- every plan interpreted, and every narrow plan compiled at its first scan
-  (``pedlex.ped``'s trigger constants, patched in this process only);
+- every plan interpreted, and every plan compiled, wide ones too, within
+  the cache's bound (``pedlex.ped``'s compile constants, patched in this
+  process only);
 - ``jobs=2`` under each start method the platform offers.
 It prints one line per variant and exits 1 when any bit differs. ``--write``
 rewrites the golden file from this checkout's code, naming the seed and the
@@ -118,19 +119,18 @@ def unpruned_bits(lists) -> dict[str, str | None]:
 
 
 @contextlib.contextmanager
-def _trigger(hot):
-    """Compile narrow plans once they booked ``hot`` interpreted cells, from
-    empty caches; the defaults and empty caches are back on exit."""
-    saved = kernel._HOT, kernel._HOT_FLOOR
+def _compile_rule(narrow, bound):
+    """Compile plans up to ``narrow`` cells wide, at most ``bound`` of
+    them, from an empty cache; the defaults and an empty cache are back on
+    exit."""
+    saved = kernel._NARROW, kernel._MAX_COMPILED
     kernel._compiled.clear()
-    kernel._heat.clear()
-    kernel._HOT = kernel._HOT_FLOOR = hot
+    kernel._NARROW, kernel._MAX_COMPILED = narrow, bound
     try:
         yield
     finally:
-        kernel._HOT, kernel._HOT_FLOOR = saved
+        kernel._NARROW, kernel._MAX_COMPILED = saved
         kernel._compiled.clear()
-        kernel._heat.clear()
 
 
 def _commit() -> str:
@@ -157,9 +157,11 @@ def main(argv=None) -> int:
         return 0
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     runs = [("jobs=1", *report_bits(lists)), ("unpruned", None, unpruned_bits(lists))]
-    for name, hot in (("every plan interpreted", math.inf), ("narrow plans compiled", 0)):
-        with _trigger(hot):
-            runs.append((name, *report_bits(lists)))
+    with _compile_rule(kernel._NARROW, 0):
+        runs.append(("every plan interpreted", *report_bits(lists)))
+    with _compile_rule(math.inf, kernel._MAX_COMPILED):
+        digest, bits = report_bits(lists)  # the name shows whether the bound cut it short
+        runs.append((f"every plan compiled ({len(kernel._compiled)} scans)", digest, bits))
     for method in multiprocessing.get_all_start_methods():
         multiprocessing.set_start_method(method, force=True)
         runs.append((f"jobs=2 {method}", *report_bits(lists, jobs=2)))

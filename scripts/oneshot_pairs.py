@@ -19,8 +19,9 @@ workers, from rusage), and the pairs the change won on each. Every report
 must be byte-identical to the first one; the script exits 1 if not.
 
 ``--pos``, ``--langs`` and ``--fraction`` restrict the lists, e.g. to three
-NOUN lists of the ingest workload, each cut to its first sixth (1,000-1,200
-words): ``--workload ingest --pos NOUN --langs ar hi ur --fraction 0.1667``.
+NOUN lists of the ingest workload, each cut to a sixth of its words
+(1,000-1,200), sampled with ``--seed``: ``--workload ingest --pos NOUN
+--langs ar hi ur --fraction 0.1667``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import dataclasses
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -42,18 +44,20 @@ from bench_pairs import ROOT, SIDES, quartiles
 
 def make_lists(out: Path, workload: str, seed: int, pos, langs, fraction) -> Path:
     """The workload's word lists under ``out``, restricted to ``langs`` and
-    ``pos``, each cut to its first ``fraction`` of converted lemmas."""
+    ``pos``, each cut to a ``fraction`` of its converted lemmas, sampled
+    with ``seed``."""
     sys.path.insert(0, str(ROOT / "src"))
     import pedlex
     from corpus_exactness import corpus_lists
 
-    for words in corpus_lists(out, seed, workload):
+    rng = random.Random(seed)
+    for words in corpus_lists(out, seed, workload):  # in file name order
         if (langs and words.language not in langs) or (pos and words.pos not in pos):
             words.path.unlink()
         elif fraction < 1:
-            # lemmas are kept sorted, so the prefix is the same on every run
+            # lemmas are kept sorted: a prefix would keep the words of a few letters
             kept = [lemma for lemma in words.lemmas if lemma in words.ipa_by_lemma]
-            kept = kept[:math.ceil(fraction * len(kept))]
+            kept = rng.sample(kept, math.ceil(fraction * len(kept)))
             ipa = {lemma: words.ipa_by_lemma[lemma] for lemma in kept}
             pedlex.write_wordlist(
                 dataclasses.replace(words, lemmas=tuple(kept), ipa_by_lemma=ipa), words.path)
@@ -103,7 +107,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pos", nargs="+", help="extract only these tags")
     parser.add_argument("--langs", nargs="+", help="extract only these languages")
     parser.add_argument("--fraction", type=float, default=1.0,
-                        help="keep this share of each list, its first words")
+                        help="keep this share of each list, sampled with --seed")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}

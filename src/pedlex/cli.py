@@ -28,7 +28,7 @@ from .corpus import (
     write_wordlist,
 )
 from .distance import DistanceConfig, SubstitutionCosts, load_manner_table
-from .errors import PedlexError, write_text
+from .errors import PedlexError, check_writable, write_text
 from .features import load_inventory, paper_voice
 from .ped import ped
 from .similarity import (
@@ -142,6 +142,7 @@ def _cmd_extract(args) -> int:
     for tag in tags:
         if tag not in TARGET_TAGS:
             raise PedlexError(f"unsupported tag {tag!r}; choose from {', '.join(TARGET_TAGS)}")
+    check_writable(args.out_dir, PedlexError, "--out-dir", directory=True)
     wordlists = extract_wordlists(args.input, args.lang)
     out_dir = Path(args.out_dir)
     try:
@@ -162,6 +163,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_g2p(args) -> int:
+    check_writable(args.out, PedlexError, "word list")
     table_path = args.table or defaults.default_g2p_table_path(args.script)
     table = load_g2p_table(table_path, script=args.script)
     words = read_wordlist(args.infile)
@@ -212,6 +214,7 @@ def _usable_cpus() -> int:
 
 
 def _cmd_matrix(args) -> int:
+    check_writable(args.out, PedlexError, "report")
     inventory, costs = _load_tables(args)
     lists_dir = Path(args.lists)
     if not lists_dir.is_dir():

@@ -211,8 +211,8 @@ def load_g2p_table(path: str | Path, script: str | None = None) -> G2PTable:
     with open_lines(path, G2PError, "G2P table") as lines:
         for lineno, line in lines:
             line = line.rstrip("\n")
-            if not line.strip():
-                continue
+            if "\t" not in line and not line.strip():
+                continue  # a blank line; one with a tab is a rule, " <TAB>" maps a space
             if line.lstrip().startswith("#"):
                 stripped = line.lstrip("# ").strip()
                 if stripped.startswith("script="):
@@ -319,7 +319,8 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
     and so does a list that would not read back equal: a lemma that begins
     with '#' (a comment), is empty or whitespace only (a blank line), is not
     NFC (it would read back composed) or occurs twice; a lemma or IPA string
-    that holds a tab, CR or LF; IPA for a string that is not a lemma, or an
+    that holds a tab, CR or LF, or a lone surrogate (UTF-8 cannot encode
+    it); IPA for a string that is not a lemma, or an
     empty IPA string (it reads back as a lemma g2p dropped); and a converted
     list without lemmas (it reads back unconverted). The error names the
     lemma, or the list for the last. A path that cannot be written raises
@@ -376,6 +377,13 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
             f"{path}: lemma {lemmas[k]!r} or its IPA holds a tab, CR or LF, which would "
             "split its row"
         )
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate: refused before the file is opened
+        row = text.count("\n", 0, exc.start)
+        where = f"lemma {lemmas[row - 1]!r} or its IPA" if row else "the header"
+        raise WordListError(f"{path}: {where} holds {exc.object[exc.start]!r}, which UTF-8 "
+                            "cannot encode") from None
     write_text(path, text, WordListError, "word list")
 
 

@@ -6,9 +6,11 @@ the CLI is treated as an internal invariant violation (exit code 2).
 ``open_lines`` is the one reader of input text files, so a file that is
 missing, unreadable or not UTF-8 is bad input too. Word lists and reports
 are written through ``write_text``, so an output path that cannot be written
-is bad input as well.
+is bad input as well; ``check_writable`` finds most such paths before the
+work whose result would go there.
 """
 
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -90,3 +92,28 @@ def write_text(path: str | Path, text: str, error: type[PedlexError], what: str)
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise error(f"cannot write {what} {path}: {exc.strerror or exc}") from None
+
+
+def check_writable(path: str | Path, error: type[PedlexError], what: str, *,
+                   directory: bool = False) -> None:
+    """Raise ``error`` when ``path`` surely cannot be written, before any
+    work: "cannot write <what> <path>: <reason>" when the path is a
+    directory, its directory is missing, or the one it would write to is
+    not writable. With ``directory``, the path is a directory that
+    ``mkdir(parents=True)`` makes: "cannot create <what> <path>: <reason>"
+    when a file is in its way or its nearest existing directory is not
+    writable. Creates nothing; ``write_text`` still maps what fails later."""
+    path = Path(path)
+    if directory:
+        verb, target = "create", path
+        while not target.exists() and target != target.parent:
+            target = target.parent
+        reason = None if target.is_dir() else f"{target} is not a directory"
+    else:
+        verb, target = "write", path if path.exists() else path.parent
+        reason = ("is a directory" if path.is_dir()
+                  else None if path.parent.is_dir() else f"no directory {path.parent}")
+    if reason is None and not os.access(target, os.W_OK):
+        reason = "permission denied"
+    if reason:
+        raise error(f"cannot {verb} {what} {path}: {reason}")

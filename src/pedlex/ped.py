@@ -40,16 +40,15 @@ run the same row test. In both a cell outside the band counts as inf. The
 interpreted scan runs any plan on fresh rows, inf outside row 0 and column
 0, and writes only its band. Pruned rows are 2-3 cells wide, and per row it
 unpacks the plan and builds a range, which costs about as much as the
-cells. So a plan whose rows are all narrow, once it has proved hot, is
-generated as straight-line code with the rows and columns unrolled and
-compiled: the DP rows live in local variables for the whole scan, row 0,
-column 0 and the cells outside the band are constants folded into the
-code, and each cell's gap is a constant that picks its threshold. It
-writes nothing: the DP stack is the interpreted scan's scratch space, and
-``ped``'s full matrix. Compiling costs time and memory in proportion to
-the plan's cells, so only the narrow, hot plans that carry most of the
-work are worth it: wide plans (long words, loose bounds) and rarely used
-ones stay interpreted.
+cells. So a plan whose rows are all narrow is generated, at its first scan,
+as straight-line code with the rows and columns unrolled and compiled: the
+DP rows live in local variables for the whole scan, row 0, column 0 and the
+cells outside the band are constants folded into the code, and each cell's
+gap is a constant that picks its threshold. It writes nothing: the DP
+stack is the interpreted scan's scratch space, and ``ped``'s full matrix.
+Compiling costs time and memory in proportion to the plan's cells, so wide
+plans (long words, loose bounds) stay interpreted, and so does every plan
+once a bounded number of scans is kept.
 """
 
 from __future__ import annotations
@@ -300,8 +299,8 @@ def dp_labels(bucket, query, best, best_ipa, prune, stats):
     ``least_limit``) it retunes its thresholds and goes on; it returns only
     at the bucket's end and at a win that narrows the band (without
     ``prune`` the band never narrows). The scan of the narrower plan takes
-    over from the next candidate. A plan runs interpreted, or as a generated
-    scan once it is hot and narrow; both take the same positional arguments
+    over from the next candidate. A narrow plan runs as a generated scan
+    from its first scan on (``_compile``), any other interpreted; both take the same positional arguments
     after the interpreted scan's plan and stack and return (last index
     scanned, cells, completed candidates, index of the last winner or None,
     best, limit).
@@ -325,14 +324,13 @@ def dp_labels(bucket, query, best, best_ipa, prune, stats):
     while k < end:
         # the first plan, or the narrower one of the win the last scan stopped at
         plan = (m, n, *band(limit, m, n))
-        scan = _compiled.get(plan)
+        scan = _compiled.get(plan) or _compile(plan)
         if scan is not None:
             k, c, done, win, best, limit = scan(
                 costs, ipas, query, k, limit, best, best_ipa, prune)
         else:
             k, c, done, win, best, limit = _interpret(
                 plan, dp_stack(m, n), costs, ipas, query, k, limit, best, best_ipa, prune)
-            _warm(plan, c)
         cells += c
         completed += done
         if win is not None:
@@ -445,56 +443,35 @@ def _interpret(plan, stack, costs, ipas, query, k, limit, best, best_ipa, prune)
     return k, cells, completed, win, best, limit
 
 
-# A scan is generated for a plan whose rows are at most _NARROW cells wide,
-# once the interpreted scan has computed _HOT times the plan's own cells on
-# it in this process, and at least _HOT_FLOOR; at most _MAX_COMPILED are
-# kept. Measured on a 2-core Xeon under CPython 3.11: compiling a plan takes
-# about 0.4 ms plus 45 us per cell of its rows (0.5 ms for 1 cell, 1.7 ms
-# for 28) and keeps 6-15 KB, and a generated scan computes a cell about 200
-# ns faster than the interpreted one, which takes about 300 ns. So the
-# compile cost grows with the plan's cells, and the trigger does too: at 200
-# times its cells, a plan compiles once the interpreted scan has spent half
-# (small plans) to all (20 cells and more) of the compile cost on it. That
-# is early, because a plan that gets hot early stays hot, and a process
-# that starts cold gains most from compiling its hot plans soon; a flat
-# trigger low enough for that compiles long words' plans too. A pooled
-# matrix run whose largest cell is small starts cold only once: the caller
-# computes that cell first, and the workers fork with the scans it compiled
-# and the heat it booked (``similarity.build_matrix``). On a six-language
-# corpus under two workers, 100-300 times and floors of 512-1,024 ran within
-# noise of each other; on two 300-word lists of 8-30 phones, 100 times
-# compiled 9 plans of 38-53 cells by the second pass, 200 times none. Plans up to 5
-# wide hold 98% of the cells of two unrelated 1000-word lists and 95% of a
-# six-language corpus (91% and 76% up to 4 wide). The width cap keeps long
-# words interpreted: without it, those 300-word lists compiled 128 plans,
-# rows up to 28 wide, which took the first pass from 0.6 to 2.6 s and its
-# peak RSS from 22 to 41 MB. Both caches change only the speed of a scan,
-# never its result.
+# A plan whose rows are at most _NARROW cells wide is compiled at its first
+# scan; at most _MAX_COMPILED scans are kept. Measured on a 2-core Xeon under
+# CPython 3.11: compiling a plan takes about 0.4 ms plus 45 us per cell of
+# its rows (0.5 ms for 1 cell, 1.7 ms for 28) and keeps 6-15 KB, and a
+# generated scan computes a cell about 200 ns faster than the interpreted
+# one, which takes about 300 ns. Most narrow plans are scanned often: a
+# trigger of 200 times a plan's cells compiled 69 of a six-language corpus's
+# 86 narrow plans within one pass anyway. Compiling at the first scan costs
+# most where many plans are each scanned a few times: on two unrelated
+# 300-word lists of 2-20 phones, about 0.1 s of their first pass. Plans up
+# to 5 wide hold 98% of the cells of two unrelated 1000-word lists and 95% of
+# a six-language corpus. The width cap keeps long words interpreted: without
+# it, two 300-word lists of 8-30 phones compiled 128 plans, rows up to 28
+# wide, which took the first pass from 0.6 to 2.6 s and its peak RSS from 22
+# to 41 MB. The cache changes only the speed of a scan, never its result.
 _NARROW = 5
-_HOT = 200
-_HOT_FLOOR = 1024
 _MAX_COMPILED = 128
 _compiled: dict[tuple, object] = {}  # plan -> generated scan
-_heat: dict[tuple, float] = {}  # plan -> interpreted cells still to go before it compiles
 
 
-def _warm(plan, cells):
-    """Book ``cells`` of interpreted work on ``plan`` and compile it once hot."""
-    if len(_compiled) >= _MAX_COMPILED:
-        return
-    left = _heat.get(plan)
-    if left is None:
-        if len(_heat) >= 4096:
-            _heat.clear()  # as many plans as row_spans caches; start counting again
-        widths = [span[3] for span in row_spans(*plan)[1:]]
-        # a wide plan never compiles
-        left = INF if max(widths, default=0) > _NARROW else max(_HOT_FLOOR, _HOT * sum(widths))
-    left -= cells
-    if left > 0:
-        _heat[plan] = left
-    else:
-        _heat.pop(plan, None)
-        _compiled[plan] = _generate(*plan)
+def _compile(plan):
+    """The generated scan of ``plan``, now kept in ``_compiled``, or None: a
+    plan with a row wider than _NARROW cells runs interpreted, and so does
+    every new plan once _MAX_COMPILED scans are kept."""
+    if len(_compiled) >= _MAX_COMPILED or max(
+            (span[3] for span in row_spans(*plan)[1:]), default=0) > _NARROW:
+        return None
+    scan = _compiled[plan] = _generate(*plan)
+    return scan
 
 
 def _generate(m, n, lo, hi):

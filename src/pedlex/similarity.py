@@ -260,8 +260,8 @@ def build_matrix(
     the workers fork from this process (start method ``fork``), that cell
     has at most ``_WARM_MAX_PAIRS`` word pairs and at least ``jobs`` cells
     are left after it, and empty otherwise: a worker that starts cold
-    compiles the same hot DP plans as every other one (``ped._warm``), and
-    these fork with the scans that cell compiled and the heat it booked.
+    compiles the same narrow DP plans as every other one (``ped._compile``),
+    and these fork with the scans that cell compiled.
     Cells run largest first on both sides, so when several cells fail the
     first of them in that order is the one raised. A cell that fails with
     anything but a ``PedlexError`` raises a ``RuntimeError`` naming it. The

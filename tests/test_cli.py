@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pedlex import (
     DistanceConfig, SubstitutionCosts, default_inventory, paper_voice, ped, read_wordlist, tokenize,
 )
+from pedlex import cli
 from pedlex.cli import build_parser, main
 from pedlex.errors import WordListError
 
@@ -773,26 +774,41 @@ def test_module_entrypoint_runs():
 # ---------------------------------------------------------------- unwritable outputs
 
 
-def test_matrix_out_that_cannot_be_written_exits_one(capsys, tmp_path, fixtures_dir):
+def refuse_work(monkeypatch, name):
+    """Make ``pedlex.cli.<name>`` raise if a command calls it: an output that
+    cannot be written must stop the command before its work starts."""
+
+    def work(*args, **kwargs):
+        raise AssertionError(f"{name} ran before its output was checked")
+
+    monkeypatch.setattr(cli, name, work)
+
+
+def test_matrix_out_that_cannot_be_written_exits_one(capsys, monkeypatch, tmp_path,
+                                                      fixtures_dir):
+    refuse_work(monkeypatch, "build_matrix")
     lists = str(fixtures_dir / "pronouns")
     for out in (tmp_path, tmp_path / "missing" / "r.csv"):
         code, _, err = run(capsys, "matrix", "--lists", lists, "--out", str(out), "--jobs", "1")
         assert_bad_file(code, err, out, "cannot write report")
 
 
-def test_g2p_out_in_a_missing_directory_exits_one(capsys, tmp_path, fixtures_dir):
-    out = tmp_path / "missing" / "ur.tsv"
-    code, _, err = run(capsys, "g2p", "--script", "perso-arabic",
-                       "--in", str(fixtures_dir / "pronouns" / "ur.tsv"), "--out", str(out))
-    assert_bad_file(code, err, out, "cannot write word list")
+def test_g2p_out_in_a_missing_directory_exits_one(capsys, monkeypatch, tmp_path, fixtures_dir):
+    refuse_work(monkeypatch, "g2p_convert")
+    for out in (tmp_path, tmp_path / "missing" / "ur.tsv"):
+        code, _, err = run(capsys, "g2p", "--script", "perso-arabic",
+                           "--in", str(fixtures_dir / "pronouns" / "ur.tsv"), "--out", str(out))
+        assert_bad_file(code, err, out, "cannot write word list")
 
 
-def test_extract_out_dir_that_is_a_file_exits_one(capsys, tmp_path):
+def test_extract_out_dir_that_is_a_file_exits_one(capsys, monkeypatch, tmp_path):
+    refuse_work(monkeypatch, "extract_wordlists")
     conllu = tmp_path / "ur.conllu"
     conllu.write_text(CONLLU, encoding="utf-8")
-    out_dir = tmp_path / "lists"
-    out_dir.write_text("not a directory\n", encoding="utf-8")
-    code, _, err = run(capsys, "extract", "--input", str(conllu), "--lang", "ur",
-                       "--out-dir", str(out_dir))
-    assert_bad_file(code, err, out_dir, "cannot create --out-dir")
-    assert out_dir.read_text(encoding="utf-8") == "not a directory\n"
+    # the input file itself, and a directory below it: a file is in the way
+    for out_dir in (conllu, conllu / "lists"):
+        code, _, err = run(capsys, "extract", "--input", str(conllu), "--lang", "ur",
+                           "--out-dir", str(out_dir))
+        assert_bad_file(code, err, out_dir, "cannot create --out-dir")
+    assert sorted(tmp_path.iterdir()) == [conllu]
+    assert conllu.read_text(encoding="utf-8") == CONLLU

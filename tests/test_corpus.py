@@ -408,6 +408,17 @@ def test_g2p_table_keeps_a_rule_for_a_space(tmp_path):
     assert convert_word("a a", load_g2p_table(path)) == "xyx"
 
 
+def test_g2p_table_keeps_a_rule_that_deletes_a_space(tmp_path):
+    # the row " <TAB>" is whitespace only, yet a rule: spaces map to nothing;
+    # a tab alone is a rule without a grapheme, refused with its line
+    path = tmp_path / "t.tsv"
+    path.write_text("# script=demo\na\tx\n \t\n\n", encoding="utf-8")
+    assert convert_word("a a", load_g2p_table(path)) == "xx"
+    path.write_text("# script=demo\na\tx\n\t\n", encoding="utf-8")
+    with pytest.raises(G2PError, match=f"^{path} line 3: empty grapheme$"):
+        load_g2p_table(path)
+
+
 def test_g2p_empty_output_rule_deletes(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("# script=demo\na\tx\nb\t\n", encoding="utf-8")
@@ -570,6 +581,10 @@ def test_write_wordlist_rejects_a_lemma_that_is_not_nfc(tmp_path, ipa):
     (WordList("ur", "NOUN", (), {}), "list (ur, NOUN) is converted but has no lemmas"),
     # the reader refuses a lemma's second row
     (WordList("ur", "NOUN", ("ab", "ab"), {"ab": "ab"}), "lemma 'ab' occurs twice"),
+    # a lone surrogate has no UTF-8 bytes, in a lemma or in its IPA
+    (WordList("ur", "NOUN", ("ab", "\ud800")), "lemma '\\ud800' or its IPA holds"),
+    (WordList("ur", "NOUN", ("ab", "cd"), {"ab": "ab", "cd": "c\udfff"}),
+     "lemma 'cd' or its IPA holds '\\udfff'"),
 ])
 def test_write_wordlist_refuses_a_list_that_would_read_back_unequal(tmp_path, words, named):
     path = tmp_path / "list.tsv"

@@ -505,14 +505,13 @@ def test_row_spans_cover_the_band(bound, m, n):
 
 
 @contextmanager
-def tiers(hot, narrow=None, bound=None):
-    """Run with compile trigger ``hot`` (the multiple of a plan's cells and
-    its floor alike: 0 compiles every narrow plan a scan runs, inf none)
-    and, if given, width cap and cache bound, and empty caches; yields the
-    cache of compiled scans."""
-    names = ("_HOT", "_HOT_FLOOR", "_NARROW", "_MAX_COMPILED", "_compiled", "_heat")
+def tiers(narrow=None, bound=None):
+    """Run with an empty cache and, if given, width cap and cache bound
+    (bound 0 runs every plan interpreted); yields the cache of compiled
+    scans."""
+    names = ("_NARROW", "_MAX_COMPILED", "_compiled")
     saved = [getattr(kernel, name) for name in names]
-    kernel._HOT, kernel._HOT_FLOOR, kernel._compiled, kernel._heat = hot, hot, {}, {}
+    kernel._compiled = {}
     if narrow is not None:
         kernel._NARROW = narrow
     if bound is not None:
@@ -627,11 +626,11 @@ def test_generated_scans_match_the_interpreted_scan(case, narrow):
     # per call the hit and the counters, and per scan its result
     entries, m, rows, query, best, best_ipa, prune = case
     results = []
-    for hot in (math.inf, 0):
-        with tiers(hot, narrow) as compiled, scan_log() as log:
+    for bound in (0, None):
+        with tiers(narrow, bound) as compiled, scan_log() as log:
             calls = scan_twice(Bucket(m, list(entries), rows), query, best, best_ipa, prune)
             results.append((calls, log))
-            if hot == 0 and narrow == math.inf and calls[0][1][1]:
+            if bound is None and narrow == math.inf and calls[0][1][1]:
                 assert compiled  # the first call compiled every plan it ran
     assert results[0] == results[1]
     if not prune:  # no bound: every word completes its m x n cells, none is prefiltered
@@ -649,7 +648,7 @@ def test_ped_is_exact_whichever_plans_are_compiled():
     # every plan of the pair: t from the length gap, where the band opens, to m + n
     pair_plans = {(m, n, *band(t, m, n)) for t in range(abs(m - n), m + n + 1)}
     for compile_all in (False, True):
-        with tiers(math.inf) as compiled:
+        with tiers(bound=0) as compiled:
             if compile_all:
                 compiled.update((plan, kernel._generate(*plan)) for plan in pair_plans)
             for _ in range(2):
@@ -657,22 +656,22 @@ def test_ped_is_exact_whichever_plans_are_compiled():
                 assert ped(a, b, costs=COSTS, bound=exact.normalized).distance == exact.distance
 
 
-@given(scan_cases(), st.sampled_from([math.inf, 0]))
+@given(scan_cases(), st.sampled_from([0, None]))
 # the first candidate is abandoned at row 1, and the second shares two
 # labels with it: row 2 was never written, and the second computes its rows
 # from row 0
 @example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, [[1.0], [1.0]], (0, 0, 0), 0.1, "",
-          True), math.inf)
-@example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, [[1.0], [1.0]], (0, 0, 0), 0.1, "",
           True), 0)
+@example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, [[1.0], [1.0]], (0, 0, 0), 0.1, "",
+          True), None)
 @settings(max_examples=200, deadline=None)
-def test_no_scan_reads_a_dead_row(case, hot):
+def test_no_scan_reads_a_dead_row(case, bound):
     # -1.0 lowers any DP value that reads it, so a candidate that read a row
     # it had not written would change a hit or a counter
     entries, m, rows, query, best, best_ipa, prune = case
     results = []
     for dead in (None, -1.0):
-        with tiers(hot):
+        with tiers(bound=bound):
             results.append(scan_twice(Bucket(m, list(entries), rows), query, best, best_ipa,
                                       prune, dead))
     assert results[0] == results[1]
@@ -693,30 +692,45 @@ def switch_scan():
     return hit, (stats.cells, stats.dps, stats.abandoned)
 
 
+def switch_widths():
+    """``switch_scan``'s result, and the widest row of each plan the
+    interpreted scan ran, in order."""
+    widths, interpret = [], kernel._interpret
+
+    def spy(plan, *args):
+        widths.append(max(span[3] for span in row_spans(*plan)[1:]))
+        return interpret(plan, *args)
+
+    kernel._interpret = spy
+    try:
+        return switch_scan(), widths
+    finally:
+        kernel._interpret = interpret
+
+
 def test_a_win_switches_plan_and_tier_mid_bucket():
-    # the first two plans are wider than the cap and interpreted; the last
-    # two are those the first call compiled
-    with tiers(math.inf):
+    # the first two plans are wider than the cap and interpreted, the last
+    # two generated; the hit and the counters are those of the interpreted
+    # scan alone
+    with tiers(bound=0):
         reference = switch_scan()
     assert reference[0] == (3, 0.0)
-    interpreted = []
-    with tiers(0) as compiled:
-        interpret = kernel._interpret
+    with tiers():
+        assert switch_widths() == (reference, [6, 6])
 
-        def spy(plan, *args):
-            interpreted.append(max(span[3] for span in row_spans(*plan)[1:]))
-            return interpret(plan, *args)
 
-        kernel._interpret = spy
-        try:
-            assert switch_scan() == reference
-            interpreted.clear()
-            assert switch_scan() == reference
-        finally:
-            kernel._interpret = interpret
-        plans = sorted(compiled)
-    assert interpreted == [6, 6]
-    assert plans == [(6, 6, -1, 1), (6, 6, 0, 0)]
+def test_narrow_plans_compile_at_their_first_scan():
+    # a narrow plan runs generated from its first scan on, so the
+    # interpreted scan sees only the wide plans, which never compile; once
+    # the bound's scans are kept, a new narrow plan (0..0, one cell a row)
+    # runs interpreted in every call
+    for bound, widths, plans in ((None, [6, 6], [(6, 6, -1, 1), (6, 6, 0, 0)]),
+                                 (1, [6, 6, 1], [(6, 6, -1, 1)])):
+        with tiers(bound=bound) as compiled:
+            for _ in range(2):
+                hit, seen = switch_widths()
+                assert hit[0] == (3, 0.0) and seen == widths
+            assert sorted(compiled) == plans
 
 
 def test_generated_scans_write_nothing():
@@ -732,7 +746,7 @@ def test_generated_scans_write_nothing():
 
     kernel.dp_stack = dp_stack
     try:
-        with tiers(0, math.inf) as compiled:
+        with tiers(math.inf) as compiled:
             reference = switch_scan()
             assert reference[0] == (3, 0.0)
             assert sorted(compiled) == [(6, 6, -6, 6), (6, 6, -3, 3), (6, 6, -1, 1),
@@ -761,7 +775,7 @@ def test_long_words_compile_only_narrow_plans_within_the_bound():
     lists = [WordList(lang, "NOUN", tuple(words), {w: w for w in words})
              for lang, words in (("aa", aa), ("bb", bb))]
     exact = align_lists(*lists, INV, costs=COSTS, prune=False).mu_psi
-    with tiers(0, bound=6) as compiled:
+    with tiers(bound=6) as compiled:
         mu_psi = align_lists(*lists, INV, costs=COSTS).mu_psi
         assert len(compiled) == 6
         assert all(max(span[3] for span in row_spans(*plan)[1:]) <= kernel._NARROW
