@@ -402,18 +402,13 @@ def test_g2p_table_rejects_whitespace_in_ipa_or_language(tmp_path, row, field):
 
 
 def test_g2p_table_keeps_a_rule_for_a_space(tmp_path):
-    # graphemes may hold whitespace: a rule for a space serves multiword lemmas
+    # graphemes may hold whitespace: a rule for a space serves multiword
+    # lemmas, also one that deletes it from a row " <TAB>" of whitespace
+    # only; a tab alone is a rule without a grapheme, refused with its line
     path = tmp_path / "t.tsv"
-    path.write_text("# script=demo\na\tx\n \ty\n", encoding="utf-8")
-    assert convert_word("a a", load_g2p_table(path)) == "xyx"
-
-
-def test_g2p_table_keeps_a_rule_that_deletes_a_space(tmp_path):
-    # the row " <TAB>" is whitespace only, yet a rule: spaces map to nothing;
-    # a tab alone is a rule without a grapheme, refused with its line
-    path = tmp_path / "t.tsv"
-    path.write_text("# script=demo\na\tx\n \t\n\n", encoding="utf-8")
-    assert convert_word("a a", load_g2p_table(path)) == "xx"
+    for space, converted in (" \ty", "xyx"), (" \t", "xx"):
+        path.write_text(f"# script=demo\na\tx\n{space}\n\n", encoding="utf-8")
+        assert convert_word("a a", load_g2p_table(path)) == converted
     path.write_text("# script=demo\na\tx\n\t\n", encoding="utf-8")
     with pytest.raises(G2PError, match=f"^{path} line 3: empty grapheme$"):
         load_g2p_table(path)
