@@ -320,9 +320,9 @@ def write_wordlist(words: WordList, path: str | Path) -> None:
     with '#' (a comment), is empty or whitespace only (a blank line), is not
     NFC (it would read back composed) or occurs twice; a lemma or IPA string
     that holds a tab, CR or LF, or a lone surrogate (UTF-8 cannot encode
-    it); IPA for a string that is not a lemma, or an
-    empty IPA string (it reads back as a lemma g2p dropped); and a converted
-    list without lemmas (it reads back unconverted). The error names the
+    it); IPA for a string that is not a lemma, or an empty IPA string (it
+    reads back as a lemma g2p dropped); and a converted list without lemmas
+    (it reads back unconverted). The error names the
     lemma, or the list for the last. A path that cannot be written raises
     WordListError naming it."""
     check_header_value(f"{path}: header lang=", words.language)

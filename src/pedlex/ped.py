@@ -47,7 +47,7 @@ cells outside the band are constants folded into the code, and each cell's
 gap is a constant that picks its threshold. It writes nothing: the DP
 stack is the interpreted scan's scratch space, and ``ped``'s full matrix.
 Compiling costs time and memory in proportion to the plan's cells, so wide
-plans (long words, loose bounds) stay interpreted, and so does every plan
+plans (long words, loose bounds) stay interpreted, and so does every new plan
 once a bounded number of scans is kept.
 """
 
@@ -300,10 +300,10 @@ def dp_labels(bucket, query, best, best_ipa, prune, stats):
     at the bucket's end and at a win that narrows the band (without
     ``prune`` the band never narrows). The scan of the narrower plan takes
     over from the next candidate. A narrow plan runs as a generated scan
-    from its first scan on (``_compile``), any other interpreted; both take the same positional arguments
-    after the interpreted scan's plan and stack and return (last index
-    scanned, cells, completed candidates, index of the last winner or None,
-    best, limit).
+    from its first scan on (``_compile``), any other interpreted; both take
+    the same positional arguments after the interpreted scan's plan and
+    stack and return (last index scanned, cells, completed candidates,
+    index of the last winner or None, best, limit).
 
     A generated scan keeps the DP rows in local variables and writes
     nothing; each interpreted scan computes them on fresh ``dp_stack`` rows.
@@ -452,12 +452,13 @@ def _interpret(plan, stack, costs, ipas, query, k, limit, best, best_ipa, prune)
 # trigger of 200 times a plan's cells compiled 69 of a six-language corpus's
 # 86 narrow plans within one pass anyway. Compiling at the first scan costs
 # most where many plans are each scanned a few times: on two unrelated
-# 300-word lists of 2-20 phones, about 0.1 s of their first pass. Plans up
-# to 5 wide hold 98% of the cells of two unrelated 1000-word lists and 95% of
-# a six-language corpus. The width cap keeps long words interpreted: without
-# it, two 300-word lists of 8-30 phones compiled 128 plans, rows up to 28
-# wide, which took the first pass from 0.6 to 2.6 s and its peak RSS from 22
-# to 41 MB. The cache changes only the speed of a scan, never its result.
+# 300-word lists of 2-20 phones it takes the first pass from 0.20 to 0.28 s
+# (the second from 0.20 to 0.19 s). Plans up to 5 wide hold 98% of the cells
+# of two unrelated 1000-word lists and 95% of a six-language corpus. The
+# width cap keeps long words interpreted: without it, two 300-word lists of
+# 8-30 phones compiled 128 plans, rows up to 28 wide, which took the first
+# pass from 0.6 to 2.6 s and its peak RSS from 22 to 41 MB. The cache
+# changes only the speed of a scan, never its result.
 _NARROW = 5
 _MAX_COMPILED = 128
 _compiled: dict[tuple, object] = {}  # plan -> generated scan
