@@ -32,7 +32,8 @@ class TokenizeError(PedlexError):
 
 
 class ConfigError(PedlexError):
-    """Distance-weight configuration violates its invariants."""
+    """A ``DistanceConfig`` holds ``alpha`` outside (0, 1] or
+    ``cross_type_cost`` outside [0, 1]; the weights are constants."""
 
 
 class MannerTableError(PedlexError):

@@ -6,11 +6,11 @@ the labels are equal). One kernel computes it for the greedy list
 alignment, and for ``ped`` and its edit-script trace: a ``dp_labels`` call
 scans a bucket of equal-length candidate words against one query word, rows
 over the candidate and columns over the query, each candidate from row 0,
-and ``ped`` runs the kernel's interpreted scan on its one pair. Each
-candidate carries its cost rows, row i pricing its label i against every
-query label id, so a query needs no cost profile of its own.
+and ``ped`` runs the kernel's interpreted scan, unpruned, on its one pair.
+Each candidate carries its cost rows, row i pricing its label i against
+every query label id, so a query needs no cost profile of its own.
 
-The kernel cuts its search off at the normalized best-so-far. Only the
+``dp_labels`` cuts its search off at the normalized best-so-far. Only the
 diagonal band that a path within it can reach is filled (Ukkonen's cutoff),
 and a candidate is abandoned as soon as every cell of the current row is
 beyond it once the unit steps still owed to its remaining length gap are
@@ -68,8 +68,8 @@ class DpStats:
 
     Every candidate a query considers counts once in ``prefiltered`` (its
     length gap alone exceeded the bound) or in ``dps`` (its DP started);
-    ``abandoned`` counts the candidates a row proved hopeless. A ``ped``
-    call is one candidate. ``cells`` counts DP cells actually computed.
+    ``abandoned`` counts the candidates a row proved hopeless. ``cells``
+    counts DP cells actually computed.
     """
 
     __slots__ = ("cells", "dps", "abandoned", "prefiltered")
@@ -500,9 +500,6 @@ def _generate(m, n, lo, hi):
             return repr(float(i)) if i <= hi else None
         return f"v{i}_{j}" if lo <= i - j <= hi else None
 
-    def plus_one(cell):  # cell + 1.0 as code, added up front for a float
-        return f"{cell} + 1.0" if cell.startswith("v") else repr(float(cell) + 1.0)
-
     gaps = set()
     code = [
         "    cells = completed = 0",
@@ -521,21 +518,19 @@ def _generate(m, n, lo, hi):
             cell, diag = at(i, j), at(i - 1, j - 1)
             code.append(f"        {cell} = {diag} + c[q{j}]")
             # alt = (up if up < west else west) + 1.0, with a neighbour
-            # outside the band dropped and a float's + 1.0 done up front
+            # outside the band dropped; the compiler folds a constant's + 1.0
             up, west = at(i - 1, j), at(i, j - 1)
             if up is None and west is None:
                 continue
             if up is None or west is None:
-                alt = plus_one(west if up is None else up)
-            elif not (up + west).count("v"):  # cell (1, 1) with column 0 in the band
+                alt = f"{west if up is None else up} + 1.0"
+            elif "v" not in up + west:  # cell (1, 1) with column 0 in the band
                 alt = repr(min(float(up), float(west)) + 1.0)
-            elif not west.startswith("v"):
-                alt = f"{up} + 1.0 if {up} < {west} else {plus_one(west)}"
-            elif not up.startswith("v"):
-                alt = f"{plus_one(up)} if {up} < {west} else {west} + 1.0"
-            else:
+            elif up.startswith("v") and west.startswith("v"):
                 alt = f"({up} if {up} < {west} else {west}) + 1.0"
-            if " " in alt:
+            else:  # one neighbour is a row-0 or column-0 constant
+                alt = f"{up} + 1.0 if {up} < {west} else {west} + 1.0"
+            if "v" in alt:  # alt reads a cell; a constant one is folded
                 code += [f"        a = {alt}", f"        if a < {cell}: {cell} = a"]
             else:
                 code.append(f"        if {alt} < {cell}: {cell} = {alt}")
@@ -621,45 +616,26 @@ def ped(
     target: Sequence[Phone],
     *,
     costs: SubstitutionCosts | None = None,
-    bound: float | None = None,
     trace: bool = False,
-    stats: DpStats | None = None,
-) -> PedResult | None:
+) -> PedResult:
     """Phonetic edit distance between two words, each a sequence of phones
     (as ``tokenize`` returns them).
 
     ``costs`` prices substitutions (default ``SubstitutionCosts()``); the
     result's ``normalized`` is the distance over the longer token length
-    (0 for two empty words).
-    With ``bound`` set, returns the exact result when the normalized
-    distance is at most ``bound`` and None otherwise. ``trace=True`` ignores
-    the bound and additionally returns the aligned edit script. The DP is
-    the kernel's interpreted scan of one candidate, booked in ``stats`` as
-    ``dp_labels`` books one; a pair whose band is empty is booked in
-    ``stats.prefiltered`` and not priced.
+    (0 for two empty words). ``trace=True`` additionally returns the aligned
+    edit script. The DP is the kernel's interpreted scan of one candidate
+    on the full band.
     """
     if costs is None:
         costs = SubstitutionCosts()
-    if stats is None:
-        stats = DpStats()
     m, n = len(source), len(target)
-    # the kernel takes nd < best; the next float up admits nd == bound
-    best = INF if bound is None or trace else nextafter(bound, INF)
-    limit = threshold(best, max(m, n))
-    if abs(m - n) > limit:
-        stats.prefiltered += 1
-        return None
     # the one candidate's cost rows: rows[i][j] prices source[i] against target[j]
     rows = costs.rows_for(source, target)
     stack = dp_stack(m, n)
-    _, cells, completed, win, normalized, _ = _interpret(
-        (m, n, *band(limit, m, n)), stack, [tuple(rows)], [""], tuple(range(n)), 0, limit,
-        best, "", True)
-    stats.dps += 1
-    stats.cells += cells
-    stats.abandoned += 1 - completed
-    if win is None:
-        return None
+    _, _, _, _, normalized, _ = _interpret(
+        (m, n, *band(INF, m, n)), stack, [tuple(rows)], [""], tuple(range(n)), 0, INF, INF, "",
+        False)
     ops = None
     if trace:
         ops = _edit_script(source, target, rows, stack)

@@ -200,7 +200,11 @@ def align_lists(
 # third of the work: running it first won on wall at 100,116 pairs (0.395
 # -> 0.384 s median, 7 of 10 pairs) and lost at 123,480 (0.409 -> 0.427 s,
 # 3 of 10), 149,688 (0.425 -> 0.495 s) and 1.38 M (0.98 -> 1.27 s), while
-# it saved CPU from 80 k pairs up.
+# it saved CPU from 80 k pairs up. Those lists were cut to alphabetical
+# prefixes (a WordList sorts its lemmas), not treebank-order samples. The
+# guard decides only when the workers fork, so under the default start
+# method it decides nothing on Python 3.14+ on Linux (forkserver) or on
+# macOS (spawn).
 _WARM_MAX_PAIRS = 100_000
 
 # (lists, min_size, tokens, rows) of the matrix a pool worker serves,

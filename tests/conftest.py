@@ -1,3 +1,4 @@
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,19 @@ def costs(cfg, xi):
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture
+def forked_workers():
+    """Pool workers fork from the test's process, so a monkeypatch reaches
+    them, whatever the default start method; it is restored afterwards.
+    Skipped where the platform cannot fork."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("pool workers cannot fork on this platform")
+    saved = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    yield
+    multiprocessing.set_start_method(saved, force=True)
 
 
 CRITERIA = {

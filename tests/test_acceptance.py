@@ -29,6 +29,7 @@ from pedlex import (
     tokenize,
 )
 from pedlex.cli import main as cli_main
+from pedlex.ped import Bucket, dp_labels
 
 INV = default_inventory()
 XI = default_manner_table()
@@ -169,8 +170,11 @@ def test_criterion_5_property_sweep_10000_pairs():
         assert ab.distance >= abs(len(a) - len(b))
         assert ab.distance <= unit_levenshtein([p.label for p in a], [p.label for p in b])
         assert 0.0 <= ab.normalized <= 1.0
-        pruned = ped(a, b, costs=costs, bound=ab.normalized)
-        assert pruned is not None and pruned.distance == ab.distance
+        # the kernel's pruned search, one candidate priced by position as
+        # ped prices it: at best = its nd (best_ipa after its "") it wins
+        bucket = Bucket(len(a), [(tuple(range(len(a))), "")], costs.rows_for(a, b))
+        hit = dp_labels(bucket, tuple(range(len(b))), ab.normalized, "~", True, DpStats())
+        assert hit is not None and hit[1].hex() == ab.normalized.hex()
 
 
 # ------------------------------------------------------------------ 6

@@ -594,7 +594,8 @@ def test_matrix_skip_unknown_warns_once_per_list(caplog, capsys, tmp_path, fixtu
     ]
 
 
-def test_pool_worker_error_names_its_cell(capsys, tmp_path, monkeypatch, fixtures_dir):
+def test_pool_worker_error_names_its_cell(capsys, tmp_path, monkeypatch, fixtures_dir,
+                                         forked_workers):
     from pedlex import similarity
     from pedlex.errors import WordListError
 
@@ -623,10 +624,13 @@ def test_pool_worker_error_names_its_cell(capsys, tmp_path, monkeypatch, fixture
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_first_failing_cell_in_largest_first_order_is_reported(
-    capsys, tmp_path, monkeypatch, fixtures_dir, jobs
+    capsys, tmp_path, monkeypatch, fixtures_dir, request, jobs
 ):
     from pedlex import similarity
     from pedlex.errors import WordListError
+
+    if jobs != "1":  # the monkeypatches below must reach the pool's workers
+        request.getfixturevalue("forked_workers")
 
     lists_dir = tmp_path / "lists"
     shutil.copytree(fixtures_dir / "pronouns", lists_dir)

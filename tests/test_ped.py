@@ -182,18 +182,31 @@ def test_prefix_monotonicity(a, b, extra):
     assert ped(a2, b2, costs=COSTS).distance <= base + 1e-12
 
 
+def pair_scan(a, b, bound, stats=None):
+    """The kernel's pruned search on the one pair (a, b): ``dp_labels`` over
+    a bucket of the one candidate a, priced by position against the query b
+    as ``ped`` prices it. The candidate's IPA is "" and ``best_ipa`` sorts
+    after it, so a candidate with nd == bound wins. Returns the winner's nd,
+    or None when the candidate does not win."""
+    m, n = len(a), len(b)
+    bucket = Bucket(m, [(tuple(range(m)), "")], COSTS.rows_for(a, b))
+    hit = dp_labels(bucket, tuple(range(n)), bound, "~", True,
+                    DpStats() if stats is None else stats)
+    return None if hit is None else hit[1]
+
+
 @given(phone_words(), phone_words())
 @settings(max_examples=60)
 def test_pruned_equals_unpruned(a, b):
     exact = ped(a, b, costs=COSTS)
     # a bound at the true value must not abandon, and must agree bit for bit
-    at_bound = ped(a, b, costs=COSTS, bound=exact.normalized)
+    at_bound = pair_scan(a, b, exact.normalized)
     assert at_bound is not None
-    assert at_bound.distance == exact.distance
+    assert at_bound.hex() == exact.normalized.hex()
     # a bound below the true value may abandon, never mis-report
-    below = ped(a, b, costs=COSTS, bound=exact.normalized - 1e-9)
+    below = pair_scan(a, b, exact.normalized - 1e-9)
     if below is not None:
-        assert below.distance == exact.distance
+        assert below.hex() == exact.normalized.hex()
 
 
 @given(phone_words(), phone_words(), st.data())
@@ -203,13 +216,12 @@ def test_random_bound_exact_or_none(a, b, data):
     near = [exact.normalized, math.nextafter(exact.normalized, -math.inf),
             math.nextafter(exact.normalized, math.inf)]
     bound = data.draw(st.one_of(st.sampled_from(near + [-math.inf]), st.floats(-0.5, 1.5)))
-    result = ped(a, b, costs=COSTS, bound=bound)
+    result = pair_scan(a, b, bound)
     if result is None:
         assert exact.normalized > bound
     else:
         assert exact.normalized <= bound
-        assert result.distance.hex() == exact.distance.hex()
-        assert result.normalized.hex() == exact.normalized.hex()
+        assert result.hex() == exact.normalized.hex()
 
 
 def reference_trace(src, tgt, costs):
@@ -260,7 +272,7 @@ trace_words = st.lists(st.sampled_from(["p", "b", "m", "a", "a:", "i", "s"]), ma
 @given(st.one_of(phone_words(), trace_words), st.one_of(phone_words(), trace_words))
 @settings(max_examples=200)
 def test_trace_matches_reference(a, b):
-    result = ped(a, b, costs=COSTS, trace=True, bound=0.0)
+    result = ped(a, b, costs=COSTS, trace=True)
     distance, ops = reference_trace(a, b, COSTS)
     assert result.distance.hex() == distance.hex()
     assert result.ops_trace == ops
@@ -268,14 +280,14 @@ def test_trace_matches_reference(a, b):
 
 def test_stats_count_cells():
     stats = DpStats()
-    ped(ps("abc"), ps("de"), costs=COSTS, stats=stats)
+    pair_scan(ps("abc"), ps("de"), math.inf, stats)
     assert stats.dps == 1
-    assert stats.cells == 6  # 3 rows of 2 after orientation swap
+    assert stats.cells == 6  # 3 rows of 2: rows over the candidate, columns over the query
 
 
 def test_pruning_abandons_hopeless_pair():
     stats = DpStats()
-    result = ped(ps("kkkkkk"), ps("a"), costs=COSTS, bound=0.01, stats=stats)
+    result = pair_scan(ps("kkkkkk"), ps("a"), 0.01, stats)
     assert result is None
     assert stats.prefiltered == 1  # the length gap alone exceeds the bound
     assert stats.cells < 6  # stopped before finishing all rows
@@ -283,23 +295,21 @@ def test_pruning_abandons_hopeless_pair():
 
 def test_row_test_abandons_hopeless_pair():
     stats = DpStats()
-    result = ped(ps("kkk"), ps("aaa"), costs=COSTS, bound=0.01, stats=stats)
+    result = pair_scan(ps("kkk"), ps("aaa"), 0.01, stats)
     assert result is None
     assert (stats.dps, stats.abandoned, stats.prefiltered, stats.cells) == (1, 1, 0, 1)
 
 
 def test_length_gap_prefilter_prices_no_pair():
-    priced = []
-
-    class CountingCosts(SubstitutionCosts):
-        def pair(self, a, b):
-            priced.append((a.label, b.label))
-            return super().pair(a, b)
+    # the bucket of "pa" against the query "pabababa", its cost rows
+    # tripwires: the kernel rules it out on the length gap before it reads one
+    class Unpriced:
+        def __getitem__(self, label):
+            raise AssertionError(f"priced label {label}")
 
     stats = DpStats()
-    result = ped(ps("pa"), ps("pabababa"), costs=CountingCosts(CFG, XI), bound=0.1, stats=stats)
-    assert result is None
-    assert priced == []
+    bucket = Bucket(2, [((0, 1), "")], [Unpriced(), Unpriced()])
+    assert dp_labels(bucket, tuple(range(8)), 0.1, "~", True, stats) is None
     assert (stats.prefiltered, stats.dps, stats.abandoned, stats.cells) == (1, 0, 0, 0)
 
 
@@ -307,7 +317,7 @@ def test_a_bucket_out_of_reach_is_booked_in_prefiltered():
     # two words of 2 labels against an empty query: the gap alone gives
     # 2 / 2 = 1.0, above a best of 0.9 or of an exact match, so no DP starts
     stats = DpStats()
-    assert ped(ps("pa"), (), costs=COSTS, bound=0.9, stats=stats) is None
+    assert pair_scan(ps("pa"), (), 0.9, stats) is None
     assert (stats.prefiltered, stats.dps, stats.abandoned, stats.cells) == (1, 0, 0, 0)
     # nearest finds the empty word first; without prune every bucket is scanned
     rows = [[0.0], [0.0]]
@@ -641,7 +651,8 @@ def test_generated_scans_match_the_interpreted_scan(case, narrow):
 def test_ped_is_exact_whichever_plans_are_compiled():
     # ped reads its rows off the stack: its distance, and with trace=True
     # its edit script. It runs the interpreted scan, so compiled scans of
-    # every plan of the pair, as dp_labels calls may leave, change nothing
+    # every plan of the pair, as dp_labels calls may leave, change nothing;
+    # the kernel's pruned search on the pair runs them, and wins at ped's nd
     a, b = ps("fa:tər"), ps("pedær")
     m, n = len(a), len(b)
     exact = ped(a, b, costs=COSTS, trace=True)
@@ -653,7 +664,7 @@ def test_ped_is_exact_whichever_plans_are_compiled():
                 compiled.update((plan, kernel._generate(*plan)) for plan in pair_plans)
             for _ in range(2):
                 assert ped(a, b, costs=COSTS, trace=True) == exact
-                assert ped(a, b, costs=COSTS, bound=exact.normalized).distance == exact.distance
+                assert pair_scan(a, b, exact.normalized).hex() == exact.normalized.hex()
 
 
 @given(scan_cases(), st.sampled_from([0, None]))

@@ -477,10 +477,18 @@ class RecordingPool:
 events = []  # ("pool",) when a RecordingPool is built, ("cell", ...) per logged cell
 
 
+def fork_guard(monkeypatch):
+    """build_matrix's start-method guard reads fork, whatever the default."""
+    monkeypatch.setattr(multiprocessing, "get_start_method", lambda *args, **kwargs: "fork")
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """build_matrix's pools are RecordingPools; yields the list of those built."""
+    """build_matrix's pools are RecordingPools, whose workers are this
+    process as forked ones are its copies, so the start-method guard reads
+    fork; yields the list of those built."""
     monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    fork_guard(monkeypatch)
     monkeypatch.setattr(RecordingPool, "built", [])
     monkeypatch.setattr(similarity, "_worker_state", None)  # restored after the test
     events.clear()
@@ -628,6 +636,7 @@ def test_matrix_failing_largest_cell_raises_before_any_pool(monkeypatch):
             raise AssertionError("a pool was built")
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", NoPool)
+    fork_guard(monkeypatch)  # with jobs=2 the caller runs the largest cell only under fork
     lists = sized_lists()
 
     def fail_on(l1, l2):
