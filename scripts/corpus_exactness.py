@@ -15,9 +15,8 @@ every cell's μΨ as ``float.hex`` (None for a skipped cell).
 Without flags this script checks, on the same lists and against the same
 file, the variants that the test leaves out for time:
 - every cell unpruned (``align_lists(prune=False)``);
-- every plan interpreted, and every plan compiled, wide ones too, within
-  the cache's bound (``pedlex.ped``'s compile constants, patched in this
-  process only);
+- every plan interpreted, and every plan compiled, wide ones too
+  (``pedlex.ped``'s width cap, patched in this process only);
 - ``jobs=2`` under each start method the platform offers.
 It prints one line per variant and exits 1 when any bit differs. ``--write``
 rewrites the golden file from this checkout's code, naming the seed and the
@@ -119,17 +118,16 @@ def unpruned_bits(lists) -> dict[str, str | None]:
 
 
 @contextlib.contextmanager
-def _compile_rule(narrow, bound):
-    """Compile plans up to ``narrow`` cells wide, at most ``bound`` of
-    them, from an empty cache; the defaults and an empty cache are back on
-    exit."""
-    saved = kernel._NARROW, kernel._MAX_COMPILED
+def _compile_rule(narrow):
+    """Compile plans up to ``narrow`` cells wide (-1: none, inf: all) from an
+    empty cache; the default and an empty cache are back on exit."""
+    saved = kernel._NARROW
     kernel._compiled.clear()
-    kernel._NARROW, kernel._MAX_COMPILED = narrow, bound
+    kernel._NARROW = narrow
     try:
         yield
     finally:
-        kernel._NARROW, kernel._MAX_COMPILED = saved
+        kernel._NARROW = saved
         kernel._compiled.clear()
 
 
@@ -157,10 +155,10 @@ def main(argv=None) -> int:
         return 0
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     runs = [("jobs=1", *report_bits(lists)), ("unpruned", None, unpruned_bits(lists))]
-    with _compile_rule(kernel._NARROW, 0):
+    with _compile_rule(-1):
         runs.append(("every plan interpreted", *report_bits(lists)))
-    with _compile_rule(math.inf, kernel._MAX_COMPILED):
-        digest, bits = report_bits(lists)  # the name shows whether the bound cut it short
+    with _compile_rule(math.inf):
+        digest, bits = report_bits(lists)
         runs.append((f"every plan compiled ({len(kernel._compiled)} scans)", digest, bits))
     for method in multiprocessing.get_all_start_methods():
         multiprocessing.set_start_method(method, force=True)

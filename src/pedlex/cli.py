@@ -214,6 +214,8 @@ def _usable_cpus() -> int:
 
 
 def _cmd_matrix(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise PedlexError(f"--jobs must be at least 1, got {args.jobs}")
     check_writable(args.out, PedlexError, "report")
     inventory, costs = _load_tables(args)
     lists_dir = Path(args.lists)
@@ -222,8 +224,6 @@ def _cmd_matrix(args) -> int:
     lists = [read_wordlist(p) for p in sorted(lists_dir.glob("*.tsv"))]
     if not lists:
         raise PedlexError(f"no .tsv word lists in {lists_dir}")
-    if args.jobs is not None and args.jobs < 1:
-        raise PedlexError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = args.jobs or _usable_cpus()
     report = build_matrix(
         lists,

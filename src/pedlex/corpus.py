@@ -72,7 +72,8 @@ class WordList:
         """Distinct IPA strings, sorted; what list alignment operates on."""
         if self.ipa_by_lemma is None:
             raise WordListError(
-                f"word list ({self.language}, {self.pos}) has no IPA; run g2p first"
+                (f"{self.path}: " if self.path else "")
+                + f"word list ({self.language}, {self.pos}) has no IPA; run g2p first"
             )
         return tuple(sorted(set(self.ipa_by_lemma.values())))
 

@@ -46,9 +46,11 @@ DP rows live in local variables for the whole scan, row 0, column 0 and the
 cells outside the band are constants folded into the code, and each cell's
 gap is a constant that picks its threshold. It writes nothing: the DP
 stack is the interpreted scan's scratch space, and ``ped``'s full matrix.
-Compiling costs time and memory in proportion to the plan's cells, so wide
-plans (long words, loose bounds) stay interpreted, and so does every new plan
-once a bounded number of scans is kept.
+Compiling costs time and memory in proportion to the plan's cells, so a
+plan compiles exactly when its widest row is at most ``_NARROW`` cells, and
+wide plans (long words, loose bounds) stay interpreted. That is the one
+rule, so the scans a process keeps are bounded by its word lengths, not by
+its lists' sizes.
 """
 
 from __future__ import annotations
@@ -443,33 +445,36 @@ def _interpret(plan, stack, costs, ipas, query, k, limit, best, best_ipa, prune)
     return k, cells, completed, win, best, limit
 
 
-# A plan whose rows are at most _NARROW cells wide is compiled at its first
-# scan; at most _MAX_COMPILED scans are kept. Measured on a 2-core Xeon under
-# CPython 3.11: compiling a plan takes about 0.4 ms plus 45 us per cell of
-# its rows (0.5 ms for 1 cell, 1.7 ms for 28) and keeps 6-15 KB, and a
-# generated scan computes a cell about 200 ns faster than the interpreted
-# one, which takes about 300 ns. Most narrow plans are scanned often: a
-# trigger of 200 times a plan's cells compiled 69 of a six-language corpus's
-# 86 narrow plans within one pass anyway. Compiling at the first scan costs
-# most where many plans are each scanned a few times: on two unrelated
-# 300-word lists of 2-20 phones it takes the first pass from 0.20 to 0.28 s
-# (the second from 0.20 to 0.19 s). Plans up to 5 wide hold 98% of the cells
-# of two unrelated 1000-word lists and 95% of a six-language corpus. The
-# width cap keeps long words interpreted: without it, two 300-word lists of
-# 8-30 phones compiled 128 plans, rows up to 28 wide, which took the first
-# pass from 0.6 to 2.6 s and its peak RSS from 22 to 41 MB. The cache
-# changes only the speed of a scan, never its result.
+# A plan compiles at its first scan exactly when its widest row is at most
+# _NARROW cells: -1 runs every plan interpreted, inf compiles every plan.
+# Measured on a 2-core Xeon under CPython 3.11: compiling a plan takes about
+# 0.4 ms plus 45 us per cell of its rows (0.5 ms for 1 cell, 1.7 ms for 28)
+# and keeps 6-15 KB, and a generated scan computes a cell about 200 ns faster
+# than the interpreted one, which takes about 300 ns. Most narrow plans are
+# scanned often: a trigger of 200 times a plan's cells compiled 69 of a
+# six-language corpus's 86 narrow plans within one pass anyway. Compiling at
+# the first scan costs most where many plans are each scanned a few times:
+# on two unrelated 300-word lists of 2-20 phones it takes the first pass
+# from 0.20 to 0.28 s (the second from 0.20 to 0.19 s). Plans up to 5 wide
+# hold 98% of the cells of two unrelated 1000-word lists and 95% of a
+# six-language corpus. The width cap keeps long words interpreted: without
+# it, compiling the first 128 plans of two 300-word lists of 8-30 phones,
+# rows up to 28 wide, took the first pass from 0.6 to 2.6 s and its peak RSS
+# from 22 to 41 MB. It also bounds the cache by word length: of the plans
+# (m, n, *band(t, m, n)) with m, n <= 8, 12, 20 and 30, 190, 337, 633 and
+# 1,003 are narrow, and compiling all 633 of the 20-phone set takes 0.83 s
+# and keeps 4.1 MB (1,003: 1.7 s, 8.8 MB). The tier changes only the speed
+# of a scan, never its result.
 _NARROW = 5
-_MAX_COMPILED = 128
 _compiled: dict[tuple, object] = {}  # plan -> generated scan
 
 
 def _compile(plan):
-    """The generated scan of ``plan``, now kept in ``_compiled``, or None: a
-    plan with a row wider than _NARROW cells runs interpreted, and so does
-    every new plan once _MAX_COMPILED scans are kept."""
-    if len(_compiled) >= _MAX_COMPILED or max(
-            (span[3] for span in row_spans(*plan)[1:]), default=0) > _NARROW:
+    """The generated scan of ``plan``, now kept in ``_compiled``, or None
+    for a plan whose widest row, min(hi - lo + 1, n) cells (none when m is
+    0), is wider than _NARROW."""
+    m, n, lo, hi = plan
+    if (min(hi - lo + 1, n) if m else 0) > _NARROW:
         return None
     scan = _compiled[plan] = _generate(*plan)
     return scan

@@ -92,6 +92,27 @@ def test_paper_voice_in_library_matches_paper_mode(capsys):
     assert default_inventory()["s"].features.voiced == 0  # the bundled copy is untouched
 
 
+def test_dist_alpha_and_cross_type_cost_flags(capsys):
+    # each flag reaches DistanceConfig: the library's value under that config
+    inv = default_inventory()
+    a, b = tokenize("fa:tər", inv), tokenize("pedær", inv)
+    value = ped(a, b, costs=SubstitutionCosts(DistanceConfig(alpha=0.1))).distance
+    assert run(capsys, "dist", "fa:tər", "pedær")[:2] == (0, "0.800\n")
+    assert run(capsys, "dist", "fa:tər", "pedær", "--alpha", "0.1")[:2] == (0, "0.850\n")
+    assert f"{value:.3f}" == "0.850"
+    assert run(capsys, "dist", "a", "b", "--cross-type-cost", "0.5")[:2] == (0, "0.500\n")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cross-type-cost", "1.5", "cross_type_cost=1.5 outside [0, 1]"),
+    ("--alpha", "0", "alpha=0.0 outside (0, 1]"),
+])
+def test_dist_config_out_of_range_exits_one(capsys, flag, value, message):
+    code, out, err = run(capsys, "dist", "a", "b", flag, value)
+    assert code == 1 and out == ""
+    assert err == f"pedlex: error: {message}\n"
+
+
 def test_phones_lists_tokens(capsys):
     code, out, _ = run(capsys, "phones", "tʃʰa:t")
     lines = out.splitlines()
@@ -454,6 +475,28 @@ def test_matrix_empty_dir_exits_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_matrix_missing_dir_exits_one(capsys, tmp_path):
+    missing = tmp_path / "none"
+    code, _, err = run(capsys, "matrix", "--lists", str(missing), "--out", str(tmp_path / "r.csv"))
+    assert code == 1
+    assert err == f"pedlex: error: --lists must be a directory of word-list files: {missing}\n"
+
+
+def test_a_list_without_ipa_names_its_file(capsys, tmp_path, fixtures_dir):
+    lists_dir = tmp_path / "lists"
+    lists_dir.mkdir()
+    ur = lists_dir / "ur.tsv"
+    ur.write_text("# lang=ur pos=PRON\nAli\nBob\n", encoding="utf-8")
+    shutil.copy(fixtures_dir / "pronouns" / "hi.tsv", lists_dir / "hi.tsv")
+    message = f"pedlex: error: {ur}: word list (ur, PRON) has no IPA; run g2p first\n"
+    code, _, err = run(capsys, "compare", "--a", str(ur), "--b", str(lists_dir / "hi.tsv"))
+    assert (code, err) == (1, message)
+    for jobs in ("1", "2"):
+        code, _, err = run(capsys, "matrix", "--lists", str(lists_dir),
+                           "--out", str(tmp_path / "r.csv"), "--jobs", jobs)
+        assert (code, err) == (1, message)
+
+
 def test_matrix_rejects_two_lists_of_one_language_and_tag(capsys, tmp_path, fixtures_dir):
     lists_dir = tmp_path / "lists"
     shutil.copytree(fixtures_dir / "pronouns", lists_dir)
@@ -476,6 +519,14 @@ def test_matrix_rejects_jobs_below_one(capsys, tmp_path, fixtures_dir):
         assert code == 1
         assert "--jobs" in err
     assert not out.exists()
+
+
+def test_matrix_refuses_jobs_below_one_before_reading_a_list(capsys, monkeypatch, tmp_path,
+                                                            fixtures_dir):
+    refuse_work(monkeypatch, "read_wordlist")
+    code, _, err = run(capsys, "matrix", "--lists", str(fixtures_dir / "pronouns"),
+                       "--out", str(tmp_path / "r.csv"), "--jobs", "0")
+    assert (code, err) == (1, "pedlex: error: --jobs must be at least 1, got 0\n")
 
 
 def test_matrix_jobs_default_counts_the_cpus_this_process_may_use(

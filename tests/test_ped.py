@@ -514,18 +514,21 @@ def test_row_spans_cover_the_band(bound, m, n):
 # ---------------------------------------------------------------- kernel tiers
 
 
+def widest_row(plan):
+    """The number of cells in the widest row of ``plan`` (0 without rows)."""
+    return max((span[3] for span in row_spans(*plan)[1:]), default=0)
+
+
 @contextmanager
-def tiers(narrow=None, bound=None):
-    """Run with an empty cache and, if given, width cap and cache bound
-    (bound 0 runs every plan interpreted); yields the cache of compiled
+def tiers(narrow=None):
+    """Run with an empty cache and, if given, width cap (-1 runs every plan
+    interpreted, inf compiles every plan); yields the cache of compiled
     scans."""
-    names = ("_NARROW", "_MAX_COMPILED", "_compiled")
+    names = ("_NARROW", "_compiled")
     saved = [getattr(kernel, name) for name in names]
     kernel._compiled = {}
     if narrow is not None:
         kernel._NARROW = narrow
-    if bound is not None:
-        kernel._MAX_COMPILED = bound
     try:
         yield kernel._compiled
     finally:
@@ -636,11 +639,11 @@ def test_generated_scans_match_the_interpreted_scan(case, narrow):
     # per call the hit and the counters, and per scan its result
     entries, m, rows, query, best, best_ipa, prune = case
     results = []
-    for bound in (0, None):
-        with tiers(narrow, bound) as compiled, scan_log() as log:
+    for tier in (-1, narrow):
+        with tiers(tier) as compiled, scan_log() as log:
             calls = scan_twice(Bucket(m, list(entries), rows), query, best, best_ipa, prune)
             results.append((calls, log))
-            if bound is None and narrow == math.inf and calls[0][1][1]:
+            if tier == math.inf and calls[0][1][1]:
                 assert compiled  # the first call compiled every plan it ran
     assert results[0] == results[1]
     if not prune:  # no bound: every word completes its m x n cells, none is prefiltered
@@ -659,7 +662,7 @@ def test_ped_is_exact_whichever_plans_are_compiled():
     # every plan of the pair: t from the length gap, where the band opens, to m + n
     pair_plans = {(m, n, *band(t, m, n)) for t in range(abs(m - n), m + n + 1)}
     for compile_all in (False, True):
-        with tiers(bound=0) as compiled:
+        with tiers(-1) as compiled:
             if compile_all:
                 compiled.update((plan, kernel._generate(*plan)) for plan in pair_plans)
             for _ in range(2):
@@ -667,22 +670,22 @@ def test_ped_is_exact_whichever_plans_are_compiled():
                 assert pair_scan(a, b, exact.normalized).hex() == exact.normalized.hex()
 
 
-@given(scan_cases(), st.sampled_from([0, None]))
+@given(scan_cases(), st.sampled_from([-1, None]))
 # the first candidate is abandoned at row 1, and the second shares two
 # labels with it: row 2 was never written, and the second computes its rows
 # from row 0
 @example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, [[1.0], [1.0]], (0, 0, 0), 0.1, "",
-          True), 0)
+          True), -1)
 @example(([((0, 0, 0), "000"), ((0, 0, 1), "001")], 3, [[1.0], [1.0]], (0, 0, 0), 0.1, "",
           True), None)
 @settings(max_examples=200, deadline=None)
-def test_no_scan_reads_a_dead_row(case, bound):
+def test_no_scan_reads_a_dead_row(case, narrow):
     # -1.0 lowers any DP value that reads it, so a candidate that read a row
     # it had not written would change a hit or a counter
     entries, m, rows, query, best, best_ipa, prune = case
     results = []
     for dead in (None, -1.0):
-        with tiers(bound=bound):
+        with tiers(narrow):
             results.append(scan_twice(Bucket(m, list(entries), rows), query, best, best_ipa,
                                       prune, dead))
     assert results[0] == results[1]
@@ -709,7 +712,7 @@ def switch_widths():
     widths, interpret = [], kernel._interpret
 
     def spy(plan, *args):
-        widths.append(max(span[3] for span in row_spans(*plan)[1:]))
+        widths.append(widest_row(plan))
         return interpret(plan, *args)
 
     kernel._interpret = spy
@@ -723,7 +726,7 @@ def test_a_win_switches_plan_and_tier_mid_bucket():
     # the first two plans are wider than the cap and interpreted, the last
     # two generated; the hit and the counters are those of the interpreted
     # scan alone
-    with tiers(bound=0):
+    with tiers(-1):
         reference = switch_scan()
     assert reference[0] == (3, 0.0)
     with tiers():
@@ -732,16 +735,39 @@ def test_a_win_switches_plan_and_tier_mid_bucket():
 
 def test_narrow_plans_compile_at_their_first_scan():
     # a narrow plan runs generated from its first scan on, so the
-    # interpreted scan sees only the wide plans, which never compile; once
-    # the bound's scans are kept, a new narrow plan (0..0, one cell a row)
-    # runs interpreted in every call
-    for bound, widths, plans in ((None, [6, 6], [(6, 6, -1, 1), (6, 6, 0, 0)]),
-                                 (1, [6, 6, 1], [(6, 6, -1, 1)])):
-        with tiers(bound=bound) as compiled:
-            for _ in range(2):
-                hit, seen = switch_widths()
-                assert hit[0] == (3, 0.0) and seen == widths
-            assert sorted(compiled) == plans
+    # interpreted scan sees only the wide plans, which never compile
+    with tiers() as compiled:
+        for _ in range(2):
+            hit, seen = switch_widths()
+            assert hit[0] == (3, 0.0) and seen == [6, 6]
+        assert sorted(compiled) == [(6, 6, -1, 1), (6, 6, 0, 0)]
+
+
+def band_plans(size):
+    """Every plan ``band`` gives for m, n <= size."""
+    return {(m, n, *band(t, m, n)) for m in range(size + 1) for n in range(size + 1)
+            for t in range(abs(m - n), m + n + 1)}
+
+
+def test_a_plan_compiles_exactly_when_its_widest_row_fits_the_cap():
+    for narrow in (-1, 0, kernel._NARROW):
+        for plan in sorted(band_plans(12)):
+            with tiers(narrow):
+                compiled = kernel._compile(plan) is not None
+                assert compiled == (widest_row(plan) <= narrow), (narrow, plan)
+
+
+def test_a_new_narrow_plan_compiles_however_many_scans_are_kept():
+    # the cache keeps no count: after 128 other narrow plans, the switch
+    # scan's two narrow plans still compile at their first scan
+    ours = {(6, 6, -1, 1), (6, 6, 0, 0)}
+    others = [plan for plan in sorted(band_plans(12) - ours) if widest_row(plan) <= kernel._NARROW]
+    with tiers() as compiled:
+        for plan in others[:128]:
+            assert kernel._compile(plan) is not None
+        hit, seen = switch_widths()
+        assert hit[0] == (3, 0.0) and seen == [6, 6]
+        assert ours <= compiled.keys() and len(compiled) == 130
 
 
 def test_generated_scans_write_nothing():
@@ -775,7 +801,7 @@ def test_generated_scans_write_nothing():
     assert made == before
 
 
-def test_long_words_compile_only_narrow_plans_within_the_bound():
+def test_long_words_compile_only_narrow_plans():
     rng = random.Random(40)
     phones = "ptkbdgmnszaeiou"  # one phone per character
     aa = {"".join(rng.choices(phones, k=rng.randint(20, 40))) for _ in range(24)}
@@ -786,11 +812,9 @@ def test_long_words_compile_only_narrow_plans_within_the_bound():
     lists = [WordList(lang, "NOUN", tuple(words), {w: w for w in words})
              for lang, words in (("aa", aa), ("bb", bb))]
     exact = align_lists(*lists, INV, costs=COSTS, prune=False).mu_psi
-    with tiers(bound=6) as compiled:
+    with tiers() as compiled:
         mu_psi = align_lists(*lists, INV, costs=COSTS).mu_psi
-        assert len(compiled) == 6
-        assert all(max(span[3] for span in row_spans(*plan)[1:]) <= kernel._NARROW
-                   for plan in compiled)
+        assert compiled and all(widest_row(plan) <= kernel._NARROW for plan in compiled)
     assert mu_psi.hex() == exact.hex()
 
 
